@@ -13,6 +13,7 @@ import argparse
 import csv
 import io
 import json
+import re
 import sys
 from pathlib import Path
 from typing import Callable, Sequence
@@ -64,6 +65,11 @@ class _Cursor:
         self.pos += 1
 
 
+# Leading zeros, then the significant digits of a bundle index.  [0-9], not
+# \d: \d and str.isdigit() also match non-ASCII digits.
+_INDEX = re.compile(r"0*([0-9]*)")
+
+
 def _parse_term(cur: _Cursor, cfg: CurveConfig) -> tuple[int, int, int]:
     """One term as a (unit bit, pi bit, line mask) delta."""
     start = cur.pos
@@ -80,13 +86,18 @@ def _parse_term(cur: _Cursor, cfg: CurveConfig) -> tuple[int, int, int]:
             return 0, 1, 0
         raise FormSyntaxError("expected term '1', 's', 'pi' or 'L<k>'", start)
     if ch == "L":
-        cur.advance()
-        digits = ""
-        while cur.peek().isdigit():
-            digits += cur.advance()
-        if not digits:
+        match = _INDEX.match(cur.text, start + 1)
+        cur.pos = match.end()
+        if cur.pos == start + 1:
             raise FormSyntaxError("expected bundle index after 'L'", cur.pos)
-        index = int(digits)
+        digits = match.group(1)
+        if len(digits) > len(str(cfg.picard_rank)):
+            # Too large to be an index; int() would also fail past 4300 digits.
+            raise FormSyntaxError(
+                f"unknown bundle label L{digits[:8]}... ({len(digits)} digits)",
+                start,
+            )
+        index = int(digits or "0")
         if not 1 <= index <= cfg.picard_rank:
             raise FormSyntaxError(f"unknown bundle label L{index}", start)
         return 0, 0, 1 << (index - 1)
@@ -313,7 +324,7 @@ def run_command(argv: Sequence[str] | None = None) -> int:
     """Run one command; returns the process exit code.
 
     0 means success (or a true/passing answer), 1 a false/failing answer,
-    2 a usage error.
+    2 a usage error or a failure to write --out.
     """
     parser = _build_parser()
     try:
@@ -327,7 +338,14 @@ def run_command(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.out:
-        Path(args.out).write_text(output + "\n", encoding="utf-8")
+        try:
+            Path(args.out).write_text(output + "\n", encoding="utf-8")
+        except OSError as exc:
+            print(
+                f"error: cannot write {args.out}: {exc.strerror or exc}",
+                file=sys.stderr,
+            )
+            return 2
     else:
         print(output)
     return code

@@ -71,9 +71,12 @@ class UnitSquareClass:
         return "s" if self.bit else "1"
 
 
+_UNIT_CLASSES = (UnitSquareClass(0), UnitSquareClass(1))
+
+
 def minus_one_class(cfg: CurveConfig) -> UnitSquareClass:
     """Square class of -1: trivial iff q = 1 mod 4 (Euler criterion)."""
-    return UnitSquareClass(0 if cfg.q_mod_4 == 1 else 1)
+    return _UNIT_CLASSES[cfg.q_mod_4 == 3]
 
 
 @dataclass(frozen=True, slots=True)

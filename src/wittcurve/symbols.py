@@ -38,21 +38,34 @@ def symbol(cfg: CurveConfig, a: Generator, b: Generator) -> BrauerClass:
 
 
 def hasse_invariant(form: DiagonalForm) -> BrauerClass:
-    """Sum of the pairwise symbols of a diagonalization.
+    """Sum of the pairwise symbols of a diagonalization, in one O(k) scan.
+
+    Uses the orthogonal-sum law s(q + <a>) = s(q) + (disc q, a): since symbol
+    is biadditive, the symbols of an entry with every earlier entry sum to its
+    symbol with their product, the running discriminant.  That symbol is
+    inlined as bit operations on the coordinates.
 
     Empty and rank-1 forms give the trivial class.  Well defined on Witt
     classes only inside the second power of the fundamental ideal; see
     witt_invariant.
     """
     cfg = form.config
-    entries = form.entries
+    m = minus_one_class(cfg).bit
+    du = de = dl = 0
     unit = 0
     mask = 0
-    for i, a in enumerate(entries):
-        for b in entries[i + 1 :]:
-            pair = symbol(cfg, a, b)
-            unit ^= pair.unit.bit
-            mask ^= pair.line.mask
+    for g in form.entries:
+        u = g.unit.bit
+        e = g.pi_exp
+        line = g.line.mask
+        unit ^= (e & du) ^ (de & u) ^ (de & e & m)
+        if e:
+            mask ^= dl
+        if de:
+            mask ^= line
+        du ^= u
+        de ^= e
+        dl ^= line
     return BrauerClass(
         UnitSquareClass(unit), PicTorsionClass(cfg.picard_rank, mask)
     )

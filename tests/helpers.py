@@ -1,9 +1,11 @@
 """Shared builders for randomized test suites."""
 
 import functools
+import itertools
 import random
 
 from wittcurve import (
+    BrauerClass,
     CurveConfig,
     DiagonalForm,
     Generator,
@@ -12,6 +14,7 @@ from wittcurve import (
     enumerate_pic,
     minus_one_class,
     quaternion_norm_form,
+    symbol,
 )
 
 
@@ -50,3 +53,12 @@ def random_ideal_square_form(rng: random.Random, cfg: CurveConfig) -> DiagonalFo
     if rng.random() < 0.5:
         form = form + hyperbolic_pair(cfg, random_generator(rng, cfg))
     return form
+
+
+def pairwise_hasse_sum(form: DiagonalForm) -> BrauerClass:
+    """Reference Hasse invariant: the symbol of every pair of entries, summed."""
+    cfg = form.config
+    total = BrauerClass.identity(cfg.picard_rank)
+    for a, b in itertools.combinations(form.entries, 2):
+        total = total + symbol(cfg, a, b)
+    return total

@@ -39,6 +39,19 @@ class TestParse:
         with pytest.raises(FormSyntaxError, match="unknown bundle label L0"):
             parse_form("<L0>", q3r1)
 
+    def test_oversized_bundle_label(self, q3r1):
+        # past 4300 digits int() itself would raise its own ValueError
+        with pytest.raises(FormSyntaxError, match="unknown bundle label") as err:
+            parse_form("<1,L" + "9" * 5000 + ">", q3r1)
+        assert err.value.position == 3
+        with pytest.raises(FormSyntaxError, match="unknown bundle label"):
+            parse_form("<L10>", q3r1)
+        assert parse_form("<L" + "0" * 5000 + "1>", q3r1) == parse_form("<L1>", q3r1)
+
+    def test_non_ascii_digit_label(self, q3r1):
+        with pytest.raises(FormSyntaxError, match="expected bundle index"):
+            parse_form("<L\u00b2>", q3r1)
+
     def test_repeated_terms_multiply(self, q3r1):
         assert parse_form("<pi*pi>", q3r1) == parse_form("<1>", q3r1)
         assert parse_form("<s*s*L1*L1>", q3r1) == parse_form("<1>", q3r1)
@@ -200,6 +213,14 @@ class TestRunCommand:
         assert code == 2
         assert "unknown bundle label" in captured.err
 
+    def test_oversized_label_exits_two(self, capsys):
+        code = run_command(["reduce", "<L" + "9" * 5000 + ">"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: unknown bundle label")
+        assert len(captured.err.strip().splitlines()) == 1
+
     def test_invalid_q_rejected(self, capsys):
         assert run_command(["enumerate", "--q-mod-4", "2"]) == 2
         capsys.readouterr()
@@ -210,6 +231,16 @@ class TestRunCommand:
         assert code == 0
         assert capsys.readouterr().out == ""
         assert json.loads(target.read_text())["total"] == 64
+
+    def test_out_into_missing_directory_exits_two(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "out.txt"
+        code = run_command(["reduce", "<1>", "--out", str(target)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {target}: ")
+        assert len(captured.err.strip().splitlines()) == 1
+        assert not target.exists()
 
     def test_help_exits_zero(self, capsys):
         assert run_command(["--help"]) == 0

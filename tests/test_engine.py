@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 
 import pytest
 
@@ -100,6 +101,18 @@ class TestEquals:
     def test_config_mismatch(self):
         with pytest.raises(ValueError, match="config mismatch"):
             equals(parse_form("<1>", CurveConfig(3, 1)), parse_form("<1>", CurveConfig(3, 2)))
+
+    def test_long_trivial_difference_is_linear_time(self):
+        # equals(e, e) and the profile of e + (-e) reach the Hasse sum; a
+        # pairwise sum over the 8192-entry difference takes minutes.
+        cfg = CurveConfig(3, 16)
+        form = random_form(random.Random(36), cfg, min_rank=4096, max_rank=4096)
+        start = time.perf_counter()
+        assert equals(form, form)
+        profile = invariant_profile(form + (-form))
+        elapsed = time.perf_counter() - start
+        assert profile.witt_inv is not None and profile.witt_inv.is_trivial
+        assert elapsed < 2.0
 
 
 @pytest.mark.parametrize("q", (1, 3))

@@ -4,9 +4,12 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wittcurve import (
     BrauerClass,
+    CurveConfig,
     DiagonalForm,
     Generator,
     PicTorsionClass,
@@ -22,6 +25,7 @@ from wittcurve import (
 from helpers import (
     generator_alphabet,
     hyperbolic_pair,
+    pairwise_hasse_sum,
     random_form,
     random_generator,
     random_ideal_square_form,
@@ -115,10 +119,27 @@ class TestHasseInvariant:
         rng = random.Random(22)
         for _ in range(50):
             form = random_form(rng, cfg, max_rank=6)
-            total = BrauerClass.identity(cfg.picard_rank)
-            for a, b in itertools.combinations(form.entries, 2):
-                total = total + symbol(cfg, a, b)
-            assert hasse_invariant(form) == total
+            assert hasse_invariant(form) == pairwise_hasse_sum(form)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_scan_matches_pairwise_sum_property(self, data):
+        cfg = CurveConfig(
+            data.draw(st.sampled_from((1, 3)), label="q_mod_4"),
+            data.draw(st.sampled_from((0, 1, 2, 5, 16)), label="picard_rank"),
+        )
+        rank = cfg.picard_rank
+        generator = st.builds(
+            lambda u, e, mask: Generator(
+                UnitSquareClass(u), e, PicTorsionClass(rank, mask)
+            ),
+            st.integers(0, 1),
+            st.integers(0, 1),
+            st.integers(0, (1 << rank) - 1),
+        )
+        entries = data.draw(st.lists(generator, max_size=64), label="entries")
+        form = DiagonalForm(cfg, tuple(entries))
+        assert hasse_invariant(form) == pairwise_hasse_sum(form)
 
 
 class TestWittInvariant:
