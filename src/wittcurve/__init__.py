@@ -6,61 +6,53 @@ the classifying invariants (rank parity, signed discriminant, Clifford class)
 and one based on the group-ring model over the residue Witt classes.
 """
 
-from .cli import FormSyntaxError, format_form, parse_form, run_command
+from .cli import run_command
 from .engine import (
     CanonicalShape,
     CensusReport,
     InvariantProfile,
-    QuaternionDistinctnessReport,
-    RankOneStructureReport,
-    RelationSuiteReport,
     Shape,
     canonical_form,
     enumerate_classes,
     equals,
     invariant_profile,
     is_trivial,
-    rank_one_group_structure,
-    verify_generator_relations,
-    verify_quaternion_distinctness,
 )
-from .forms import (
-    DiagonalForm,
-    Generator,
-    discriminant,
-    enumerate_generators,
-    negate,
-    orthogonal_sum,
-    quaternion_norm_form,
-    signed_discriminant,
-    tensor,
-)
+from .forms import DiagonalForm, quaternion_norm_form
 from .group_ring import (
     GroupRingElement,
     ResidueWittClass,
-    RingIsoReport,
-    check_ring_iso,
     enumerate_group_ring_elements,
     enumerate_residue_classes,
     from_group_ring,
     inclusion,
-    residue_add,
-    residue_mul,
     splitting_map,
     to_group_ring,
 )
 from .groups import (
     BrauerClass,
     CurveConfig,
-    GlobalSquareClass,
+    Generator,
     PicTorsionClass,
     UnitSquareClass,
+    enumerate_generators,
     enumerate_groups,
     enumerate_pic,
     make_config,
     minus_one_class,
 )
 from .symbols import hasse_invariant, symbol, witt_invariant
+from .syntax import FormSyntaxError, parse_form
+from .verify import (
+    QuaternionDistinctnessReport,
+    RankOneStructureReport,
+    RelationSuiteReport,
+    RingIsoReport,
+    check_ring_iso,
+    rank_one_group_structure,
+    verify_generator_relations,
+    verify_quaternion_distinctness,
+)
 
 __version__ = "0.1.0"
 
@@ -72,7 +64,6 @@ __all__ = [
     "DiagonalForm",
     "FormSyntaxError",
     "Generator",
-    "GlobalSquareClass",
     "GroupRingElement",
     "InvariantProfile",
     "PicTorsionClass",
@@ -85,7 +76,6 @@ __all__ = [
     "UnitSquareClass",
     "canonical_form",
     "check_ring_iso",
-    "discriminant",
     "enumerate_classes",
     "enumerate_generators",
     "enumerate_group_ring_elements",
@@ -93,7 +83,6 @@ __all__ = [
     "enumerate_pic",
     "enumerate_residue_classes",
     "equals",
-    "format_form",
     "from_group_ring",
     "hasse_invariant",
     "inclusion",
@@ -101,18 +90,12 @@ __all__ = [
     "is_trivial",
     "make_config",
     "minus_one_class",
-    "negate",
-    "orthogonal_sum",
     "parse_form",
     "quaternion_norm_form",
     "rank_one_group_structure",
-    "residue_add",
-    "residue_mul",
     "run_command",
-    "signed_discriminant",
     "splitting_map",
     "symbol",
-    "tensor",
     "to_group_ring",
     "verify_generator_relations",
     "verify_quaternion_distinctness",

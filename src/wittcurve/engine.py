@@ -1,5 +1,5 @@
 """Witt-class decisions: triviality, equality, invariant profiles, canonical
-shapes, the class census, and the structural verification suites.
+shapes, and the class census.
 
 A class is zero exactly when its rank is even and its signed discriminant and
 Clifford class both vanish; all higher filtration steps are trivial for these
@@ -12,19 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .forms import (
-    DiagonalForm,
-    Generator,
-    enumerate_generators,
-    quaternion_norm_form,
-)
-from .groups import (
-    BrauerClass,
-    CurveConfig,
-    GlobalSquareClass,
-    UnitSquareClass,
-    enumerate_pic,
-)
+from .forms import DiagonalForm
+from .groups import BrauerClass, CurveConfig, Generator
 from .group_ring import (
     ResidueWittClass,
     enumerate_group_ring_elements,
@@ -58,7 +47,7 @@ class InvariantProfile:
     """
 
     rank_parity: int
-    signed_disc: GlobalSquareClass
+    signed_disc: Generator
     witt_inv: BrauerClass | None
 
 
@@ -168,146 +157,4 @@ def enumerate_classes(cfg: CurveConfig, rank_bound: int = 4) -> CensusReport:
         config=cfg,
         total=len(elements),
         shape_counts=tuple((shape, counts[shape]) for shape in NONTRIVIAL_SHAPES),
-    )
-
-
-@dataclass(frozen=True)
-class QuaternionDistinctnessReport:
-    """Distinctness of the 2n quaternion norm forms."""
-
-    config: CurveConfig
-    class_count: int
-    pairwise_distinct: bool
-    trivial_symbols: tuple[str, ...]
-    passed: bool
-
-
-def verify_quaternion_distinctness(cfg: CurveConfig) -> QuaternionDistinctnessReport:
-    """Check that the 2n norm forms fall into 2n distinct Witt classes.
-
-    Exactly one of them, the one with trivial symbol, may be Witt-trivial.
-    """
-    units = (UnitSquareClass(0), UnitSquareClass(1))
-    labeled = [
-        (BrauerClass(u, line), quaternion_norm_form(cfg, u, line))
-        for u in units
-        for line in enumerate_pic(cfg)
-    ]
-    distinct = True
-    for i, (_, form_a) in enumerate(labeled):
-        for _, form_b in labeled[i + 1 :]:
-            if equals(form_a, form_b):
-                distinct = False
-    trivial = tuple(str(cls) for cls, form in labeled if is_trivial(form))
-    passed = distinct and trivial == ("(1, pi)",)
-    return QuaternionDistinctnessReport(
-        config=cfg,
-        class_count=len(labeled),
-        pairwise_distinct=distinct,
-        trivial_symbols=trivial,
-        passed=passed,
-    )
-
-
-@dataclass(frozen=True)
-class RankOneStructureReport:
-    """Group structure of the rank-1 classes under tensor product."""
-
-    config: CurveConfig
-    order: int
-    classes_distinct: bool
-    exponent_two: bool
-    homomorphism_ok: bool
-    witness: tuple[tuple[str, tuple[str, str]], ...]
-    passed: bool
-
-
-def rank_one_group_structure(cfg: CurveConfig) -> RankOneStructureReport:
-    """Verify the 4n rank-1 classes form the product of the base field's four
-    square classes with the 2-torsion Picard group.
-
-    The witness maps each generator to its (base field class, line bundle)
-    coordinate pair; tensor product must match coordinatewise multiplication.
-    """
-    gens = enumerate_generators(cfg)
-    base_labels = {(0, 0): "1", (1, 0): "s", (0, 1): "pi", (1, 1): "s*pi"}
-
-    def coordinates(g: Generator) -> tuple[str, str]:
-        return base_labels[(g.unit.bit, g.pi_exp)], str(g.line)
-
-    singles = {g: DiagonalForm(cfg, (g,)) for g in gens}
-    distinct = True
-    for i, g in enumerate(gens):
-        for h in gens[i + 1 :]:
-            if equals(singles[g], singles[h]):
-                distinct = False
-
-    one = DiagonalForm(cfg, (Generator.one(cfg.picard_rank),))
-    exponent_two = all(equals(singles[g] * singles[g], one) for g in gens)
-
-    homomorphism_ok = all(
-        coordinates(g * h) == (
-            base_labels[(g.unit.bit ^ h.unit.bit, g.pi_exp ^ h.pi_exp)],
-            str(g.line + h.line),
-        )
-        and equals(singles[g] * singles[h], DiagonalForm(cfg, (g * h,)))
-        for g in gens
-        for h in gens
-    )
-
-    witness = tuple((str(g), coordinates(g)) for g in gens)
-    passed = distinct and exponent_two and homomorphism_ok and len(gens) == 4 * cfg.pic_order
-    return RankOneStructureReport(
-        config=cfg,
-        order=len(gens),
-        classes_distinct=distinct,
-        exponent_two=exponent_two,
-        homomorphism_ok=homomorphism_ok,
-        witness=witness,
-        passed=passed,
-    )
-
-
-@dataclass(frozen=True)
-class RelationSuiteReport:
-    """Exhaustive check of the two rank-2 generator relations."""
-
-    config: CurveConfig
-    checked: int
-    failures: tuple[str, ...]
-    passed: bool
-
-
-def verify_generator_relations(cfg: CurveConfig) -> RelationSuiteReport:
-    """Verify <uL, vM> = <1, uvLM> and <pi*uL, pi*vM> = <pi, pi*uvLM>
-    for all unit classes u, v and all bundle classes L, M.
-    """
-    rank = cfg.picard_rank
-    units = (UnitSquareClass(0), UnitSquareClass(1))
-    pic = enumerate_pic(cfg)
-    checked = 0
-    failures: list[str] = []
-    for u in units:
-        for v in units:
-            for line_l in pic:
-                for line_m in pic:
-                    a = Generator(u, 0, line_l)
-                    b = Generator(v, 0, line_m)
-                    product = Generator(u + v, 0, line_l + line_m)
-                    lhs = DiagonalForm(cfg, (a, b))
-                    rhs = DiagonalForm(cfg, (Generator.one(rank), product))
-                    checked += 1
-                    if not equals(lhs, rhs):
-                        failures.append(f"residue relation failed at {lhs}")
-                    pi = Generator.pi(rank)
-                    lhs_pi = DiagonalForm(cfg, (pi * a, pi * b))
-                    rhs_pi = DiagonalForm(cfg, (pi, pi * product))
-                    checked += 1
-                    if not equals(lhs_pi, rhs_pi):
-                        failures.append(f"ramified relation failed at {lhs_pi}")
-    return RelationSuiteReport(
-        config=cfg,
-        checked=checked,
-        failures=tuple(failures),
-        passed=not failures,
     )

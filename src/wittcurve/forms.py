@@ -10,11 +10,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .groups import (
+    UNITS,
     CurveConfig,
-    GlobalSquareClass,
+    Generator,
     PicTorsionClass,
     UnitSquareClass,
-    enumerate_pic,
     minus_one_class,
 )
 
@@ -25,51 +25,6 @@ def sign_exponent(rank: int) -> int:
     Equal to 1 exactly when rank = 1 or 2 mod 4.
     """
     return (rank * (rank + 1) // 2) & 1
-
-
-@dataclass(frozen=True, slots=True)
-class Generator:
-    """Rank-1 form <u * pi^e * L>: unit square class, pi exponent, line bundle."""
-
-    unit: UnitSquareClass
-    pi_exp: int
-    line: PicTorsionClass
-
-    def __post_init__(self) -> None:
-        if self.pi_exp not in (0, 1):
-            raise ValueError(f"pi exponent must be 0 or 1, got {self.pi_exp!r}")
-
-    @classmethod
-    def one(cls, rank: int) -> "Generator":
-        """The generator <1>."""
-        return cls(UnitSquareClass(0), 0, PicTorsionClass.identity(rank))
-
-    @classmethod
-    def pi(cls, rank: int) -> "Generator":
-        """The generator <pi>."""
-        return cls(UnitSquareClass(0), 1, PicTorsionClass.identity(rank))
-
-    def __mul__(self, other: "Generator") -> "Generator":
-        # pi^2 is a square and every coordinate group is 2-torsion, so the
-        # product just adds all three coordinates mod 2.
-        return Generator(
-            self.unit + other.unit,
-            self.pi_exp ^ other.pi_exp,
-            self.line + other.line,
-        )
-
-    def square_class(self) -> GlobalSquareClass:
-        return GlobalSquareClass(self.unit, self.pi_exp, self.line)
-
-    def __str__(self) -> str:
-        terms = []
-        if self.unit.bit:
-            terms.append("s")
-        if self.pi_exp:
-            terms.append("pi")
-        if self.line.mask:
-            terms.append(str(self.line))
-        return "*".join(terms) if terms else "1"
 
 
 @dataclass(frozen=True, slots=True)
@@ -124,8 +79,8 @@ class DiagonalForm:
             tuple(Generator(g.unit + m, g.pi_exp, g.line) for g in self.entries),
         )
 
-    def discriminant(self) -> GlobalSquareClass:
-        """Plain determinant class: the coordinate sum of all entries."""
+    def discriminant(self) -> Generator:
+        """Plain determinant class: the product of all entries."""
         unit = 0
         pi_exp = 0
         mask = 0
@@ -133,44 +88,19 @@ class DiagonalForm:
             unit ^= g.unit.bit
             pi_exp ^= g.pi_exp
             mask ^= g.line.mask
-        return GlobalSquareClass(
-            UnitSquareClass(unit),
-            pi_exp,
-            PicTorsionClass(self.config.picard_rank, mask),
+        return Generator(
+            UNITS[unit], pi_exp, PicTorsionClass(self.config.picard_rank, mask)
         )
 
-    def signed_discriminant(self) -> GlobalSquareClass:
+    def signed_discriminant(self) -> Generator:
         """Discriminant twisted by (-1)^(rank*(rank+1)/2)."""
         disc = self.discriminant()
-        twist = sign_exponent(self.rank) & minus_one_class(self.config).bit
-        if twist:
-            disc = GlobalSquareClass(
-                disc.unit + UnitSquareClass(1), disc.pi_exp, disc.line
-            )
+        if sign_exponent(self.rank) & minus_one_class(self.config).bit:
+            disc = Generator(disc.unit + UNITS[1], disc.pi_exp, disc.line)
         return disc
 
     def __str__(self) -> str:
         return "<" + ",".join(str(g) for g in self.entries) + ">"
-
-
-def orthogonal_sum(e: DiagonalForm, f: DiagonalForm) -> DiagonalForm:
-    return e + f
-
-
-def tensor(e: DiagonalForm, f: DiagonalForm) -> DiagonalForm:
-    return e * f
-
-
-def negate(e: DiagonalForm) -> DiagonalForm:
-    return -e
-
-
-def discriminant(e: DiagonalForm) -> GlobalSquareClass:
-    return e.discriminant()
-
-
-def signed_discriminant(e: DiagonalForm) -> GlobalSquareClass:
-    return e.signed_discriminant()
 
 
 def quaternion_norm_form(
@@ -194,14 +124,3 @@ def quaternion_norm_form(
             Generator(unit, 1, line),
         ),
     )
-
-
-def enumerate_generators(cfg: CurveConfig) -> list[Generator]:
-    """All 4n generators, units before non-units, pi-free before ramified."""
-    units = (UnitSquareClass(0), UnitSquareClass(1))
-    return [
-        Generator(u, e, line)
-        for e in (0, 1)
-        for u in units
-        for line in enumerate_pic(cfg)
-    ]

@@ -13,11 +13,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .forms import DiagonalForm, Generator, sign_exponent
+from .forms import DiagonalForm, sign_exponent
 from .groups import (
+    UNITS,
     CurveConfig,
+    Generator,
     PicTorsionClass,
     UnitSquareClass,
+    label,
     minus_one_class,
 )
 
@@ -42,7 +45,7 @@ class ResidueWittClass:
 
     @classmethod
     def zero(cls, cfg: CurveConfig) -> "ResidueWittClass":
-        return cls(cfg, 0, UnitSquareClass(0), PicTorsionClass.identity(cfg.picard_rank))
+        return cls(cfg, 0, UNITS[0], PicTorsionClass.identity(cfg.picard_rank))
 
     @classmethod
     def one(cls, cfg: CurveConfig) -> "ResidueWittClass":
@@ -66,7 +69,7 @@ class ResidueWittClass:
             mask ^= g.line.mask
             count += 1
         unit ^= sign_exponent(count) & minus_one_class(cfg).bit
-        return cls(cfg, parity, UnitSquareClass(unit), PicTorsionClass(cfg.picard_rank, mask))
+        return cls(cfg, parity, UNITS[unit], PicTorsionClass(cfg.picard_rank, mask))
 
     @property
     def is_zero(self) -> bool:
@@ -84,7 +87,7 @@ class ResidueWittClass:
         return ResidueWittClass(
             self.config,
             self.parity ^ other.parity,
-            UnitSquareClass(self.disc_unit.bit ^ other.disc_unit.bit ^ cross),
+            UNITS[self.disc_unit.bit ^ other.disc_unit.bit ^ cross],
             self.disc_line + other.disc_line,
         )
 
@@ -93,7 +96,7 @@ class ResidueWittClass:
         return ResidueWittClass(
             self.config,
             self.parity,
-            UnitSquareClass(self.disc_unit.bit ^ twist),
+            UNITS[self.disc_unit.bit ^ twist],
             self.disc_line,
         )
 
@@ -117,21 +120,8 @@ class ResidueWittClass:
         return ResidueWittClass.from_generators(self.config, product)
 
     def __str__(self) -> str:
-        terms = []
-        if self.disc_unit.bit:
-            terms.append("s")
-        if self.disc_line.mask:
-            terms.append(str(self.disc_line))
-        disc = "*".join(terms) if terms else "1"
+        disc = label(self.disc_unit.bit, 0, self.disc_line.mask)
         return f"(parity {self.parity}, disc {disc})"
-
-
-def residue_add(x: ResidueWittClass, y: ResidueWittClass) -> ResidueWittClass:
-    return x + y
-
-
-def residue_mul(x: ResidueWittClass, y: ResidueWittClass) -> ResidueWittClass:
-    return x * y
 
 
 @dataclass(frozen=True, slots=True)
@@ -229,9 +219,9 @@ def enumerate_residue_classes(cfg: CurveConfig) -> list[ResidueWittClass]:
     """All 4n residue classes, even before odd, in discriminant order."""
     rank = cfg.picard_rank
     return [
-        ResidueWittClass(cfg, parity, UnitSquareClass(u), PicTorsionClass(rank, mask))
+        ResidueWittClass(cfg, parity, u, PicTorsionClass(rank, mask))
         for parity in (0, 1)
-        for u in (0, 1)
+        for u in UNITS
         for mask in range(cfg.pic_order)
     ]
 
@@ -240,75 +230,3 @@ def enumerate_group_ring_elements(cfg: CurveConfig) -> list[GroupRingElement]:
     """All 16n^2 elements a + <pi>*b."""
     classes = enumerate_residue_classes(cfg)
     return [GroupRingElement(a, b) for a in classes for b in classes]
-
-
-@dataclass(frozen=True)
-class RingIsoReport:
-    """Outcome of the exhaustive comparison of the two ring models."""
-
-    config: CurveConfig
-    element_count: int
-    addition_pairs_checked: int
-    multiplication_pairs_checked: int
-    roundtrip_ok: bool
-    injective: bool
-    mismatches: tuple[str, ...]
-    passed: bool
-
-
-def check_ring_iso(cfg: CurveConfig, max_mismatches: int = 10) -> RingIsoReport:
-    """Exhaustively verify that the two ring realizations agree.
-
-    For every pair of group ring elements, the orthogonal sum and tensor
-    product of their minimal representatives must be Witt-equal to the
-    representative of the group-ring sum and product.  Also checks that
-    distinct elements give non-equal forms and that to_group_ring inverts
-    from_group_ring.
-    """
-    if cfg.picard_rank > 2:
-        raise ValueError(
-            "bound exceeded: exhaustive ring comparison needs picard_rank <= 2, "
-            f"got {cfg.picard_rank}"
-        )
-    from .engine import equals  # deferred: engine builds on this module
-
-    elements = enumerate_group_ring_elements(cfg)
-    reps = {x: from_group_ring(x) for x in elements}
-    mismatches: list[str] = []
-
-    roundtrip_ok = all(to_group_ring(rep) == x for x, rep in reps.items())
-    if not roundtrip_ok:
-        mismatches.append("from_group_ring does not invert to_group_ring")
-
-    injective = True
-    for i, x in enumerate(elements):
-        for y in elements[i + 1 :]:
-            if equals(reps[x], reps[y]):
-                injective = False
-                if len(mismatches) < max_mismatches:
-                    mismatches.append(f"distinct elements {x} and {y} gave equal forms")
-
-    additions = 0
-    multiplications = 0
-    for x in elements:
-        for y in elements:
-            additions += 1
-            if not equals(reps[x] + reps[y], reps[x + y]):
-                if len(mismatches) < max_mismatches:
-                    mismatches.append(f"addition mismatch at {x}, {y}")
-            multiplications += 1
-            if not equals(reps[x] * reps[y], reps[x * y]):
-                if len(mismatches) < max_mismatches:
-                    mismatches.append(f"multiplication mismatch at {x}, {y}")
-
-    passed = roundtrip_ok and injective and not mismatches
-    return RingIsoReport(
-        config=cfg,
-        element_count=len(elements),
-        addition_pairs_checked=additions,
-        multiplication_pairs_checked=multiplications,
-        roundtrip_ok=roundtrip_ok,
-        injective=injective,
-        mismatches=tuple(mismatches),
-        passed=passed,
-    )

@@ -2,8 +2,9 @@
 
 Everything here is an elementary abelian 2-group: unit square classes of the
 residue field, the uniformizer exponent, 2-torsion line bundle classes, and
-the two composite groups (global square classes and 2-torsion Brauer classes)
-built from them.  Elements are immutable and addition is coordinatewise XOR.
+the two composite groups (global square classes, which are also the rank-1
+generators, and 2-torsion Brauer classes) built from them.  Elements are
+immutable and the group law is coordinatewise XOR.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ class UnitSquareClass:
         _check_bit(self.bit, "unit square class bit")
 
     def __add__(self, other: "UnitSquareClass") -> "UnitSquareClass":
-        return UnitSquareClass(self.bit ^ other.bit)
+        return UNITS[self.bit ^ other.bit]
 
     @property
     def is_trivial(self) -> bool:
@@ -71,12 +72,31 @@ class UnitSquareClass:
         return "s" if self.bit else "1"
 
 
-_UNIT_CLASSES = (UnitSquareClass(0), UnitSquareClass(1))
+# The two unit square classes, indexed by their bit.
+UNITS = (UnitSquareClass(0), UnitSquareClass(1))
 
 
 def minus_one_class(cfg: CurveConfig) -> UnitSquareClass:
     """Square class of -1: trivial iff q = 1 mod 4 (Euler criterion)."""
-    return _UNIT_CLASSES[cfg.q_mod_4 == 3]
+    return UNITS[cfg.q_mod_4 == 3]
+
+
+def label(unit: int, pi_exp: int, mask: int) -> str:
+    """Concrete syntax of the class s^unit * pi^pi_exp * (L-mask), "1" if trivial.
+
+    Walks only the set bits of the mask, so the cost does not grow with the
+    Picard rank.
+    """
+    terms = []
+    if unit:
+        terms.append("s")
+    if pi_exp:
+        terms.append("pi")
+    while mask:
+        low = mask & -mask
+        terms.append(f"L{low.bit_length()}")
+        mask ^= low
+    return "*".join(terms) if terms else "1"
 
 
 @dataclass(frozen=True, slots=True)
@@ -93,7 +113,9 @@ class PicTorsionClass:
     def __post_init__(self) -> None:
         if self.rank < 0:
             raise ValueError(f"rank must be >= 0, got {self.rank!r}")
-        if not 0 <= self.mask < (1 << self.rank):
+        # A shift, not a comparison with 1 << rank: that would allocate
+        # rank bits for every class.
+        if self.mask < 0 or self.mask >> self.rank:
             raise ValueError(
                 f"line bundle mask {self.mask!r} out of range for rank {self.rank}"
             )
@@ -123,16 +145,15 @@ class PicTorsionClass:
         return self.mask == 0
 
     def __str__(self) -> str:
-        if self.mask == 0:
-            return "O"
-        return "*".join(f"L{i + 1}" for i in range(self.rank) if (self.mask >> i) & 1)
+        return label(0, 0, self.mask) if self.mask else "O"
 
 
 @dataclass(frozen=True, slots=True)
-class GlobalSquareClass:
-    """Square class u * pi^e * L over the curve: where discriminants live.
+class Generator:
+    """Square class u * pi^e * L over the curve, equally the rank-1 form <u*pi^e*L>.
 
-    A group of order 4n under coordinatewise addition.
+    Discriminants live here.  A group of order 4n under multiplication, which
+    adds all three coordinates mod 2 (pi^2 is a square).
     """
 
     unit: UnitSquareClass
@@ -140,14 +161,21 @@ class GlobalSquareClass:
     line: PicTorsionClass
 
     def __post_init__(self) -> None:
-        _check_bit(self.pi_exp, "pi exponent")
+        if self.pi_exp not in (0, 1):
+            raise ValueError(f"pi exponent must be 0 or 1, got {self.pi_exp!r}")
 
     @classmethod
-    def identity(cls, rank: int) -> "GlobalSquareClass":
-        return cls(UnitSquareClass(0), 0, PicTorsionClass.identity(rank))
+    def one(cls, rank: int) -> "Generator":
+        """The trivial class, the generator <1>."""
+        return cls(UNITS[0], 0, PicTorsionClass.identity(rank))
 
-    def __add__(self, other: "GlobalSquareClass") -> "GlobalSquareClass":
-        return GlobalSquareClass(
+    @classmethod
+    def pi(cls, rank: int) -> "Generator":
+        """The generator <pi>."""
+        return cls(UNITS[0], 1, PicTorsionClass.identity(rank))
+
+    def __mul__(self, other: "Generator") -> "Generator":
+        return Generator(
             self.unit + other.unit,
             self.pi_exp ^ other.pi_exp,
             self.line + other.line,
@@ -158,14 +186,7 @@ class GlobalSquareClass:
         return self.unit.bit == 0 and self.pi_exp == 0 and self.line.mask == 0
 
     def __str__(self) -> str:
-        terms = []
-        if self.unit.bit:
-            terms.append("s")
-        if self.pi_exp:
-            terms.append("pi")
-        if self.line.mask:
-            terms.append(str(self.line))
-        return "*".join(terms) if terms else "1"
+        return label(self.unit.bit, self.pi_exp, self.line.mask)
 
 
 @dataclass(frozen=True, slots=True)
@@ -184,19 +205,14 @@ class BrauerClass:
 
     @classmethod
     def identity(cls, rank: int) -> "BrauerClass":
-        return cls(UnitSquareClass(0), PicTorsionClass.identity(rank))
+        return cls(UNITS[0], PicTorsionClass.identity(rank))
 
     @property
     def is_trivial(self) -> bool:
         return self.unit.bit == 0 and self.line.mask == 0
 
     def __str__(self) -> str:
-        terms = []
-        if self.unit.bit:
-            terms.append("s")
-        if self.line.mask:
-            terms.append(str(self.line))
-        return f"({'*'.join(terms) if terms else '1'}, pi)"
+        return f"({label(self.unit.bit, 0, self.line.mask)}, pi)"
 
 
 def enumerate_pic(cfg: CurveConfig) -> list[PicTorsionClass]:
@@ -204,17 +220,22 @@ def enumerate_pic(cfg: CurveConfig) -> list[PicTorsionClass]:
     return [PicTorsionClass(cfg.picard_rank, m) for m in range(cfg.pic_order)]
 
 
+def enumerate_generators(cfg: CurveConfig) -> list[Generator]:
+    """All 4n generators, units before non-units, pi-free before ramified."""
+    pic = enumerate_pic(cfg)
+    return [Generator(u, e, line) for e in (0, 1) for u in UNITS for line in pic]
+
+
 def enumerate_groups(
     cfg: CurveConfig,
-) -> tuple[list[PicTorsionClass], list[GlobalSquareClass], list[BrauerClass]]:
+) -> tuple[list[PicTorsionClass], list[Generator], list[BrauerClass]]:
     """Complete duplicate-free enumerations of the three value groups.
 
     Sizes are n, 4n and 2n respectively, in a fixed deterministic order.
     """
     pic = enumerate_pic(cfg)
-    units = (UnitSquareClass(0), UnitSquareClass(1))
     square_classes = [
-        GlobalSquareClass(u, e, line) for u in units for e in (0, 1) for line in pic
+        Generator(u, e, line) for u in UNITS for e in (0, 1) for line in pic
     ]
-    brauer = [BrauerClass(u, line) for u in units for line in pic]
+    brauer = [BrauerClass(u, line) for u in UNITS for line in pic]
     return pic, square_classes, brauer

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
-from .forms import DiagonalForm, Generator
+from .forms import DiagonalForm
 from .groups import (
+    UNITS,
     BrauerClass,
     CurveConfig,
+    Generator,
     PicTorsionClass,
-    UnitSquareClass,
     minus_one_class,
 )
 
@@ -34,7 +35,7 @@ def symbol(cfg: CurveConfig, a: Generator, b: Generator) -> BrauerClass:
     f = b.pi_exp
     unit = (f & a.unit.bit) ^ (e & b.unit.bit) ^ (e & f & m)
     mask = (a.line.mask if f else 0) ^ (b.line.mask if e else 0)
-    return BrauerClass(UnitSquareClass(unit), PicTorsionClass(rank, mask))
+    return BrauerClass(UNITS[unit], PicTorsionClass(rank, mask))
 
 
 def hasse_invariant(form: DiagonalForm) -> BrauerClass:
@@ -66,9 +67,7 @@ def hasse_invariant(form: DiagonalForm) -> BrauerClass:
         du ^= u
         de ^= e
         dl ^= line
-    return BrauerClass(
-        UnitSquareClass(unit), PicTorsionClass(cfg.picard_rank, mask)
-    )
+    return BrauerClass(UNITS[unit], PicTorsionClass(cfg.picard_rank, mask))
 
 
 def witt_invariant(form: DiagonalForm) -> BrauerClass:

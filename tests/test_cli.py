@@ -5,6 +5,8 @@ import io
 import json
 import subprocess
 import sys
+import time
+import tracemalloc
 
 import pytest
 
@@ -14,7 +16,7 @@ from wittcurve import (
     FormSyntaxError,
     PicTorsionClass,
     UnitSquareClass,
-    format_form,
+    enumerate_generators,
     parse_form,
     quaternion_norm_form,
     run_command,
@@ -107,17 +109,15 @@ class TestFormatRoundTrip:
     def test_golden_corpus(self, text, q):
         config = CurveConfig(q, 2)
         form = parse_form(text, config)
-        assert parse_form(format_form(form), config) == form
+        assert parse_form(str(form), config) == form
 
     def test_all_generators_round_trip(self, cfg):
-        from wittcurve import enumerate_generators
-
         for g in enumerate_generators(cfg):
             form = DiagonalForm(cfg, (g,))
-            assert parse_form(format_form(form), cfg) == form
+            assert parse_form(str(form), cfg) == form
 
     def test_no_unicode_emitted(self, q3r1):
-        rendered = format_form(parse_form("⟨s*L1,pi⟩", q3r1))
+        rendered = str(parse_form("⟨s*L1,pi⟩", q3r1))
         assert rendered == "<s*L1,pi>"
 
 
@@ -200,6 +200,28 @@ class TestRunCommand:
             "ring_isomorphism",
             "generator_relations",
         }
+
+    def test_verify_rejects_large_rank_before_running_suites(self, capsys):
+        start = time.perf_counter()
+        code = run_command(["verify", "--picard-rank", "6"])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: bound exceeded")
+        assert "picard_rank <= 2" in captured.err
+        assert elapsed < 1.0
+
+    def test_huge_rank_allocates_nothing_rank_sized(self, capsys):
+        tracemalloc.start()
+        try:
+            code = run_command(["invariants", "<1,L1>", "--picard-rank", "100000000"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert "signed_disc" in capsys.readouterr().out
+        assert peak < 1 << 20
 
     def test_usage_error_exits_two(self, capsys):
         assert run_command(["no-such-command"]) == 2

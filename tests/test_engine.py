@@ -11,7 +11,6 @@ from wittcurve import (
     CurveConfig,
     DiagonalForm,
     Generator,
-    GlobalSquareClass,
     PicTorsionClass,
     Shape,
     UnitSquareClass,
@@ -155,7 +154,7 @@ class TestInvariantProfile:
         for config in (q3r1, q1r1):
             profile = invariant_profile(parse_form("<s*L1>", config))
             assert profile.rank_parity == 1
-            expected = GlobalSquareClass(
+            expected = Generator(
                 UnitSquareClass(1) + minus_one_class(config), 0, PicTorsionClass(1, 1)
             )
             assert profile.signed_disc == expected
@@ -164,7 +163,7 @@ class TestInvariantProfile:
     def test_kernel_ideal_generator(self, cfg):
         profile = invariant_profile(parse_form("<1,-pi>", cfg))
         assert profile.rank_parity == 0
-        assert profile.signed_disc == GlobalSquareClass(
+        assert profile.signed_disc == Generator(
             UnitSquareClass(0), 1, PicTorsionClass.identity(cfg.picard_rank)
         )
         assert profile.witt_inv is None

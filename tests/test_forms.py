@@ -10,7 +10,6 @@ from wittcurve import (
     CurveConfig,
     DiagonalForm,
     Generator,
-    GlobalSquareClass,
     PicTorsionClass,
     UnitSquareClass,
     enumerate_generators,
@@ -123,21 +122,21 @@ class TestDiscriminant:
 
     def test_single_entry(self, q3r1):
         disc = parse_form("<s*L1>", q3r1).discriminant()
-        assert disc == GlobalSquareClass(UnitSquareClass(1), 0, PicTorsionClass(1, 1))
+        assert disc == Generator(UnitSquareClass(1), 0, PicTorsionClass(1, 1))
 
     def test_additive_under_orthogonal_sum(self, cfg):
         rng = random.Random(13)
         for _ in range(50):
             e = random_form(rng, cfg)
             f = random_form(rng, cfg)
-            assert (e + f).discriminant() == e.discriminant() + f.discriminant()
+            assert (e + f).discriminant() == e.discriminant() * f.discriminant()
 
 
 class TestSignedDiscriminant:
     def test_one_one_gives_minus_one(self, cfg):
         # rank 2 twists by (-1)^3
         signed = parse_form("<1,1>", cfg).signed_discriminant()
-        expected = GlobalSquareClass(
+        expected = Generator(
             minus_one_class(cfg), 0, PicTorsionClass.identity(cfg.picard_rank)
         )
         assert signed == expected
@@ -157,7 +156,7 @@ class TestSignedDiscriminant:
         # signed(E + F) = signed(E) + signed(F) + (rank E * rank F) * [-1],
         # checked for every pair of forms of rank at most 2 at rank r = 1.
         cfg = CurveConfig(q, 1)
-        minus_one = GlobalSquareClass(
+        minus_one = Generator(
             minus_one_class(cfg), 0, PicTorsionClass.identity(1)
         )
         gens = enumerate_generators(cfg)
@@ -166,22 +165,22 @@ class TestSignedDiscriminant:
         small_forms += [DiagonalForm(cfg, pair) for pair in itertools.product(gens, repeat=2)]
         for e in small_forms:
             for f in small_forms:
-                expected = e.signed_discriminant() + f.signed_discriminant()
+                expected = e.signed_discriminant() * f.signed_discriminant()
                 if e.rank * f.rank % 2:
-                    expected = expected + minus_one
+                    expected = expected * minus_one
                 assert (e + f).signed_discriminant() == expected
 
     def test_cross_term_law_random(self, cfg):
         rng = random.Random(14)
-        minus_one = GlobalSquareClass(
+        minus_one = Generator(
             minus_one_class(cfg), 0, PicTorsionClass.identity(cfg.picard_rank)
         )
         for _ in range(200):
             e = random_form(rng, cfg)
             f = random_form(rng, cfg)
-            expected = e.signed_discriminant() + f.signed_discriminant()
+            expected = e.signed_discriminant() * f.signed_discriminant()
             if e.rank * f.rank % 2:
-                expected = expected + minus_one
+                expected = expected * minus_one
             assert (e + f).signed_discriminant() == expected
 
 

@@ -1,13 +1,15 @@
 """Tests for the configuration type and the underlying 2-torsion groups."""
 
 import itertools
+import operator
+import tracemalloc
 
 import pytest
 
 from wittcurve import (
     BrauerClass,
     CurveConfig,
-    GlobalSquareClass,
+    Generator,
     PicTorsionClass,
     UnitSquareClass,
     enumerate_groups,
@@ -70,25 +72,25 @@ class TestGroupLaws:
         for line in pic:
             assert (line + line).is_trivial
         for sq in squares:
-            assert (sq + sq).is_trivial
+            assert (sq * sq).is_trivial
         for cls in brauer:
             assert (cls + cls).is_trivial
 
     def test_addition_associative_and_commutative(self, cfg):
         _, squares, brauer = enumerate_groups(cfg)
-        for group in (squares, brauer):
+        for group, op in ((squares, operator.mul), (brauer, operator.add)):
             for a, b in itertools.product(group, repeat=2):
-                assert a + b == b + a
+                assert op(a, b) == op(b, a)
             for a, b, c in itertools.product(group, repeat=3):
-                assert (a + b) + c == a + (b + c)
+                assert op(op(a, b), c) == op(a, op(b, c))
 
     def test_identity_elements(self, cfg):
         rank = cfg.picard_rank
         _, squares, brauer = enumerate_groups(cfg)
-        zero_sq = GlobalSquareClass.identity(rank)
+        zero_sq = Generator.one(rank)
         zero_br = BrauerClass.identity(rank)
         for sq in squares:
-            assert sq + zero_sq == sq
+            assert sq * zero_sq == sq
         for cls in brauer:
             assert cls + zero_br == cls
 
@@ -109,6 +111,18 @@ class TestPicTorsion:
         with pytest.raises(ValueError, match="out of range"):
             PicTorsionClass(1, 2)
 
+    def test_huge_rank_allocates_no_rank_sized_int(self):
+        tracemalloc.start()
+        try:
+            line = PicTorsionClass(10**8, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert line.is_trivial
+        assert peak < 1 << 20
+        with pytest.raises(ValueError, match="out of range"):
+            PicTorsionClass(1, -1)
+
     def test_mixed_rank_addition_rejected(self):
         with pytest.raises(ValueError, match="config mismatch"):
             PicTorsionClass(1, 1) + PicTorsionClass(2, 1)
@@ -117,9 +131,9 @@ class TestPicTorsion:
 class TestRendering:
     def test_square_class_strings(self):
         rank = 2
-        sq = GlobalSquareClass(UnitSquareClass(1), 1, PicTorsionClass(rank, 0b01))
+        sq = Generator(UnitSquareClass(1), 1, PicTorsionClass(rank, 0b01))
         assert str(sq) == "s*pi*L1"
-        assert str(GlobalSquareClass.identity(rank)) == "1"
+        assert str(Generator.one(rank)) == "1"
 
     def test_brauer_strings(self):
         assert str(BrauerClass.identity(2)) == "(1, pi)"
