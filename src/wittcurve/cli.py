@@ -7,8 +7,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import io
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Callable, Sequence
@@ -195,7 +197,7 @@ def run_command(argv: Sequence[str] | None = None) -> int:
     """Run one command; returns the process exit code.
 
     0 means success (or a true/passing answer), 1 a false/failing answer,
-    2 a usage error or a failure to write --out.
+    2 a usage error or a failure to write the output (--out or stdout).
     """
     parser = _build_parser()
     try:
@@ -208,22 +210,34 @@ def run_command(argv: Sequence[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.out:
-        try:
+    try:
+        if args.out:
             Path(args.out).write_text(output + "\n", encoding="utf-8")
-        except OSError as exc:
-            print(
-                f"error: cannot write {args.out}: {exc.strerror or exc}",
-                file=sys.stderr,
-            )
-            return 2
-    else:
-        print(output)
+        elif sys.stdout is None:  # started with stdout closed
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+        else:
+            sys.stdout.write(output + "\n")
+            sys.stdout.flush()
+    except OSError as exc:
+        print(
+            f"error: cannot write {args.out or 'stdout'}: {exc.strerror or exc}",
+            file=sys.stderr,
+        )
+        return 2
     return code
 
 
 def main() -> None:
-    raise SystemExit(run_command(sys.argv[1:]))
+    code = run_command(sys.argv[1:])
+    if sys.stdout is not None:
+        try:
+            sys.stdout.flush()
+        except OSError:
+            # run_command has reported the failed write.  Send what is left
+            # in the buffer to the null device, so that the flush at
+            # interpreter exit does not fail and print a second error.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

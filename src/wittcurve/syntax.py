@@ -5,14 +5,22 @@ optional leading '-' followed by '*'-joined terms '1', 's', 'pi' or 'L<k>'.
 A '-' multiplies the entry by the class of -1; repeated terms multiply in
 their component groups.  Unicode angle brackets are accepted on input and
 never emitted: str() of a form writes this syntax and parses back to it.
+
+parse_form splits a well-formed text with str methods and packs each entry
+into an int; any text that path cannot take goes, unchanged, to a
+character-by-character cursor parser, the one place that names a syntax
+error and its position.
 """
 
 from __future__ import annotations
 
 import re
+from functools import reduce
+from operator import methodcaller, xor
 
 from .forms import DiagonalForm
 from .groups import (
+    UNITS,
     CurveConfig,
     Generator,
     PicTorsionClass,
@@ -120,8 +128,8 @@ def _parse_entry(cur: _Cursor, cfg: CurveConfig) -> Generator:
     )
 
 
-def parse_form(text: str, cfg: CurveConfig) -> DiagonalForm:
-    """Parse a form expression into a diagonal form."""
+def _parse_with_cursor(text: str, cfg: CurveConfig) -> DiagonalForm:
+    """Character by character; the one place that describes a syntax error."""
     normalized = text.replace("⟨", "<").replace("⟩", ">")
     cur = _Cursor(normalized)
     cur.skip_ws()
@@ -138,3 +146,114 @@ def parse_form(text: str, cfg: CurveConfig) -> DiagonalForm:
     if cur.pos != len(normalized):
         raise FormSyntaxError("unexpected trailing input", cur.pos)
     return DiagonalForm(cfg, tuple(entries))
+
+
+# The fast path packs each term, and each entry, as the int
+# unit | pi_exp << 1 | mask << 2, so that an entry is the XOR of its terms.
+
+
+class _TermDeltas(dict):
+    """Packed delta of each term met in one parse.
+
+    A key may carry whitespace on either side.  A term the cursor parser
+    would reject raises KeyError.
+    """
+
+    def __init__(self, picard_rank: int):
+        super().__init__({"1": 0, "s": 1, "pi": 2})
+        self.picard_rank = picard_rank
+        self.max_digits = len(str(picard_rank))
+
+    def __missing__(self, token: str) -> int:
+        term = token.strip()
+        if term != token:
+            # Not cached: a text can spell a term with whitespace in many ways.
+            return self[term]
+        delta = self[term] = self._label(term)
+        return delta
+
+    def _label(self, term: str) -> int:
+        """L<index>, checked as _parse_term checks it.
+
+        No regex: a full match of a long zero run backtracks quadratically.
+        """
+        digits = term[1:]
+        if term[:1] != "L" or not (digits.isascii() and digits.isdigit()):
+            raise KeyError(term)
+        digits = digits.lstrip("0")
+        if len(digits) > self.max_digits:
+            raise KeyError(term)
+        index = int(digits or "0")
+        if not 1 <= index <= self.picard_rank:
+            raise KeyError(term)
+        return 1 << (index + 1)
+
+
+class _HeadDeltas(dict):
+    """Packed delta of the first term of an entry, which may carry a '-'."""
+
+    def __init__(self, terms: _TermDeltas, minus: int):
+        super().__init__()
+        self.terms = terms
+        self.minus = minus
+
+    def __missing__(self, token: str) -> int:
+        term = token.strip()
+        if term != token:
+            return self[term]
+        if term[:1] == "-":
+            delta = self.minus ^ self.terms[term[1:].lstrip()]
+        else:
+            delta = self.terms[term]
+        self[term] = delta
+        return delta
+
+
+class _Generators(dict):
+    """One shared Generator per packed entry met in one parse."""
+
+    def __init__(self, picard_rank: int):
+        super().__init__()
+        self.picard_rank = picard_rank
+
+    def __missing__(self, packed: int) -> Generator:
+        gen = self[packed] = Generator(
+            UNITS[packed & 1],
+            packed >> 1 & 1,
+            PicTorsionClass(self.picard_rank, packed >> 2),
+        )
+        return gen
+
+
+def _packed_entries(inside: str, cfg: CurveConfig) -> list[int]:
+    """The entries between the brackets, packed; KeyError if any is malformed.
+
+    The splits and dict lookups run in C; Python runs once per entry.
+    """
+    terms = _TermDeltas(cfg.picard_rank)
+    heads = _HeadDeltas(terms, minus_one_class(cfg).bit)
+    term_delta = terms.__getitem__
+    return [
+        reduce(xor, map(term_delta, tail), heads[head])
+        for head, *tail in map(methodcaller("split", "*"), inside.split(","))
+    ]
+
+
+def parse_form(text: str, cfg: CurveConfig) -> DiagonalForm:
+    """Parse a form expression into a diagonal form.
+
+    Raises FormSyntaxError with the position of the first malformed character.
+    """
+    body = text.replace("⟨", "<").replace("⟩", ">").strip()
+    if body[:1] == "<" and body[-1:] == ">":
+        inside = body[1:-1]
+        if not inside or inside.isspace():
+            return DiagonalForm(cfg, ())
+        try:
+            packed = _packed_entries(inside, cfg)
+        except KeyError:
+            pass  # malformed: the cursor parser finds and describes the fault
+        else:
+            gens = _Generators(cfg.picard_rank)
+            return DiagonalForm(cfg, tuple(map(gens.__getitem__, packed)))
+    return _parse_with_cursor(text, cfg)

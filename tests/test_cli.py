@@ -1,8 +1,10 @@
 """Tests for the form expression parser and the command line interface."""
 
 import csv
+import errno
 import io
 import json
+import os
 import subprocess
 import sys
 import time
@@ -264,9 +266,68 @@ class TestRunCommand:
         assert len(captured.err.strip().splitlines()) == 1
         assert not target.exists()
 
+    def test_stdout_write_failure_exits_two(self, capsys, monkeypatch):
+        class FullStdout(io.StringIO):
+            def write(self, text):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(sys, "stdout", FullStdout())
+        code = run_command(["reduce", "<1>"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: cannot write stdout: No space left on device\n"
+        )
+
+    def test_missing_stdout_exits_two(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdout", None)
+        code = run_command(["reduce", "<1>"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: cannot write stdout: Bad file descriptor\n"
+        )
+
     def test_help_exits_zero(self, capsys):
         assert run_command(["--help"]) == 0
         capsys.readouterr()
+
+
+def _closed_pipe():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    return write_end
+
+
+@pytest.mark.parametrize(
+    "open_stdout, message",
+    [
+        pytest.param(
+            lambda: os.open("/dev/full", os.O_WRONLY),
+            "No space left on device",
+            id="dev-full",
+            marks=pytest.mark.skipif(
+                not os.path.exists("/dev/full"), reason="no /dev/full"
+            ),
+        ),
+        pytest.param(_closed_pipe, "Broken pipe", id="closed-pipe"),
+    ],
+)
+def test_stdout_write_failure_exits_two_in_a_process(open_stdout, message):
+    # Block-buffered, as in a shell: the unwritten rest must not fail again
+    # when the interpreter flushes stdout at exit.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    stdout = open_stdout()
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "wittcurve", "reduce", "<1>"],
+            stdout=stdout,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+    finally:
+        os.close(stdout)
+    assert result.returncode == 2
+    assert result.stderr == f"error: cannot write stdout: {message}\n"
 
 
 def test_module_entry_point():

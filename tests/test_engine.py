@@ -5,6 +5,8 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wittcurve import (
     BrauerClass,
@@ -313,3 +315,40 @@ def test_generator_relations(cfg):
     assert report.passed
     assert report.checked == 8 * cfg.pic_order**2
     assert report.failures == ()
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_engines_agree_property(data):
+    # The invariant engine (equals) against the group-ring engine, on random
+    # pairs, on Witt-equal pairs e and a shuffled e + <g,-g>, and on near
+    # misses that also change one entry of e.
+    cfg = CurveConfig(
+        data.draw(st.sampled_from((1, 3)), label="q_mod_4"),
+        data.draw(st.sampled_from((0, 1, 2, 16)), label="picard_rank"),
+    )
+    rank = cfg.picard_rank
+    generator = st.builds(
+        lambda u, e, mask: Generator(UnitSquareClass(u), e, PicTorsionClass(rank, mask)),
+        st.integers(0, 1),
+        st.integers(0, 1),
+        # small masks too, so that entries repeat at rank 16
+        st.one_of(st.integers(0, min(3, (1 << rank) - 1)), st.integers(0, (1 << rank) - 1)),
+    )
+    forms = st.lists(generator, max_size=32).map(lambda gs: DiagonalForm(cfg, tuple(gs)))
+    e = data.draw(forms, label="e")
+    kind = data.draw(st.sampled_from(("random", "hyperbolic", "near miss")), label="kind")
+    if kind == "random":
+        f = data.draw(forms, label="f")
+    else:
+        entries = list(e.entries)
+        if kind == "near miss" and entries:
+            at = data.draw(st.integers(0, len(entries) - 1), label="changed entry")
+            entries[at] = data.draw(generator, label="new entry")
+        entries += hyperbolic_pair(cfg, data.draw(generator, label="g")).entries
+        f = DiagonalForm(cfg, tuple(data.draw(st.permutations(entries), label="order")))
+    same = equals(e, f)
+    assert same == (to_group_ring(e) == to_group_ring(f))
+    assert same == (canonical_form(e) == canonical_form(f))
+    if kind == "hyperbolic":
+        assert same

@@ -1,5 +1,10 @@
 """Property and fuzz tests of the form parser."""
 
+import random
+import time
+import tracemalloc
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -9,21 +14,121 @@ from wittcurve import (
     Generator,
     PicTorsionClass,
     UnitSquareClass,
+    minus_one_class,
 )
-from wittcurve.syntax import FormSyntaxError, parse_form
+from wittcurve.syntax import FormSyntaxError, _parse_with_cursor, parse_form
 
 CONFIGS = st.builds(
     CurveConfig, st.sampled_from((1, 3)), st.sampled_from((0, 1, 2, 16))
 )
 
+WHITESPACE = " \t\n\x1c"
 # The characters of the syntax, whitespace, and a few that never belong.
-ALPHABET = "<>⟨⟩,-*1spiL0123456789 \t\n" + "x#² ;"
+ALPHABET = "<>⟨⟩,-*1spiL0123456789" + WHITESPACE + "x#² ;q"
 TOKENS = ["<", ">", "⟨", "⟩", ",", "-", "*", "1", "s", "pi", "p", "L", "L1",
-          "L2", "L16", "L17", "L01", "0", "9", " ", "\t", "x", "²"]
+          "L2", "L16", "L17", "L01", "0", "9", " ", "\t", "\x1c", "x", "q", "²",
+          "0" * 40, "9" * 25, "L" + "0" * 40 + "2", "- ", " * ", " , "]
 TEXTS = st.one_of(
     st.text(alphabet=ALPHABET, max_size=40),
     st.lists(st.sampled_from(TOKENS), max_size=30).map("".join),
 )
+
+
+def generators(rank: int):
+    return st.builds(
+        lambda u, e, mask: Generator(UnitSquareClass(u), e, PicTorsionClass(rank, mask)),
+        st.integers(0, 1),
+        st.integers(0, 1),
+        st.integers(0, (1 << rank) - 1),
+    )
+
+
+def respell(form: DiagonalForm, rng: random.Random) -> str:
+    """A random spelling of a form that parses back to it.
+
+    Each entry may take a '-' (with its unit term adjusted), gets its terms
+    shuffled, may gain redundant '1' terms and zero-padded labels, and every
+    separator gets random whitespace on both sides.
+    """
+    minus = minus_one_class(form.config).bit
+    rank = form.config.picard_rank
+
+    def ws() -> str:
+        return "".join(rng.choice(WHITESPACE) for _ in range(rng.randint(0, 2)))
+
+    spelled = []
+    for g in form.entries:
+        sign = rng.random() < 0.5
+        terms = ["s"] * (g.unit.bit ^ (sign & minus)) + ["pi"] * g.pi_exp
+        terms += [
+            "L" + "0" * rng.randint(0, 2) + str(i + 1)
+            for i in range(rank)
+            if g.line.mask >> i & 1
+        ]
+        terms += ["1"] * rng.randint(0 if terms else 1, 2)
+        rng.shuffle(terms)
+        entry = terms[0] + "".join(ws() + "*" + ws() + term for term in terms[1:])
+        if sign:
+            entry = "-" + ws() + entry
+        spelled.append(ws() + entry + ws())
+    return ws() + rng.choice("<⟨") + ",".join(spelled) + ws() + rng.choice(">⟩") + ws()
+
+
+@st.composite
+def spelled_forms(draw, max_entries=8):
+    cfg = draw(CONFIGS, label="config")
+    entries = draw(
+        st.lists(generators(cfg.picard_rank), max_size=max_entries), label="entries"
+    )
+    form = DiagonalForm(cfg, tuple(entries))
+    # A seeded Random rather than st.randoms(): shrinking a failure then
+    # stays quick.
+    seed = draw(st.integers(0, 2**32 - 1), label="seed")
+    return respell(form, random.Random(seed)), cfg, form
+
+
+@st.composite
+def damaged_spellings(draw):
+    """A spelled form with one character inserted, deleted or replaced."""
+    text, cfg, _ = draw(spelled_forms(max_entries=4))
+    at = draw(st.integers(0, len(text)))
+    ch = draw(st.sampled_from(ALPHABET))
+    edit = draw(st.sampled_from(("insert", "delete", "replace")))
+    if edit == "insert":
+        text = text[:at] + ch + text[at:]
+    elif edit == "delete":
+        text = text[:at] + text[at + 1:]
+    else:
+        text = text[:at] + ch + text[at + 1:]
+    return text, cfg
+
+
+# Terms the syntax takes (some only at the head of an entry, some only at
+# rank 16) and terms one step away from it.
+TERMS = ["1", "s", "pi", "L1", "L2", "L16", "L01", "L" + "0" * 30 + "1", "-1",
+         "- s", "-\x1cpi", "L", "L0", "L00", "L17", "L99999", "L" + "9" * 30,
+         "p", "i", "p i", "", "--1", "-", "1 1", "q", "L²", "L1x", "Ls", "0"]
+ALMOST_FORMS = st.builds(
+    lambda entries, space: "<" + ",".join(
+        (space + "*" + space).join(terms) for terms in entries
+    ) + ">",
+    st.lists(st.lists(st.sampled_from(TERMS), min_size=1, max_size=3), max_size=4),
+    st.sampled_from(("", " ", "\t")),
+)
+
+DIFFERENTIAL_CASES = st.one_of(
+    st.tuples(TEXTS, CONFIGS),
+    st.tuples(ALMOST_FORMS, CONFIGS),
+    spelled_forms().map(lambda case: case[:2]),
+    damaged_spellings(),
+)
+
+
+def _outcome(parse, text, cfg):
+    try:
+        return parse(text, cfg)
+    except FormSyntaxError as err:
+        return str(err), err.position
 
 
 @settings(max_examples=500, deadline=None)
@@ -38,17 +143,83 @@ def test_parser_returns_a_form_or_raises_syntax_error(text, cfg):
         assert form.config == cfg
 
 
+@settings(max_examples=600, deadline=None)
+@given(case=DIFFERENTIAL_CASES)
+def test_parse_form_agrees_with_cursor_parser(case):
+    # The cursor parser is the reference: the same form, or the same error
+    # message at the same position.
+    text, cfg = case
+    assert _outcome(parse_form, text, cfg) == _outcome(_parse_with_cursor, text, cfg)
+
+
+@pytest.mark.parametrize("q", (1, 3))
+@pytest.mark.parametrize("rank", (0, 1, 2, 16))
+def test_each_term_in_each_place_agrees_with_cursor_parser(q, rank):
+    cfg = CurveConfig(q, rank)
+    for term in TERMS:
+        for text in (f"<{term}>", f"<1,{term}>", f"< {term} *1>", f"<s* {term}>"):
+            assert _outcome(parse_form, text, cfg) == _outcome(
+                _parse_with_cursor, text, cfg
+            ), text
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=spelled_forms())
+def test_spelling_parses_to_its_form(case):
+    text, cfg, form = case
+    assert parse_form(text, cfg) == form
+
+
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_printed_form_parses_back(data):
     cfg = data.draw(CONFIGS, label="config")
-    rank = cfg.picard_rank
-    generator = st.builds(
-        lambda u, e, mask: Generator(UnitSquareClass(u), e, PicTorsionClass(rank, mask)),
-        st.integers(0, 1),
-        st.integers(0, 1),
-        st.integers(0, (1 << rank) - 1),
-    )
-    entries = data.draw(st.lists(generator, max_size=64), label="entries")
+    entries = data.draw(st.lists(generators(cfg.picard_rank), max_size=64), label="entries")
     form = DiagonalForm(cfg, tuple(entries))
     assert parse_form(str(form), cfg) == form
+
+
+def test_long_form_parses_in_bounded_memory():
+    rng = random.Random(4096)
+    cfg = CurveConfig(3, 16)
+    form = DiagonalForm(
+        cfg,
+        tuple(
+            Generator(
+                UnitSquareClass(rng.randint(0, 1)),
+                rng.randint(0, 1),
+                PicTorsionClass(16, rng.getrandbits(16)),
+            )
+            for _ in range(4096)
+        ),
+    )
+    text = respell(form, rng)
+    tracemalloc.start()
+    try:
+        parsed = parse_form(text, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert parsed == form
+    # About 1.4 MB; one regular expression over the whole text took 13 MB.
+    assert peak < 4 << 20
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "<" + " " * 200_000 + "1>",
+        "<" + "1*" * 100_000 + "1>",
+        "<" + "1," * 100_000,
+        "<L" + "0" * 100_000 + "1>",
+    ],
+    ids=["spaces", "terms", "unclosed", "zero-run"],
+)
+@pytest.mark.parametrize("rank", (0, 16))
+def test_long_pathological_text_is_linear(text, rank):
+    start = time.perf_counter()
+    try:
+        parse_form(text, CurveConfig(3, rank))
+    except FormSyntaxError:
+        pass
+    assert time.perf_counter() - start < 2.0
