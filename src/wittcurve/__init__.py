@@ -34,7 +34,6 @@ from .groups import (
     CurveConfig,
     Generator,
     PicTorsionClass,
-    UnitSquareClass,
     enumerate_generators,
     enumerate_groups,
     enumerate_pic,
@@ -73,7 +72,6 @@ __all__ = [
     "ResidueWittClass",
     "RingIsoReport",
     "Shape",
-    "UnitSquareClass",
     "canonical_form",
     "check_ring_iso",
     "enumerate_classes",

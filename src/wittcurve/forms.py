@@ -9,14 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .groups import (
-    UNITS,
-    CurveConfig,
-    Generator,
-    PicTorsionClass,
-    UnitSquareClass,
-    minus_one_class,
-)
+from .groups import CurveConfig, Generator, PicTorsionClass, minus_one_class
 
 
 def sign_exponent(rank: int) -> int:
@@ -76,7 +69,7 @@ class DiagonalForm:
         m = minus_one_class(self.config)
         return DiagonalForm(
             self.config,
-            tuple(Generator(g.unit + m, g.pi_exp, g.line) for g in self.entries),
+            tuple(Generator(g.unit ^ m, g.pi_exp, g.line) for g in self.entries),
         )
 
     def discriminant(self) -> Generator:
@@ -85,18 +78,16 @@ class DiagonalForm:
         pi_exp = 0
         mask = 0
         for g in self.entries:
-            unit ^= g.unit.bit
+            unit ^= g.unit
             pi_exp ^= g.pi_exp
             mask ^= g.line.mask
-        return Generator(
-            UNITS[unit], pi_exp, PicTorsionClass(self.config.picard_rank, mask)
-        )
+        return Generator(unit, pi_exp, PicTorsionClass(self.config.picard_rank, mask))
 
     def signed_discriminant(self) -> Generator:
         """Discriminant twisted by (-1)^(rank*(rank+1)/2)."""
         disc = self.discriminant()
-        if sign_exponent(self.rank) & minus_one_class(self.config).bit:
-            disc = Generator(disc.unit + UNITS[1], disc.pi_exp, disc.line)
+        if sign_exponent(self.rank) & minus_one_class(self.config):
+            disc = Generator(disc.unit ^ 1, disc.pi_exp, disc.line)
         return disc
 
     def __str__(self) -> str:
@@ -104,7 +95,7 @@ class DiagonalForm:
 
 
 def quaternion_norm_form(
-    cfg: CurveConfig, unit: UnitSquareClass, line: PicTorsionClass
+    cfg: CurveConfig, unit: int, line: PicTorsionClass
 ) -> DiagonalForm:
     """Norm form <1, -uL, -pi, u*pi*L> of the quaternion class (uL, pi)."""
     if line.rank != cfg.picard_rank:
@@ -119,7 +110,7 @@ def quaternion_norm_form(
         cfg,
         (
             Generator.one(rank),
-            Generator(unit + m, 0, line),
+            Generator(unit ^ m, 0, line),
             Generator(m, 1, trivial_line),
             Generator(unit, 1, line),
         ),

@@ -14,15 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .forms import DiagonalForm, sign_exponent
-from .groups import (
-    UNITS,
-    CurveConfig,
-    Generator,
-    PicTorsionClass,
-    UnitSquareClass,
-    label,
-    minus_one_class,
-)
+from .groups import CurveConfig, Generator, PicTorsionClass, label, minus_one_class
 
 
 @dataclass(frozen=True, slots=True)
@@ -34,18 +26,22 @@ class ResidueWittClass:
 
     config: CurveConfig
     parity: int
-    disc_unit: UnitSquareClass
+    disc_unit: int
     disc_line: PicTorsionClass
 
     def __post_init__(self) -> None:
         if self.parity not in (0, 1):
             raise ValueError(f"parity must be 0 or 1, got {self.parity!r}")
+        if self.disc_unit not in (0, 1):
+            raise ValueError(
+                f"unit square class bit must be 0 or 1, got {self.disc_unit!r}"
+            )
         if self.disc_line.rank != self.config.picard_rank:
             raise ValueError("config mismatch: discriminant line rank")
 
     @classmethod
     def zero(cls, cfg: CurveConfig) -> "ResidueWittClass":
-        return cls(cfg, 0, UNITS[0], PicTorsionClass.identity(cfg.picard_rank))
+        return cls(cfg, 0, 0, PicTorsionClass.identity(cfg.picard_rank))
 
     @classmethod
     def one(cls, cfg: CurveConfig) -> "ResidueWittClass":
@@ -65,15 +61,15 @@ class ResidueWittClass:
             if g.pi_exp:
                 raise ValueError("residue classes come from pi-free generators")
             parity ^= 1
-            unit ^= g.unit.bit
+            unit ^= g.unit
             mask ^= g.line.mask
             count += 1
-        unit ^= sign_exponent(count) & minus_one_class(cfg).bit
-        return cls(cfg, parity, UNITS[unit], PicTorsionClass(cfg.picard_rank, mask))
+        unit ^= sign_exponent(count) & minus_one_class(cfg)
+        return cls(cfg, parity, unit, PicTorsionClass(cfg.picard_rank, mask))
 
     @property
     def is_zero(self) -> bool:
-        return self.parity == 0 and self.disc_unit.bit == 0 and self.disc_line.mask == 0
+        return self.parity == 0 and self.disc_unit == 0 and self.disc_line.mask == 0
 
     def _require_same_config(self, other: "ResidueWittClass") -> None:
         if self.config != other.config:
@@ -83,20 +79,20 @@ class ResidueWittClass:
         # The sign twist contributes a cross term [-1] exactly when both
         # summands have odd rank.
         self._require_same_config(other)
-        cross = self.parity & other.parity & minus_one_class(self.config).bit
+        cross = self.parity & other.parity & minus_one_class(self.config)
         return ResidueWittClass(
             self.config,
             self.parity ^ other.parity,
-            UNITS[self.disc_unit.bit ^ other.disc_unit.bit ^ cross],
+            self.disc_unit ^ other.disc_unit ^ cross,
             self.disc_line + other.disc_line,
         )
 
     def __neg__(self) -> "ResidueWittClass":
-        twist = self.parity & minus_one_class(self.config).bit
+        twist = self.parity & minus_one_class(self.config)
         return ResidueWittClass(
             self.config,
             self.parity,
-            UNITS[self.disc_unit.bit ^ twist],
+            self.disc_unit ^ twist,
             self.disc_line,
         )
 
@@ -107,7 +103,7 @@ class ResidueWittClass:
         delta the signed discriminant (the zero class gets <1, -1>).
         """
         m = minus_one_class(self.config)
-        partner = Generator(self.disc_unit + m, 0, self.disc_line)
+        partner = Generator(self.disc_unit ^ m, 0, self.disc_line)
         if self.parity:
             return (partner,)
         return (Generator.one(self.config.picard_rank), partner)
@@ -120,7 +116,7 @@ class ResidueWittClass:
         return ResidueWittClass.from_generators(self.config, product)
 
     def __str__(self) -> str:
-        disc = label(self.disc_unit.bit, 0, self.disc_line.mask)
+        disc = label(self.disc_unit, 0, self.disc_line.mask)
         return f"(parity {self.parity}, disc {disc})"
 
 
@@ -221,7 +217,7 @@ def enumerate_residue_classes(cfg: CurveConfig) -> list[ResidueWittClass]:
     return [
         ResidueWittClass(cfg, parity, u, PicTorsionClass(rank, mask))
         for parity in (0, 1)
-        for u in UNITS
+        for u in (0, 1)
         for mask in range(cfg.pic_order)
     ]
 

@@ -1,20 +1,17 @@
 """Exact arithmetic for the finite 2-torsion groups behind every invariant.
 
-Everything here is an elementary abelian 2-group: unit square classes of the
-residue field, the uniformizer exponent, 2-torsion line bundle classes, and
-the two composite groups (global square classes, which are also the rank-1
-generators, and 2-torsion Brauer classes) built from them.  Elements are
-immutable and the group law is coordinatewise XOR.
+Everything here is an elementary abelian 2-group.  The residue field is
+non-dyadic, so its unit square classes form Z/2 and are stored as a plain
+unit bit (1 for the class of the fixed non-square s); the uniformizer
+exponent is a pi bit; 2-torsion line bundle classes are a mask over L1..Lr.
+The two composite groups (global square classes, which are also the rank-1
+generators, and 2-torsion Brauer classes) hold those coordinates.  Elements
+are immutable and the group law is coordinatewise XOR.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-
-def _check_bit(value: int, what: str) -> None:
-    if value not in (0, 1):
-        raise ValueError(f"{what} must be 0 or 1, got {value!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -49,36 +46,9 @@ def make_config(q_mod_4: int, picard_rank: int) -> CurveConfig:
     return CurveConfig(q_mod_4, picard_rank)
 
 
-@dataclass(frozen=True, slots=True)
-class UnitSquareClass:
-    """Square class of a unit of the residue field.
-
-    bit 0 is the class of squares, bit 1 the class of the fixed non-square s.
-    """
-
-    bit: int
-
-    def __post_init__(self) -> None:
-        _check_bit(self.bit, "unit square class bit")
-
-    def __add__(self, other: "UnitSquareClass") -> "UnitSquareClass":
-        return UNITS[self.bit ^ other.bit]
-
-    @property
-    def is_trivial(self) -> bool:
-        return self.bit == 0
-
-    def __str__(self) -> str:
-        return "s" if self.bit else "1"
-
-
-# The two unit square classes, indexed by their bit.
-UNITS = (UnitSquareClass(0), UnitSquareClass(1))
-
-
-def minus_one_class(cfg: CurveConfig) -> UnitSquareClass:
-    """Square class of -1: trivial iff q = 1 mod 4 (Euler criterion)."""
-    return UNITS[cfg.q_mod_4 == 3]
+def minus_one_class(cfg: CurveConfig) -> int:
+    """Unit bit of -1: 0 (a square) iff q = 1 mod 4 (Euler criterion)."""
+    return 1 if cfg.q_mod_4 == 3 else 0
 
 
 def label(unit: int, pi_exp: int, mask: int) -> str:
@@ -131,10 +101,6 @@ class PicTorsionClass:
             raise ValueError(f"unknown bundle label L{index} for rank {rank}")
         return cls(rank, 1 << (index - 1))
 
-    @property
-    def coords(self) -> tuple[int, ...]:
-        return tuple((self.mask >> i) & 1 for i in range(self.rank))
-
     def __add__(self, other: "PicTorsionClass") -> "PicTorsionClass":
         if self.rank != other.rank:
             raise ValueError("config mismatch: line bundle classes of different rank")
@@ -156,37 +122,39 @@ class Generator:
     adds all three coordinates mod 2 (pi^2 is a square).
     """
 
-    unit: UnitSquareClass
+    unit: int
     pi_exp: int
     line: PicTorsionClass
 
     def __post_init__(self) -> None:
+        if self.unit not in (0, 1):
+            raise ValueError(f"unit square class bit must be 0 or 1, got {self.unit!r}")
         if self.pi_exp not in (0, 1):
             raise ValueError(f"pi exponent must be 0 or 1, got {self.pi_exp!r}")
 
     @classmethod
     def one(cls, rank: int) -> "Generator":
         """The trivial class, the generator <1>."""
-        return cls(UNITS[0], 0, PicTorsionClass.identity(rank))
+        return cls(0, 0, PicTorsionClass.identity(rank))
 
     @classmethod
     def pi(cls, rank: int) -> "Generator":
         """The generator <pi>."""
-        return cls(UNITS[0], 1, PicTorsionClass.identity(rank))
+        return cls(0, 1, PicTorsionClass.identity(rank))
 
     def __mul__(self, other: "Generator") -> "Generator":
         return Generator(
-            self.unit + other.unit,
+            self.unit ^ other.unit,
             self.pi_exp ^ other.pi_exp,
             self.line + other.line,
         )
 
     @property
     def is_trivial(self) -> bool:
-        return self.unit.bit == 0 and self.pi_exp == 0 and self.line.mask == 0
+        return self.unit == 0 and self.pi_exp == 0 and self.line.mask == 0
 
     def __str__(self) -> str:
-        return label(self.unit.bit, self.pi_exp, self.line.mask)
+        return label(self.unit, self.pi_exp, self.line.mask)
 
 
 @dataclass(frozen=True, slots=True)
@@ -197,22 +165,26 @@ class BrauerClass:
     class of the trivial (matrix) algebra.
     """
 
-    unit: UnitSquareClass
+    unit: int
     line: PicTorsionClass
 
+    def __post_init__(self) -> None:
+        if self.unit not in (0, 1):
+            raise ValueError(f"unit square class bit must be 0 or 1, got {self.unit!r}")
+
     def __add__(self, other: "BrauerClass") -> "BrauerClass":
-        return BrauerClass(self.unit + other.unit, self.line + other.line)
+        return BrauerClass(self.unit ^ other.unit, self.line + other.line)
 
     @classmethod
     def identity(cls, rank: int) -> "BrauerClass":
-        return cls(UNITS[0], PicTorsionClass.identity(rank))
+        return cls(0, PicTorsionClass.identity(rank))
 
     @property
     def is_trivial(self) -> bool:
-        return self.unit.bit == 0 and self.line.mask == 0
+        return self.unit == 0 and self.line.mask == 0
 
     def __str__(self) -> str:
-        return f"({label(self.unit.bit, 0, self.line.mask)}, pi)"
+        return f"({label(self.unit, 0, self.line.mask)}, pi)"
 
 
 def enumerate_pic(cfg: CurveConfig) -> list[PicTorsionClass]:
@@ -223,7 +195,7 @@ def enumerate_pic(cfg: CurveConfig) -> list[PicTorsionClass]:
 def enumerate_generators(cfg: CurveConfig) -> list[Generator]:
     """All 4n generators, units before non-units, pi-free before ramified."""
     pic = enumerate_pic(cfg)
-    return [Generator(u, e, line) for e in (0, 1) for u in UNITS for line in pic]
+    return [Generator(u, e, line) for e in (0, 1) for u in (0, 1) for line in pic]
 
 
 def enumerate_groups(
@@ -235,7 +207,7 @@ def enumerate_groups(
     """
     pic = enumerate_pic(cfg)
     square_classes = [
-        Generator(u, e, line) for u in UNITS for e in (0, 1) for line in pic
+        Generator(u, e, line) for u in (0, 1) for e in (0, 1) for line in pic
     ]
-    brauer = [BrauerClass(u, line) for u in UNITS for line in pic]
+    brauer = [BrauerClass(u, line) for u in (0, 1) for line in pic]
     return pic, square_classes, brauer

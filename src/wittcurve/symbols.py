@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from .forms import DiagonalForm
 from .groups import (
-    UNITS,
     BrauerClass,
     CurveConfig,
     Generator,
@@ -30,12 +29,12 @@ def symbol(cfg: CurveConfig, a: Generator, b: Generator) -> BrauerClass:
         raise ValueError(
             "config mismatch: generator line rank does not match picard_rank"
         )
-    m = minus_one_class(cfg).bit
+    m = minus_one_class(cfg)
     e = a.pi_exp
     f = b.pi_exp
-    unit = (f & a.unit.bit) ^ (e & b.unit.bit) ^ (e & f & m)
+    unit = (f & a.unit) ^ (e & b.unit) ^ (e & f & m)
     mask = (a.line.mask if f else 0) ^ (b.line.mask if e else 0)
-    return BrauerClass(UNITS[unit], PicTorsionClass(rank, mask))
+    return BrauerClass(unit, PicTorsionClass(rank, mask))
 
 
 def hasse_invariant(form: DiagonalForm) -> BrauerClass:
@@ -51,12 +50,12 @@ def hasse_invariant(form: DiagonalForm) -> BrauerClass:
     witt_invariant.
     """
     cfg = form.config
-    m = minus_one_class(cfg).bit
+    m = minus_one_class(cfg)
     du = de = dl = 0
     unit = 0
     mask = 0
     for g in form.entries:
-        u = g.unit.bit
+        u = g.unit
         e = g.pi_exp
         line = g.line.mask
         unit ^= (e & du) ^ (de & u) ^ (de & e & m)
@@ -67,7 +66,7 @@ def hasse_invariant(form: DiagonalForm) -> BrauerClass:
         du ^= u
         de ^= e
         dl ^= line
-    return BrauerClass(UNITS[unit], PicTorsionClass(cfg.picard_rank, mask))
+    return BrauerClass(unit, PicTorsionClass(cfg.picard_rank, mask))
 
 
 def witt_invariant(form: DiagonalForm) -> BrauerClass:

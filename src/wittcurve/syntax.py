@@ -1,7 +1,8 @@
 """Form expression syntax: the parser of the concrete form notation.
 
 Concrete syntax for forms is ASCII:  <entry,entry,...>  where an entry is an
-optional leading '-' followed by '*'-joined terms '1', 's', 'pi' or 'L<k>'.
+optional leading '-' followed by '*'-joined terms '1', 's', 'pi' or 'L<k>',
+where 1 <= k <= min(picard rank, MAX_BUNDLE_INDEX).
 A '-' multiplies the entry by the class of -1; repeated terms multiply in
 their component groups.  Unicode angle brackets are accepted on input and
 never emitted: str() of a form writes this syntax and parses back to it.
@@ -19,14 +20,7 @@ from functools import reduce
 from operator import methodcaller, xor
 
 from .forms import DiagonalForm
-from .groups import (
-    UNITS,
-    CurveConfig,
-    Generator,
-    PicTorsionClass,
-    UnitSquareClass,
-    minus_one_class,
-)
+from .groups import CurveConfig, Generator, PicTorsionClass, minus_one_class
 
 
 class FormSyntaxError(ValueError):
@@ -61,6 +55,12 @@ class _Cursor:
             raise FormSyntaxError(f"expected {ch!r}", self.pos)
         self.pos += 1
 
+
+# The largest bundle label L<k> the syntax takes, whatever the Picard rank:
+# a label builds a k-bit mask, so without a bound the text alone could ask
+# for gigabytes.  A 4096-entry text of the labels L1..L4096 parses with a
+# peak of about 3 MB (tracemalloc); the 4096 labels up to L65536 take 70 MB.
+MAX_BUNDLE_INDEX = 4096
 
 # Leading zeros, then the significant digits of a bundle index.  [0-9], not
 # \d: \d and str.isdigit() also match non-ASCII digits.
@@ -97,6 +97,10 @@ def _parse_term(cur: _Cursor, cfg: CurveConfig) -> tuple[int, int, int]:
         index = int(digits or "0")
         if not 1 <= index <= cfg.picard_rank:
             raise FormSyntaxError(f"unknown bundle label L{index}", start)
+        if index > MAX_BUNDLE_INDEX:
+            raise FormSyntaxError(
+                f"bundle label L{index} exceeds the limit L{MAX_BUNDLE_INDEX}", start
+            )
         return 0, 0, 1 << (index - 1)
     raise FormSyntaxError("expected term '1', 's', 'pi' or 'L<k>'", start)
 
@@ -108,7 +112,7 @@ def _parse_entry(cur: _Cursor, cfg: CurveConfig) -> Generator:
     mask = 0
     if cur.peek() == "-":
         cur.advance()
-        unit ^= minus_one_class(cfg).bit
+        unit ^= minus_one_class(cfg)
         cur.skip_ws()
     du, dpi, dmask = _parse_term(cur, cfg)
     unit ^= du
@@ -123,9 +127,7 @@ def _parse_entry(cur: _Cursor, cfg: CurveConfig) -> Generator:
         pi_exp ^= dpi
         mask ^= dmask
         cur.skip_ws()
-    return Generator(
-        UnitSquareClass(unit), pi_exp, PicTorsionClass(cfg.picard_rank, mask)
-    )
+    return Generator(unit, pi_exp, PicTorsionClass(cfg.picard_rank, mask))
 
 
 def _parse_with_cursor(text: str, cfg: CurveConfig) -> DiagonalForm:
@@ -161,7 +163,7 @@ class _TermDeltas(dict):
 
     def __init__(self, picard_rank: int):
         super().__init__({"1": 0, "s": 1, "pi": 2})
-        self.picard_rank = picard_rank
+        self.max_index = min(picard_rank, MAX_BUNDLE_INDEX)
         self.max_digits = len(str(picard_rank))
 
     def __missing__(self, token: str) -> int:
@@ -184,7 +186,7 @@ class _TermDeltas(dict):
         if len(digits) > self.max_digits:
             raise KeyError(term)
         index = int(digits or "0")
-        if not 1 <= index <= self.picard_rank:
+        if not 1 <= index <= self.max_index:
             raise KeyError(term)
         return 1 << (index + 1)
 
@@ -218,7 +220,7 @@ class _Generators(dict):
 
     def __missing__(self, packed: int) -> Generator:
         gen = self[packed] = Generator(
-            UNITS[packed & 1],
+            packed & 1,
             packed >> 1 & 1,
             PicTorsionClass(self.picard_rank, packed >> 2),
         )
@@ -231,7 +233,7 @@ def _packed_entries(inside: str, cfg: CurveConfig) -> list[int]:
     The splits and dict lookups run in C; Python runs once per entry.
     """
     terms = _TermDeltas(cfg.picard_rank)
-    heads = _HeadDeltas(terms, minus_one_class(cfg).bit)
+    heads = _HeadDeltas(terms, minus_one_class(cfg))
     term_delta = terms.__getitem__
     return [
         reduce(xor, map(term_delta, tail), heads[head])

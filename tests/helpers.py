@@ -9,7 +9,6 @@ from wittcurve import (
     CurveConfig,
     DiagonalForm,
     Generator,
-    UnitSquareClass,
     enumerate_generators,
     enumerate_pic,
     minus_one_class,
@@ -38,7 +37,7 @@ def random_generator(rng: random.Random, cfg: CurveConfig) -> Generator:
 def hyperbolic_pair(cfg: CurveConfig, g: Generator) -> DiagonalForm:
     """The Witt-trivial form <g, -g>."""
     m = minus_one_class(cfg)
-    return DiagonalForm(cfg, (g, Generator(g.unit + m, g.pi_exp, g.line)))
+    return DiagonalForm(cfg, (g, Generator(g.unit ^ m, g.pi_exp, g.line)))
 
 
 def random_ideal_square_form(rng: random.Random, cfg: CurveConfig) -> DiagonalForm:
@@ -47,7 +46,7 @@ def random_ideal_square_form(rng: random.Random, cfg: CurveConfig) -> DiagonalFo
     Built as a norm form plus an optional hyperbolic pair, both of which lie
     in the square of the fundamental ideal.
     """
-    unit = UnitSquareClass(rng.randint(0, 1))
+    unit = rng.randint(0, 1)
     line = rng.choice(enumerate_pic(cfg))
     form = quaternion_norm_form(cfg, unit, line)
     if rng.random() < 0.5:

@@ -14,7 +14,6 @@ from wittcurve import (
     DiagonalForm,
     Generator,
     GroupRingElement,
-    UnitSquareClass,
     canonical_form,
     check_ring_iso,
     enumerate_classes,
@@ -115,7 +114,7 @@ def test_criterion_5_generator_relations():
 
 def test_criterion_6_proof_trace_vectors():
     with criterion(6, "proof trace vectors"):
-        units = (UnitSquareClass(0), UnitSquareClass(1))
+        units = (0, 1)
         for q in (1, 3):
             config = CurveConfig(q, 1)
             minus_one = minus_one_class(config)
@@ -123,7 +122,7 @@ def test_criterion_6_proof_trace_vectors():
             one = Generator.one(1)
 
             def neg(g: Generator) -> Generator:
-                return Generator(g.unit + minus_one, g.pi_exp, g.line)
+                return Generator(g.unit ^ minus_one, g.pi_exp, g.line)
 
             for u_s, u_t, line, line_m in itertools.product(
                 units, units, enumerate_pic(config), enumerate_pic(config)

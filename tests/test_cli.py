@@ -17,7 +17,6 @@ from wittcurve import (
     DiagonalForm,
     FormSyntaxError,
     PicTorsionClass,
-    UnitSquareClass,
     enumerate_generators,
     parse_form,
     quaternion_norm_form,
@@ -30,7 +29,7 @@ class TestParse:
         for config in (q3r1, q1r1):
             parsed = parse_form("<1,-s*L1,-pi,s*pi*L1>", config)
             built = quaternion_norm_form(
-                config, UnitSquareClass(1), PicTorsionClass.basis(1, 1)
+                config, 1, PicTorsionClass.basis(1, 1)
             )
             assert parsed == built
 
@@ -51,6 +50,17 @@ class TestParse:
         with pytest.raises(FormSyntaxError, match="unknown bundle label"):
             parse_form("<L10>", q3r1)
         assert parse_form("<L" + "0" * 5000 + "1>", q3r1) == parse_form("<L1>", q3r1)
+
+    def test_bundle_label_limit(self):
+        # A label builds a mask of its own size, so labels stop at L4096
+        # whatever the rank.
+        cfg = CurveConfig(3, 10**8)
+        assert parse_form("<L4096>", cfg).entries[0].line.mask == 1 << 4095
+        with pytest.raises(
+            FormSyntaxError, match="^bundle label L4097 exceeds the limit L4096"
+        ) as err:
+            parse_form("<1,s*L4097>", cfg)
+        assert err.value.position == 5
 
     def test_non_ascii_digit_label(self, q3r1):
         with pytest.raises(FormSyntaxError, match="expected bundle index"):
@@ -223,6 +233,32 @@ class TestRunCommand:
             tracemalloc.stop()
         assert code == 0
         assert "signed_disc" in capsys.readouterr().out
+        assert peak < 1 << 20
+
+    def test_label_over_limit_exits_two_in_bounded_memory(self, capsys):
+        # Without the label limit this asks for a 12.5 GB mask.
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            code = run_command(
+                [
+                    "invariants",
+                    "<1,L1,-pi*L99999999999>",
+                    "--picard-rank",
+                    "99999999999",
+                ]
+            )
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            "error: bundle label L99999999999 exceeds the limit L4096 at position 10\n"
+        )
+        assert elapsed < 1.0
         assert peak < 1 << 20
 
     def test_usage_error_exits_two(self, capsys):

@@ -15,7 +15,6 @@ from wittcurve import (
     Generator,
     PicTorsionClass,
     Shape,
-    UnitSquareClass,
     canonical_form,
     enumerate_classes,
     enumerate_generators,
@@ -36,7 +35,7 @@ from helpers import generator_alphabet, hyperbolic_pair, random_form, random_gen
 
 
 def _neg(cfg, g: Generator) -> Generator:
-    return Generator(g.unit + minus_one_class(cfg), g.pi_exp, g.line)
+    return Generator(g.unit ^ minus_one_class(cfg), g.pi_exp, g.line)
 
 
 class TestIsTrivial:
@@ -56,7 +55,7 @@ class TestIsTrivial:
             if g.pi_exp:
                 continue
             form = quaternion_norm_form(cfg, g.unit, g.line)
-            expected_trivial = g.unit.bit == 0 and g.line.mask == 0
+            expected_trivial = g.unit == 0 and g.line.mask == 0
             assert is_trivial(form) == expected_trivial
 
     def test_empty_form(self, cfg):
@@ -125,7 +124,7 @@ class TestRewritingVectors:
         cfg = CurveConfig(q, 1)
         pi = Generator.pi(1)
         one = Generator.one(1)
-        units = (UnitSquareClass(0), UnitSquareClass(1))
+        units = (0, 1)
         for u_s, u_t, line, line_m in itertools.product(
             units, units, enumerate_pic(cfg), enumerate_pic(cfg)
         ):
@@ -140,7 +139,7 @@ class TestRewritingVectors:
         cfg = CurveConfig(q, 1)
         pi = Generator.pi(1)
         one = Generator.one(1)
-        units = (UnitSquareClass(0), UnitSquareClass(1))
+        units = (0, 1)
         for u_s, u_t, line, line_m in itertools.product(
             units, units, enumerate_pic(cfg), enumerate_pic(cfg)
         ):
@@ -157,7 +156,7 @@ class TestInvariantProfile:
             profile = invariant_profile(parse_form("<s*L1>", config))
             assert profile.rank_parity == 1
             expected = Generator(
-                UnitSquareClass(1) + minus_one_class(config), 0, PicTorsionClass(1, 1)
+                1 ^ minus_one_class(config), 0, PicTorsionClass(1, 1)
             )
             assert profile.signed_disc == expected
             assert profile.witt_inv is None
@@ -166,16 +165,16 @@ class TestInvariantProfile:
         profile = invariant_profile(parse_form("<1,-pi>", cfg))
         assert profile.rank_parity == 0
         assert profile.signed_disc == Generator(
-            UnitSquareClass(0), 1, PicTorsionClass.identity(cfg.picard_rank)
+            0, 1, PicTorsionClass.identity(cfg.picard_rank)
         )
         assert profile.witt_inv is None
 
     def test_norm_form(self, q3r1):
-        form = quaternion_norm_form(q3r1, UnitSquareClass(1), PicTorsionClass(1, 1))
+        form = quaternion_norm_form(q3r1, 1, PicTorsionClass(1, 1))
         profile = invariant_profile(form)
         assert profile.rank_parity == 0
         assert profile.signed_disc.is_trivial
-        assert profile.witt_inv == BrauerClass(UnitSquareClass(1), PicTorsionClass(1, 1))
+        assert profile.witt_inv == BrauerClass(1, PicTorsionClass(1, 1))
 
 
 class TestCanonicalForm:
@@ -283,8 +282,8 @@ class TestQuaternionDistinctness:
         assert report.passed
 
     def test_specific_pair_distinct(self, q3r1):
-        a = quaternion_norm_form(q3r1, UnitSquareClass(1), PicTorsionClass.identity(1))
-        b = quaternion_norm_form(q3r1, UnitSquareClass(1), PicTorsionClass(1, 1))
+        a = quaternion_norm_form(q3r1, 1, PicTorsionClass.identity(1))
+        b = quaternion_norm_form(q3r1, 1, PicTorsionClass(1, 1))
         assert not equals(a, b)
 
 
@@ -329,7 +328,7 @@ def test_engines_agree_property(data):
     )
     rank = cfg.picard_rank
     generator = st.builds(
-        lambda u, e, mask: Generator(UnitSquareClass(u), e, PicTorsionClass(rank, mask)),
+        lambda u, e, mask: Generator(u, e, PicTorsionClass(rank, mask)),
         st.integers(0, 1),
         st.integers(0, 1),
         # small masks too, so that entries repeat at rank 16

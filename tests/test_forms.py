@@ -11,7 +11,6 @@ from wittcurve import (
     DiagonalForm,
     Generator,
     PicTorsionClass,
-    UnitSquareClass,
     enumerate_generators,
     minus_one_class,
     parse_form,
@@ -109,7 +108,7 @@ class TestDiscriminant:
         # twice and cancels.
         if cfg.picard_rank < 1:
             pytest.skip("needs a bundle label")
-        m = minus_one_class(cfg).bit
+        m = minus_one_class(cfg)
         unit = 0 ^ (1 ^ m) ^ m ^ 1
         pi_exp = 0 ^ 0 ^ 1 ^ 1
         mask = 0 ^ 1 ^ 0 ^ 1
@@ -122,7 +121,7 @@ class TestDiscriminant:
 
     def test_single_entry(self, q3r1):
         disc = parse_form("<s*L1>", q3r1).discriminant()
-        assert disc == Generator(UnitSquareClass(1), 0, PicTorsionClass(1, 1))
+        assert disc == Generator(1, 0, PicTorsionClass(1, 1))
 
     def test_additive_under_orthogonal_sum(self, cfg):
         rng = random.Random(13)
@@ -188,13 +187,13 @@ class TestQuaternionNormForm:
     def test_matches_template(self, q3r1, q1r1):
         for config in (q3r1, q1r1):
             form = quaternion_norm_form(
-                config, UnitSquareClass(1), PicTorsionClass.basis(1, 1)
+                config, 1, PicTorsionClass.basis(1, 1)
             )
             assert form == parse_form("<1,-s*L1,-pi,s*pi*L1>", config)
 
     def test_trivial_symbol_gives_double_hyperbolic(self, cfg):
         form = quaternion_norm_form(
-            cfg, UnitSquareClass(0), PicTorsionClass.identity(cfg.picard_rank)
+            cfg, 0, PicTorsionClass.identity(cfg.picard_rank)
         )
         assert form == parse_form("<1,-1,-pi,pi>", cfg)
 
@@ -205,7 +204,7 @@ class TestQuaternionNormForm:
 
     def test_config_mismatch(self, q3r1):
         with pytest.raises(ValueError, match="config mismatch"):
-            quaternion_norm_form(q3r1, UnitSquareClass(0), PicTorsionClass(2, 0))
+            quaternion_norm_form(q3r1, 0, PicTorsionClass(2, 0))
 
 
 def test_generator_alphabet_size(cfg):
@@ -215,6 +214,6 @@ def test_generator_alphabet_size(cfg):
 
 
 def test_generator_product_is_coordinatewise(q3r1):
-    a = Generator(UnitSquareClass(1), 0, PicTorsionClass(1, 1))
-    b = Generator(UnitSquareClass(1), 1, PicTorsionClass(1, 1))
-    assert a * b == Generator(UnitSquareClass(0), 1, PicTorsionClass(1, 0))
+    a = Generator(1, 0, PicTorsionClass(1, 1))
+    b = Generator(1, 1, PicTorsionClass(1, 1))
+    assert a * b == Generator(0, 1, PicTorsionClass(1, 0))

@@ -12,7 +12,6 @@ from wittcurve import (
     GroupRingElement,
     PicTorsionClass,
     ResidueWittClass,
-    UnitSquareClass,
     check_ring_iso,
     enumerate_group_ring_elements,
     enumerate_residue_classes,
@@ -53,7 +52,7 @@ class TestResidueAddition:
             doubled = x + x
             assert doubled.parity == 0
             assert doubled.disc_line.is_trivial
-            expected_unit = m if x.parity else UnitSquareClass(0)
+            expected_unit = m if x.parity else 0
             assert doubled.disc_unit == expected_unit
 
     def test_negation(self, cfg):
@@ -114,7 +113,7 @@ class TestGroupRingCoordinates:
         assert x == GroupRingElement(ResidueWittClass.one(cfg), ResidueWittClass.one(cfg))
 
     def test_norm_form_coordinates(self, q3r1):
-        form = quaternion_norm_form(q3r1, UnitSquareClass(1), PicTorsionClass(1, 1))
+        form = quaternion_norm_form(q3r1, 1, PicTorsionClass(1, 1))
         x = to_group_ring(form)
         assert x.a == _residue_of(q3r1, "<1,-s*L1>")
         assert x.b == _residue_of(q3r1, "<-1,s*L1>")

@@ -11,7 +11,7 @@ from wittcurve import (
     CurveConfig,
     Generator,
     PicTorsionClass,
-    UnitSquareClass,
+    ResidueWittClass,
     enumerate_groups,
     make_config,
     minus_one_class,
@@ -37,12 +37,19 @@ class TestConfig:
 
 class TestMinusOne:
     def test_square_iff_q_is_one_mod_four(self):
-        assert minus_one_class(CurveConfig(1, 0)).is_trivial
-        assert minus_one_class(CurveConfig(3, 0)) == UnitSquareClass(1)
+        assert minus_one_class(CurveConfig(1, 0)) == 0
+        assert minus_one_class(CurveConfig(3, 0)) == 1
 
     def test_double_negation(self, cfg):
         m = minus_one_class(cfg)
-        assert (m + m).is_trivial
+        assert m ^ m == 0
+
+    @pytest.mark.parametrize("q, bit", [(1, 0), (3, 1)])
+    def test_plain_int(self, q, bit):
+        m = minus_one_class(CurveConfig(q, 2))
+        assert type(m) is int
+        assert m == bit
+        assert repr(m) == str(bit)
 
 
 class TestEnumerations:
@@ -99,7 +106,7 @@ class TestPicTorsion:
     def test_basis_labels(self):
         line = PicTorsionClass.basis(3, 1) + PicTorsionClass.basis(3, 3)
         assert str(line) == "L1*L3"
-        assert line.coords == (1, 0, 1)
+        assert line.mask == 0b101
 
     def test_basis_out_of_range(self):
         with pytest.raises(ValueError, match="unknown bundle label"):
@@ -128,14 +135,36 @@ class TestPicTorsion:
             PicTorsionClass(1, 1) + PicTorsionClass(2, 1)
 
 
+class TestUnitBit:
+    @pytest.mark.parametrize("bit", [2, -1])
+    def test_generator_rejects(self, bit):
+        with pytest.raises(ValueError, match="unit square class bit must be 0 or 1"):
+            Generator(bit, 0, PicTorsionClass.identity(1))
+
+    @pytest.mark.parametrize("bit", [2, -1])
+    def test_brauer_class_rejects(self, bit):
+        with pytest.raises(ValueError, match="unit square class bit must be 0 or 1"):
+            BrauerClass(bit, PicTorsionClass.identity(1))
+
+    @pytest.mark.parametrize("bit", [2, -1])
+    def test_residue_class_rejects(self, bit):
+        cfg = CurveConfig(3, 1)
+        with pytest.raises(ValueError, match="unit square class bit must be 0 or 1"):
+            ResidueWittClass(cfg, 0, bit, PicTorsionClass.identity(1))
+
+    def test_generator_keeps_pi_message(self):
+        with pytest.raises(ValueError, match="pi exponent must be 0 or 1"):
+            Generator(0, 2, PicTorsionClass.identity(1))
+
+
 class TestRendering:
     def test_square_class_strings(self):
         rank = 2
-        sq = Generator(UnitSquareClass(1), 1, PicTorsionClass(rank, 0b01))
+        sq = Generator(1, 1, PicTorsionClass(rank, 0b01))
         assert str(sq) == "s*pi*L1"
         assert str(Generator.one(rank)) == "1"
 
     def test_brauer_strings(self):
         assert str(BrauerClass.identity(2)) == "(1, pi)"
-        cls = BrauerClass(UnitSquareClass(1), PicTorsionClass(2, 0b10))
+        cls = BrauerClass(1, PicTorsionClass(2, 0b10))
         assert str(cls) == "(s*L2, pi)"

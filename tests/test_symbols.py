@@ -13,7 +13,6 @@ from wittcurve import (
     DiagonalForm,
     Generator,
     PicTorsionClass,
-    UnitSquareClass,
     hasse_invariant,
     minus_one_class,
     parse_form,
@@ -33,7 +32,7 @@ from helpers import (
 
 
 def _negated(cfg, g: Generator) -> Generator:
-    return Generator(g.unit + minus_one_class(cfg), g.pi_exp, g.line)
+    return Generator(g.unit ^ minus_one_class(cfg), g.pi_exp, g.line)
 
 
 class TestSymbolBaseCases:
@@ -53,10 +52,10 @@ class TestSymbolBaseCases:
 
     def test_quaternion_pairing(self, q3r1, q1r1):
         for config in (q3r1, q1r1):
-            a = Generator(UnitSquareClass(1), 0, PicTorsionClass(1, 1))
+            a = Generator(1, 0, PicTorsionClass(1, 1))
             pi = Generator.pi(1)
             assert symbol(config, a, pi) == BrauerClass(
-                UnitSquareClass(1), PicTorsionClass(1, 1)
+                1, PicTorsionClass(1, 1)
             )
 
 
@@ -102,7 +101,7 @@ class TestHasseInvariant:
         for i, j in itertools.combinations(range(4), 2):
             total = total + symbol(cfg, form.entries[i], form.entries[j])
         assert total == BrauerClass(
-            UnitSquareClass(1), PicTorsionClass(cfg.picard_rank, 1)
+            1, PicTorsionClass(cfg.picard_rank, 1)
         )
         assert hasse_invariant(form) == total
 
@@ -131,7 +130,7 @@ class TestHasseInvariant:
         rank = cfg.picard_rank
         generator = st.builds(
             lambda u, e, mask: Generator(
-                UnitSquareClass(u), e, PicTorsionClass(rank, mask)
+                u, e, PicTorsionClass(rank, mask)
             ),
             st.integers(0, 1),
             st.integers(0, 1),

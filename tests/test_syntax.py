@@ -13,7 +13,6 @@ from wittcurve import (
     DiagonalForm,
     Generator,
     PicTorsionClass,
-    UnitSquareClass,
     minus_one_class,
 )
 from wittcurve.syntax import FormSyntaxError, _parse_with_cursor, parse_form
@@ -36,7 +35,7 @@ TEXTS = st.one_of(
 
 def generators(rank: int):
     return st.builds(
-        lambda u, e, mask: Generator(UnitSquareClass(u), e, PicTorsionClass(rank, mask)),
+        lambda u, e, mask: Generator(u, e, PicTorsionClass(rank, mask)),
         st.integers(0, 1),
         st.integers(0, 1),
         st.integers(0, (1 << rank) - 1),
@@ -50,7 +49,7 @@ def respell(form: DiagonalForm, rng: random.Random) -> str:
     shuffled, may gain redundant '1' terms and zero-padded labels, and every
     separator gets random whitespace on both sides.
     """
-    minus = minus_one_class(form.config).bit
+    minus = minus_one_class(form.config)
     rank = form.config.picard_rank
 
     def ws() -> str:
@@ -59,7 +58,7 @@ def respell(form: DiagonalForm, rng: random.Random) -> str:
     spelled = []
     for g in form.entries:
         sign = rng.random() < 0.5
-        terms = ["s"] * (g.unit.bit ^ (sign & minus)) + ["pi"] * g.pi_exp
+        terms = ["s"] * (g.unit ^ (sign & minus)) + ["pi"] * g.pi_exp
         terms += [
             "L" + "0" * rng.randint(0, 2) + str(i + 1)
             for i in range(rank)
@@ -104,10 +103,11 @@ def damaged_spellings(draw):
 
 
 # Terms the syntax takes (some only at the head of an entry, some only at
-# rank 16) and terms one step away from it.
+# rank 16 or above the label limit) and terms one step away from it.
 TERMS = ["1", "s", "pi", "L1", "L2", "L16", "L01", "L" + "0" * 30 + "1", "-1",
          "- s", "-\x1cpi", "L", "L0", "L00", "L17", "L99999", "L" + "9" * 30,
-         "p", "i", "p i", "", "--1", "-", "1 1", "q", "L²", "L1x", "Ls", "0"]
+         "p", "i", "p i", "", "--1", "-", "1 1", "q", "L²", "L1x", "Ls", "0",
+         "L4096", "L04096", "L4097", "L04097"]
 ALMOST_FORMS = st.builds(
     lambda entries, space: "<" + ",".join(
         (space + "*" + space).join(terms) for terms in entries
@@ -153,7 +153,7 @@ def test_parse_form_agrees_with_cursor_parser(case):
 
 
 @pytest.mark.parametrize("q", (1, 3))
-@pytest.mark.parametrize("rank", (0, 1, 2, 16))
+@pytest.mark.parametrize("rank", (0, 1, 2, 16, 4097, 10**8))
 def test_each_term_in_each_place_agrees_with_cursor_parser(q, rank):
     cfg = CurveConfig(q, rank)
     for term in TERMS:
@@ -186,7 +186,7 @@ def test_long_form_parses_in_bounded_memory():
         cfg,
         tuple(
             Generator(
-                UnitSquareClass(rng.randint(0, 1)),
+                rng.randint(0, 1),
                 rng.randint(0, 1),
                 PicTorsionClass(16, rng.getrandbits(16)),
             )
