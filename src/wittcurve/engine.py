@@ -12,30 +12,35 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .forms import DiagonalForm
-from .groups import BrauerClass, CurveConfig, Generator
-from .group_ring import (
-    ResidueWittClass,
-    enumerate_group_ring_elements,
-    from_group_ring,
-    to_group_ring,
-)
-from .symbols import hasse_invariant, witt_invariant
+from .forms import DiagonalForm, Summary
+from .groups import BrauerClass, CurveConfig, Generator, minus_one_class
+from .group_ring import packed_coordinates, packed_group_ring_elements, packed_representative
+from .symbols import symbol_sum, witt_invariant
+
+
+def summary_is_trivial(summary: Summary, minus_one: int) -> bool:
+    """True iff a form with this summary represents the zero Witt class."""
+    return not (
+        summary.rank % 2
+        or summary.signed_disc(minus_one)
+        or symbol_sum(summary, minus_one)
+    )
 
 
 def is_trivial(form: DiagonalForm) -> bool:
     """True iff the form represents the zero Witt class."""
-    if form.rank % 2:
-        return False
-    if not form.signed_discriminant().is_trivial:
-        return False
-    return hasse_invariant(form).is_trivial
+    return summary_is_trivial(form.summary, minus_one_class(form.config))
 
 
 def equals(e: DiagonalForm, f: DiagonalForm) -> bool:
-    """Witt equality, decided on the difference e + (-f)."""
+    """Witt equality, decided on the summary of the difference e + (-f).
+
+    The summary of the difference combines the two summaries, so no form is
+    built.
+    """
     e._require_same_config(f)
-    return is_trivial(e + (-f))
+    m = minus_one_class(e.config)
+    return summary_is_trivial(e.summary.plus(f.summary.negated(m)), m)
 
 
 @dataclass(frozen=True, slots=True)
@@ -82,10 +87,11 @@ class Shape(Enum):
 NONTRIVIAL_SHAPES: tuple[Shape, ...] = tuple(s for s in Shape if s is not Shape.ZERO)
 
 
-def _component_type(cls: ResidueWittClass) -> str:
-    if cls.parity:
+def _component_type(a: int) -> str:
+    """Type of a packed residue class."""
+    if a & 1:
         return "odd"
-    return "zero" if cls.is_zero else "even"
+    return "even" if a else "zero"
 
 
 _SHAPE_BY_TYPES = {
@@ -121,9 +127,13 @@ def canonical_form(form: DiagonalForm) -> CanonicalShape:
     forms get identical results exactly when they are Witt-equal, and the
     payload itself maps back to the same result.
     """
-    x = to_group_ring(form)
-    tag = _SHAPE_BY_TYPES[(_component_type(x.a), _component_type(x.b))]
-    return CanonicalShape(tag, from_group_ring(x))
+    cfg = form.config
+    m = minus_one_class(cfg)
+    a, b = packed_coordinates(m, form.packed)
+    tag = _SHAPE_BY_TYPES[(_component_type(a), _component_type(b))]
+    return CanonicalShape(
+        tag, DiagonalForm._from_packed(cfg, packed_representative(m, (a, b)))
+    )
 
 
 @dataclass(frozen=True)
@@ -150,9 +160,9 @@ def enumerate_classes(cfg: CurveConfig, rank_bound: int = 4) -> CensusReport:
             f"bound exceeded: picard_rank {cfg.picard_rank} > rank bound {rank_bound}"
         )
     counts = {shape: 0 for shape in Shape}
-    elements = enumerate_group_ring_elements(cfg)
-    for x in elements:
-        counts[_SHAPE_BY_TYPES[(_component_type(x.a), _component_type(x.b))]] += 1
+    elements = packed_group_ring_elements(cfg)
+    for a, b in elements:
+        counts[_SHAPE_BY_TYPES[(_component_type(a), _component_type(b))]] += 1
     return CensusReport(
         config=cfg,
         total=len(elements),

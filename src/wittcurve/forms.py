@@ -3,13 +3,22 @@
 A form is an ordered orthogonal sum of rank-1 generators <u * pi^e * L>; the
 empty form represents the zero Witt class.  Entry order never carries meaning,
 and no normalization happens at this layer.
+
+A form stores each entry once, as the packed int unit | pi_exp << 1 |
+mask << 2 of groups.Generator.packed, and computes on first use the additive
+Summary that the invariant engine decides with.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import reduce
+from operator import xor
+from typing import Iterable, NamedTuple
 
-from .groups import CurveConfig, Generator, PicTorsionClass, minus_one_class
+from .groups import CurveConfig, Generator, PicTorsionClass, label, minus_one_class
+
+_set = object.__setattr__
 
 
 def sign_exponent(rank: int) -> int:
@@ -20,30 +29,110 @@ def sign_exponent(rank: int) -> int:
     return (rank * (rank + 1) // 2) & 1
 
 
-@dataclass(frozen=True, slots=True)
+class Summary(NamedTuple):
+    """Additive summary of a form: enough to decide its Witt class.
+
+    rank and ramified count the entries and the entries with a pi; disc and
+    ramified_disc XOR the packed entries, all of them and the ramified ones,
+    so they are the packed discriminants of the form and of its ramified part.
+    An orthogonal sum adds the counts and XORs the discriminants.
+    """
+
+    rank: int
+    ramified: int
+    disc: int
+    ramified_disc: int
+
+    def plus(self, other: "Summary") -> "Summary":
+        """Summary of the orthogonal sum."""
+        return Summary(
+            self.rank + other.rank,
+            self.ramified + other.ramified,
+            self.disc ^ other.disc,
+            self.ramified_disc ^ other.ramified_disc,
+        )
+
+    def negated(self, minus_one: int) -> "Summary":
+        """Summary of the negative: every entry, ramified or not, gains [-1]."""
+        return Summary(
+            self.rank,
+            self.ramified,
+            self.disc ^ (self.rank & minus_one),
+            self.ramified_disc ^ (self.ramified & minus_one),
+        )
+
+    def signed_disc(self, minus_one: int) -> int:
+        """Packed discriminant twisted by (-1)^(rank*(rank+1)/2)."""
+        return self.disc ^ (sign_exponent(self.rank) & minus_one)
+
+
+def summarize(packed: tuple[int, ...]) -> Summary:
+    """Summary of packed entries, in one pass of C-level scans."""
+    ramified = tuple(filter((2).__and__, packed))
+    return Summary(
+        len(packed), len(ramified), reduce(xor, packed, 0), reduce(xor, ramified, 0)
+    )
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class DiagonalForm:
-    """Ordered orthogonal sum of generators; rank is the number of entries."""
+    """Ordered orthogonal sum of generators; rank is the number of entries.
+
+    entries builds the Generator views of the packed entries on each access;
+    summary is computed once, on first use.
+    """
 
     config: CurveConfig
-    entries: tuple[Generator, ...]
+    packed: tuple[int, ...]
+    _summary: Summary | None = field(default=None, compare=False, repr=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", tuple(self.entries))
-        rank = self.config.picard_rank
-        for g in self.entries:
+    def __init__(self, config: CurveConfig, entries: Iterable[Generator]) -> None:
+        rank = config.picard_rank
+        packed = []
+        for g in entries:
             if g.line.rank != rank:
                 raise ValueError(
                     "config mismatch: entry line bundle rank "
                     f"{g.line.rank} != picard_rank {rank}"
                 )
+            packed.append(g.packed)
+        _set(self, "config", config)
+        _set(self, "packed", tuple(packed))
+        _set(self, "_summary", None)
+
+    @classmethod
+    def _from_packed(cls, config: CurveConfig, packed: tuple[int, ...]) -> "DiagonalForm":
+        """The form of packed entries; the caller has checked their masks
+        against config.picard_rank."""
+        form = object.__new__(cls)
+        _set(form, "config", config)
+        _set(form, "packed", packed)
+        _set(form, "_summary", None)
+        return form
 
     @classmethod
     def zero(cls, cfg: CurveConfig) -> "DiagonalForm":
-        return cls(cfg, ())
+        return cls._from_packed(cfg, ())
+
+    @property
+    def entries(self) -> tuple[Generator, ...]:
+        rank = self.config.picard_rank
+        return tuple(Generator.from_packed(rank, p) for p in self.packed)
 
     @property
     def rank(self) -> int:
-        return len(self.entries)
+        return len(self.packed)
+
+    @property
+    def summary(self) -> Summary:
+        summary = self._summary
+        if summary is None:
+            summary = summarize(self.packed)
+            _set(self, "_summary", summary)
+        return summary
+
+    def __repr__(self) -> str:
+        return f"DiagonalForm(config={self.config!r}, entries={self.entries!r})"
 
     def _require_same_config(self, other: "DiagonalForm") -> None:
         if self.config != other.config:
@@ -54,44 +143,35 @@ class DiagonalForm:
     def __add__(self, other: "DiagonalForm") -> "DiagonalForm":
         """Orthogonal sum: concatenation of entries."""
         self._require_same_config(other)
-        return DiagonalForm(self.config, self.entries + other.entries)
+        return DiagonalForm._from_packed(self.config, self.packed + other.packed)
 
     def __mul__(self, other: "DiagonalForm") -> "DiagonalForm":
         """Tensor product: all pairwise generator products."""
         self._require_same_config(other)
-        return DiagonalForm(
-            self.config,
-            tuple(a * b for a in self.entries for b in other.entries),
+        return DiagonalForm._from_packed(
+            self.config, tuple(a ^ b for a in self.packed for b in other.packed)
         )
 
     def __neg__(self) -> "DiagonalForm":
         """Entrywise multiplication by <-1>."""
         m = minus_one_class(self.config)
-        return DiagonalForm(
-            self.config,
-            tuple(Generator(g.unit ^ m, g.pi_exp, g.line) for g in self.entries),
-        )
+        if not m:
+            return self
+        return DiagonalForm._from_packed(self.config, tuple(map(m.__xor__, self.packed)))
 
     def discriminant(self) -> Generator:
         """Plain determinant class: the product of all entries."""
-        unit = 0
-        pi_exp = 0
-        mask = 0
-        for g in self.entries:
-            unit ^= g.unit
-            pi_exp ^= g.pi_exp
-            mask ^= g.line.mask
-        return Generator(unit, pi_exp, PicTorsionClass(self.config.picard_rank, mask))
+        return Generator.from_packed(self.config.picard_rank, self.summary.disc)
 
     def signed_discriminant(self) -> Generator:
         """Discriminant twisted by (-1)^(rank*(rank+1)/2)."""
-        disc = self.discriminant()
-        if sign_exponent(self.rank) & minus_one_class(self.config):
-            disc = Generator(disc.unit ^ 1, disc.pi_exp, disc.line)
-        return disc
+        return Generator.from_packed(
+            self.config.picard_rank,
+            self.summary.signed_disc(minus_one_class(self.config)),
+        )
 
     def __str__(self) -> str:
-        return "<" + ",".join(str(g) for g in self.entries) + ">"
+        return "<" + ",".join(label(p & 1, p >> 1 & 1, p >> 2) for p in self.packed) + ">"
 
 
 def quaternion_norm_form(
@@ -103,15 +183,8 @@ def quaternion_norm_form(
             f"config mismatch: line bundle rank {line.rank} != picard_rank "
             f"{cfg.picard_rank}"
         )
+    if unit not in (0, 1):
+        raise ValueError(f"unit square class bit must be 0 or 1, got {unit!r}")
     m = minus_one_class(cfg)
-    rank = cfg.picard_rank
-    trivial_line = PicTorsionClass.identity(rank)
-    return DiagonalForm(
-        cfg,
-        (
-            Generator.one(rank),
-            Generator(unit ^ m, 0, line),
-            Generator(m, 1, trivial_line),
-            Generator(unit, 1, line),
-        ),
-    )
+    u_line = unit | line.mask << 2
+    return DiagonalForm._from_packed(cfg, (0, u_line ^ m, m | 2, u_line | 2))

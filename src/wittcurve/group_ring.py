@@ -5,16 +5,124 @@ its signed discriminant (the Brauer group of the reduction vanishes, so there
 is no Clifford term).  The full ring is then the group ring over those residue
 classes on the two-element group generated by <pi>: an element is a pair
 (a, b) standing for a + <pi>*b.  This gives a decision procedure for the
-curve's Witt ring that is independent of the invariant engine.
+curve's Witt ring that is independent of the invariant engine: it scans the
+packed entries of a form itself and never reads their summary.
+
+The arithmetic runs on packed ints.  A residue class is parity | unit << 1 |
+mask << 2, its signed discriminant being the square class unit * (L-mask);
+a group ring element is the pair (a, b) of packed residue classes.  The public
+classes are views of these.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import xor
 from typing import Iterable
 
 from .forms import DiagonalForm, sign_exponent
 from .groups import CurveConfig, Generator, PicTorsionClass, label, minus_one_class
+
+
+def residue_add(m: int, a: int, b: int) -> int:
+    """Sum of packed residue classes; m is the unit bit of -1.
+
+    The sign twist contributes a cross term [-1] exactly when both summands
+    have odd rank.
+    """
+    return a ^ b ^ ((a & b & m) << 1)
+
+
+def residue_neg(m: int, a: int) -> int:
+    return a ^ ((a & m) << 1)
+
+
+def residue_mul(m: int, a: int, b: int) -> int:
+    """Product of packed residue classes, with d, d' their signed discriminants.
+
+    odd * odd is (1, d + d' + [-1]): <-d> * <-d'> = <d d'>, whose signed
+    discriminant is -d d'.  odd * even is the even factor: <-d> * <1, -d'> =
+    <-d, d d'>, whose signed discriminant is -(-d)(d d') = d'.  even * even
+    is zero: the fundamental ideal of the residue ring squares to zero.
+    """
+    if a & b & 1:
+        return a ^ b ^ (m << 1) ^ 1
+    if a & 1:
+        return b
+    if b & 1:
+        return a
+    return 0
+
+
+def element_add(m: int, x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
+    return residue_add(m, x[0], y[0]), residue_add(m, x[1], y[1])
+
+
+def element_neg(m: int, x: tuple[int, int]) -> tuple[int, int]:
+    return residue_neg(m, x[0]), residue_neg(m, x[1])
+
+
+def element_mul(m: int, x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
+    # <pi> squares to 1, so the ramified components multiply back into the
+    # residue component.
+    a, b = x
+    c, d = y
+    return (
+        residue_add(m, residue_mul(m, a, c), residue_mul(m, b, d)),
+        residue_add(m, residue_mul(m, a, d), residue_mul(m, b, c)),
+    )
+
+
+def _residue_of(m: int, count: int, disc: int) -> int:
+    """Packed residue class of count pi-free entries whose packed product is disc."""
+    unit = (disc & 1) ^ (sign_exponent(count) & m)
+    return count & 1 | unit << 1 | disc & ~3
+
+
+def packed_coordinates(m: int, packed: Iterable[int]) -> tuple[int, int]:
+    """Packed group ring element of packed form entries: split by pi exponent."""
+    packed = tuple(packed)
+    ramified = tuple(filter((2).__and__, packed))
+    ramified_disc = reduce(xor, ramified, 0)
+    residue_disc = reduce(xor, packed, 0) ^ ramified_disc
+    return (
+        _residue_of(m, len(packed) - len(ramified), residue_disc),
+        _residue_of(m, len(ramified), ramified_disc),
+    )
+
+
+def _template(m: int, a: int) -> tuple[int, ...]:
+    """Packed entries of the minimal pi-free representative of a residue class.
+
+    Zero is empty; an odd class is <-d> and an even one <1, -d>, with d its
+    signed discriminant.
+    """
+    if not a:
+        return ()
+    partner = ((a >> 1 & 1) ^ m) | a & ~3
+    return (partner,) if a & 1 else (0, partner)
+
+
+def packed_representative(m: int, x: tuple[int, int]) -> tuple[int, ...]:
+    """Packed entries of rep(a) + pi * rep(b), the minimal representative."""
+    return _template(m, x[0]) + tuple(p | 2 for p in _template(m, x[1]))
+
+
+def packed_residue_classes(cfg: CurveConfig) -> list[int]:
+    """All 4n packed residue classes, even before odd, in discriminant order."""
+    return [
+        parity | unit << 1 | mask << 2
+        for parity in (0, 1)
+        for unit in (0, 1)
+        for mask in range(cfg.pic_order)
+    ]
+
+
+def packed_group_ring_elements(cfg: CurveConfig) -> list[tuple[int, int]]:
+    """All 16n^2 packed elements a + <pi>*b."""
+    classes = packed_residue_classes(cfg)
+    return [(a, b) for a in classes for b in classes]
 
 
 @dataclass(frozen=True, slots=True)
@@ -40,32 +148,34 @@ class ResidueWittClass:
             raise ValueError("config mismatch: discriminant line rank")
 
     @classmethod
+    def from_packed(cls, cfg: CurveConfig, packed: int) -> "ResidueWittClass":
+        """The class of parity | unit << 1 | mask << 2."""
+        return cls(
+            cfg, packed & 1, packed >> 1 & 1, PicTorsionClass(cfg.picard_rank, packed >> 2)
+        )
+
+    @property
+    def packed(self) -> int:
+        return self.parity | self.disc_unit << 1 | self.disc_line.mask << 2
+
+    @classmethod
     def zero(cls, cfg: CurveConfig) -> "ResidueWittClass":
-        return cls(cfg, 0, 0, PicTorsionClass.identity(cfg.picard_rank))
+        return cls.from_packed(cfg, 0)
 
     @classmethod
     def one(cls, cfg: CurveConfig) -> "ResidueWittClass":
         """Class of <1>; its signed discriminant is the class of -1."""
-        return cls(cfg, 1, minus_one_class(cfg), PicTorsionClass.identity(cfg.picard_rank))
+        return cls.from_packed(cfg, 1 | minus_one_class(cfg) << 1)
 
     @classmethod
     def from_generators(
         cls, cfg: CurveConfig, gens: Iterable[Generator]
     ) -> "ResidueWittClass":
         """Class of a diagonal form over the reduction (pi-free generators only)."""
-        parity = 0
-        unit = 0
-        mask = 0
-        count = 0
-        for g in gens:
-            if g.pi_exp:
-                raise ValueError("residue classes come from pi-free generators")
-            parity ^= 1
-            unit ^= g.unit
-            mask ^= g.line.mask
-            count += 1
-        unit ^= sign_exponent(count) & minus_one_class(cfg)
-        return cls(cfg, parity, unit, PicTorsionClass(cfg.picard_rank, mask))
+        packed = [g.packed for g in gens]
+        if any(p & 2 for p in packed):
+            raise ValueError("residue classes come from pi-free generators")
+        return cls.from_packed(cfg, packed_coordinates(minus_one_class(cfg), packed)[0])
 
     @property
     def is_zero(self) -> bool:
@@ -76,44 +186,22 @@ class ResidueWittClass:
             raise ValueError(f"config mismatch: {self.config} != {other.config}")
 
     def __add__(self, other: "ResidueWittClass") -> "ResidueWittClass":
-        # The sign twist contributes a cross term [-1] exactly when both
-        # summands have odd rank.
         self._require_same_config(other)
-        cross = self.parity & other.parity & minus_one_class(self.config)
-        return ResidueWittClass(
-            self.config,
-            self.parity ^ other.parity,
-            self.disc_unit ^ other.disc_unit ^ cross,
-            self.disc_line + other.disc_line,
+        m = minus_one_class(self.config)
+        return ResidueWittClass.from_packed(
+            self.config, residue_add(m, self.packed, other.packed)
         )
 
     def __neg__(self) -> "ResidueWittClass":
-        twist = self.parity & minus_one_class(self.config)
-        return ResidueWittClass(
-            self.config,
-            self.parity,
-            self.disc_unit ^ twist,
-            self.disc_line,
-        )
-
-    def representative(self) -> tuple[Generator, ...]:
-        """Small pi-free diagonal representative.
-
-        Odd classes are a single generator; even classes are <1, -delta> with
-        delta the signed discriminant (the zero class gets <1, -1>).
-        """
         m = minus_one_class(self.config)
-        partner = Generator(self.disc_unit ^ m, 0, self.disc_line)
-        if self.parity:
-            return (partner,)
-        return (Generator.one(self.config.picard_rank), partner)
+        return ResidueWittClass.from_packed(self.config, residue_neg(m, self.packed))
 
     def __mul__(self, other: "ResidueWittClass") -> "ResidueWittClass":
         self._require_same_config(other)
-        product = [
-            a * b for a in self.representative() for b in other.representative()
-        ]
-        return ResidueWittClass.from_generators(self.config, product)
+        m = minus_one_class(self.config)
+        return ResidueWittClass.from_packed(
+            self.config, residue_mul(m, self.packed, other.packed)
+        )
 
     def __str__(self) -> str:
         disc = label(self.disc_unit, 0, self.disc_line.mask)
@@ -131,6 +219,14 @@ class GroupRingElement:
         if self.a.config != self.b.config:
             raise ValueError("config mismatch: mixed group ring components")
 
+    @classmethod
+    def from_packed(cls, cfg: CurveConfig, x: tuple[int, int]) -> "GroupRingElement":
+        return cls(ResidueWittClass.from_packed(cfg, x[0]), ResidueWittClass.from_packed(cfg, x[1]))
+
+    @property
+    def packed(self) -> tuple[int, int]:
+        return self.a.packed, self.b.packed
+
     @property
     def config(self) -> CurveConfig:
         return self.a.config
@@ -147,18 +243,26 @@ class GroupRingElement:
     def is_zero(self) -> bool:
         return self.a.is_zero and self.b.is_zero
 
+    def _require_same_config(self, other: "GroupRingElement") -> None:
+        if self.config != other.config:
+            raise ValueError(f"config mismatch: {self.config} != {other.config}")
+
     def __add__(self, other: "GroupRingElement") -> "GroupRingElement":
-        return GroupRingElement(self.a + other.a, self.b + other.b)
+        self._require_same_config(other)
+        m = minus_one_class(self.config)
+        return GroupRingElement.from_packed(
+            self.config, element_add(m, self.packed, other.packed)
+        )
 
     def __neg__(self) -> "GroupRingElement":
-        return GroupRingElement(-self.a, -self.b)
+        m = minus_one_class(self.config)
+        return GroupRingElement.from_packed(self.config, element_neg(m, self.packed))
 
     def __mul__(self, other: "GroupRingElement") -> "GroupRingElement":
-        # <pi> squares to 1, so the ramified components multiply back into
-        # the residue component.
-        return GroupRingElement(
-            self.a * other.a + self.b * other.b,
-            self.a * other.b + self.b * other.a,
+        self._require_same_config(other)
+        m = minus_one_class(self.config)
+        return GroupRingElement.from_packed(
+            self.config, element_mul(m, self.packed, other.packed)
         )
 
     def __str__(self) -> str:
@@ -168,18 +272,9 @@ class GroupRingElement:
 def to_group_ring(form: DiagonalForm) -> GroupRingElement:
     """Split a form by pi exponent into (residue, ramified) residue classes."""
     cfg = form.config
-    residue = [g for g in form.entries if g.pi_exp == 0]
-    ramified = [Generator(g.unit, 0, g.line) for g in form.entries if g.pi_exp]
-    return GroupRingElement(
-        ResidueWittClass.from_generators(cfg, residue),
-        ResidueWittClass.from_generators(cfg, ramified),
+    return GroupRingElement.from_packed(
+        cfg, packed_coordinates(minus_one_class(cfg), form.packed)
     )
-
-
-def _component_template(cls: ResidueWittClass) -> tuple[Generator, ...]:
-    if cls.is_zero:
-        return ()
-    return cls.representative()
 
 
 def from_group_ring(x: GroupRingElement) -> DiagonalForm:
@@ -189,16 +284,15 @@ def from_group_ring(x: GroupRingElement) -> DiagonalForm:
     canonical shape templates.
     """
     cfg = x.config
-    pi = Generator.pi(cfg.picard_rank)
-    entries = _component_template(x.a) + tuple(
-        pi * g for g in _component_template(x.b)
+    return DiagonalForm._from_packed(
+        cfg, packed_representative(minus_one_class(cfg), x.packed)
     )
-    return DiagonalForm(cfg, entries)
 
 
 def inclusion(cls: ResidueWittClass) -> DiagonalForm:
     """Embed a residue class into the curve's ring as a pi-free form."""
-    return DiagonalForm(cls.config, _component_template(cls))
+    cfg = cls.config
+    return DiagonalForm._from_packed(cfg, _template(minus_one_class(cfg), cls.packed))
 
 
 def splitting_map(form: DiagonalForm) -> ResidueWittClass:
@@ -207,19 +301,15 @@ def splitting_map(form: DiagonalForm) -> ResidueWittClass:
     Sends <pi> to <1>; the kernel is the ideal generated by <1, -pi>, and the
     composite with inclusion is the identity.
     """
-    x = to_group_ring(form)
-    return x.a + x.b
+    cfg = form.config
+    m = minus_one_class(cfg)
+    a, b = packed_coordinates(m, form.packed)
+    return ResidueWittClass.from_packed(cfg, residue_add(m, a, b))
 
 
 def enumerate_residue_classes(cfg: CurveConfig) -> list[ResidueWittClass]:
     """All 4n residue classes, even before odd, in discriminant order."""
-    rank = cfg.picard_rank
-    return [
-        ResidueWittClass(cfg, parity, u, PicTorsionClass(rank, mask))
-        for parity in (0, 1)
-        for u in (0, 1)
-        for mask in range(cfg.pic_order)
-    ]
+    return [ResidueWittClass.from_packed(cfg, a) for a in packed_residue_classes(cfg)]
 
 
 def enumerate_group_ring_elements(cfg: CurveConfig) -> list[GroupRingElement]:

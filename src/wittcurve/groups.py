@@ -7,6 +7,10 @@ exponent is a pi bit; 2-torsion line bundle classes are a mask over L1..Lr.
 The two composite groups (global square classes, which are also the rank-1
 generators, and 2-torsion Brauer classes) hold those coordinates.  Elements
 are immutable and the group law is coordinatewise XOR.
+
+The working form of a generator is one packed int, unit | pi_exp << 1 |
+mask << 2, so that the product of generators is XOR of ints; the classes here
+are the views the public API hands out.
 """
 
 from __future__ import annotations
@@ -148,6 +152,16 @@ class Generator:
             self.pi_exp ^ other.pi_exp,
             self.line + other.line,
         )
+
+    @classmethod
+    def from_packed(cls, rank: int, packed: int) -> "Generator":
+        """The generator of the packed int unit | pi_exp << 1 | mask << 2."""
+        return cls(packed & 1, packed >> 1 & 1, PicTorsionClass(rank, packed >> 2))
+
+    @property
+    def packed(self) -> int:
+        """unit | pi_exp << 1 | mask << 2: the product of generators is XOR."""
+        return self.unit | self.pi_exp << 1 | self.line.mask << 2
 
     @property
     def is_trivial(self) -> bool:

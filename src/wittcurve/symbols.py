@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .forms import DiagonalForm
+from .forms import DiagonalForm, Summary
 from .groups import (
     BrauerClass,
     CurveConfig,
@@ -37,36 +37,37 @@ def symbol(cfg: CurveConfig, a: Generator, b: Generator) -> BrauerClass:
     return BrauerClass(unit, PicTorsionClass(rank, mask))
 
 
-def hasse_invariant(form: DiagonalForm) -> BrauerClass:
-    """Sum of the pairwise symbols of a diagonalization, in one O(k) scan.
+def symbol_sum(summary: Summary, minus_one: int) -> int:
+    """Sum of the pairwise symbols of a form's entries, from its summary.
 
-    Uses the orthogonal-sum law s(q + <a>) = s(q) + (disc q, a): since symbol
-    is biadditive, the symbols of an entry with every earlier entry sum to its
-    symbol with their product, the running discriminant.  That symbol is
-    inlined as bit operations on the coordinates.
+    Returns the class (uL, pi) packed as u | mask << 2.  With E ramified
+    entries, U and L the XOR of the unit bits and masks of all entries, and
+    Ur and Lr the same over the ramified ones:
+
+        u    = E*U + Ur + C(E, 2)*[-1]
+        mask = E*L + Lr
+
+    Summing symbol over all pairs i < j, which is biadditive: a pair with one
+    ramified entry gives the class of the other, so each unramified entry
+    counts E times; a pair of ramified entries gives both, plus (pi, pi) =
+    ([-1], pi), so each ramified entry counts E - 1 times.
+    """
+    ram = summary.ramified
+    # The pi bits cancel: both discriminants carry E mod 2 there.
+    mixed = summary.ramified_disc ^ (summary.disc if ram & 1 else 0)
+    return mixed ^ ((ram * (ram - 1) >> 1) & minus_one)
+
+
+def hasse_invariant(form: DiagonalForm) -> BrauerClass:
+    """Sum of the pairwise symbols of a diagonalization, read off its summary.
 
     Empty and rank-1 forms give the trivial class.  Well defined on Witt
     classes only inside the second power of the fundamental ideal; see
     witt_invariant.
     """
     cfg = form.config
-    m = minus_one_class(cfg)
-    du = de = dl = 0
-    unit = 0
-    mask = 0
-    for g in form.entries:
-        u = g.unit
-        e = g.pi_exp
-        line = g.line.mask
-        unit ^= (e & du) ^ (de & u) ^ (de & e & m)
-        if e:
-            mask ^= dl
-        if de:
-            mask ^= line
-        du ^= u
-        de ^= e
-        dl ^= line
-    return BrauerClass(unit, PicTorsionClass(cfg.picard_rank, mask))
+    packed = symbol_sum(form.summary, minus_one_class(cfg))
+    return BrauerClass(packed & 1, PicTorsionClass(cfg.picard_rank, packed >> 2))
 
 
 def witt_invariant(form: DiagonalForm) -> BrauerClass:
@@ -76,7 +77,8 @@ def witt_invariant(form: DiagonalForm) -> BrauerClass:
     the usual rank-dependent corrections between the two are built from
     symbols of pi-free generators, which all vanish here.
     """
-    if form.rank % 2 or not form.signed_discriminant().is_trivial:
+    summary = form.summary
+    if summary.rank % 2 or summary.signed_disc(minus_one_class(form.config)):
         raise ValueError(
             "not in I-squared: need even rank and trivial signed discriminant, "
             f"got rank {form.rank}"

@@ -16,11 +16,12 @@ error and its position.
 from __future__ import annotations
 
 import re
-from functools import reduce
+import sys
+from functools import lru_cache, reduce
 from operator import methodcaller, xor
 
 from .forms import DiagonalForm
-from .groups import CurveConfig, Generator, PicTorsionClass, minus_one_class
+from .groups import CurveConfig, minus_one_class
 
 
 class FormSyntaxError(ValueError):
@@ -62,6 +63,24 @@ class _Cursor:
 # peak of about 3 MB (tracemalloc); the 4096 labels up to L65536 take 70 MB.
 MAX_BUNDLE_INDEX = 4096
 
+
+@lru_cache(maxsize=16)  # the cursor parser asks once per label
+def _max_label_digits(picard_rank: int) -> int:
+    """Most significant digits a bundle label may have and still be read.
+
+    The digit count of the rank, found without str(picard_rank), which
+    refuses an int of more digits than sys.get_int_max_str_digits() (4300
+    by default); and no more than int() reads, so a longer label is
+    rejected unread.
+    """
+    # 0.30102999 < log10(2): the estimate never exceeds the digit count.
+    digits = max(1, picard_rank.bit_length() * 30102999 // 100000000)
+    while picard_rank >= 10**digits:
+        digits += 1
+    limit = sys.get_int_max_str_digits()
+    return min(digits, limit) if limit else digits
+
+
 # Leading zeros, then the significant digits of a bundle index.  [0-9], not
 # \d: \d and str.isdigit() also match non-ASCII digits.
 _INDEX = re.compile(r"0*([0-9]*)")
@@ -88,8 +107,8 @@ def _parse_term(cur: _Cursor, cfg: CurveConfig) -> tuple[int, int, int]:
         if cur.pos == start + 1:
             raise FormSyntaxError("expected bundle index after 'L'", cur.pos)
         digits = match.group(1)
-        if len(digits) > len(str(cfg.picard_rank)):
-            # Too large to be an index; int() would also fail past 4300 digits.
+        if len(digits) > _max_label_digits(cfg.picard_rank):
+            # Too large to be an index, or for int() to read.
             raise FormSyntaxError(
                 f"unknown bundle label L{digits[:8]}... ({len(digits)} digits)",
                 start,
@@ -105,7 +124,8 @@ def _parse_term(cur: _Cursor, cfg: CurveConfig) -> tuple[int, int, int]:
     raise FormSyntaxError("expected term '1', 's', 'pi' or 'L<k>'", start)
 
 
-def _parse_entry(cur: _Cursor, cfg: CurveConfig) -> Generator:
+def _parse_entry(cur: _Cursor, cfg: CurveConfig) -> int:
+    """One entry, packed as unit | pi_exp << 1 | mask << 2."""
     cur.skip_ws()
     unit = 0
     pi_exp = 0
@@ -127,7 +147,7 @@ def _parse_entry(cur: _Cursor, cfg: CurveConfig) -> Generator:
         pi_exp ^= dpi
         mask ^= dmask
         cur.skip_ws()
-    return Generator(unit, pi_exp, PicTorsionClass(cfg.picard_rank, mask))
+    return unit | pi_exp << 1 | mask << 2
 
 
 def _parse_with_cursor(text: str, cfg: CurveConfig) -> DiagonalForm:
@@ -137,7 +157,7 @@ def _parse_with_cursor(text: str, cfg: CurveConfig) -> DiagonalForm:
     cur.skip_ws()
     cur.expect("<")
     cur.skip_ws()
-    entries: list[Generator] = []
+    entries: list[int] = []
     if cur.peek() != ">":
         entries.append(_parse_entry(cur, cfg))
         while cur.peek() == ",":
@@ -147,7 +167,7 @@ def _parse_with_cursor(text: str, cfg: CurveConfig) -> DiagonalForm:
     cur.skip_ws()
     if cur.pos != len(normalized):
         raise FormSyntaxError("unexpected trailing input", cur.pos)
-    return DiagonalForm(cfg, tuple(entries))
+    return DiagonalForm._from_packed(cfg, tuple(entries))
 
 
 # The fast path packs each term, and each entry, as the int
@@ -164,7 +184,7 @@ class _TermDeltas(dict):
     def __init__(self, picard_rank: int):
         super().__init__({"1": 0, "s": 1, "pi": 2})
         self.max_index = min(picard_rank, MAX_BUNDLE_INDEX)
-        self.max_digits = len(str(picard_rank))
+        self.max_digits = _max_label_digits(picard_rank)
 
     def __missing__(self, token: str) -> int:
         term = token.strip()
@@ -211,22 +231,6 @@ class _HeadDeltas(dict):
         return delta
 
 
-class _Generators(dict):
-    """One shared Generator per packed entry met in one parse."""
-
-    def __init__(self, picard_rank: int):
-        super().__init__()
-        self.picard_rank = picard_rank
-
-    def __missing__(self, packed: int) -> Generator:
-        gen = self[packed] = Generator(
-            packed & 1,
-            packed >> 1 & 1,
-            PicTorsionClass(self.picard_rank, packed >> 2),
-        )
-        return gen
-
-
 def _packed_entries(inside: str, cfg: CurveConfig) -> list[int]:
     """The entries between the brackets, packed; KeyError if any is malformed.
 
@@ -250,12 +254,11 @@ def parse_form(text: str, cfg: CurveConfig) -> DiagonalForm:
     if body[:1] == "<" and body[-1:] == ">":
         inside = body[1:-1]
         if not inside or inside.isspace():
-            return DiagonalForm(cfg, ())
+            return DiagonalForm.zero(cfg)
         try:
             packed = _packed_entries(inside, cfg)
         except KeyError:
             pass  # malformed: the cursor parser finds and describes the fault
         else:
-            gens = _Generators(cfg.picard_rank)
-            return DiagonalForm(cfg, tuple(map(gens.__getitem__, packed)))
+            return DiagonalForm._from_packed(cfg, tuple(packed))
     return _parse_with_cursor(text, cfg)

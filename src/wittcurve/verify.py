@@ -10,16 +10,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .engine import equals, is_trivial
-from .forms import DiagonalForm, quaternion_norm_form
+from .engine import equals, is_trivial, summary_is_trivial
+from .forms import DiagonalForm, quaternion_norm_form, summarize
 from .groups import (
     BrauerClass,
     CurveConfig,
     Generator,
     enumerate_generators,
     enumerate_pic,
+    minus_one_class,
 )
-from .group_ring import enumerate_group_ring_elements, from_group_ring, to_group_ring
+from .group_ring import (
+    GroupRingElement,
+    element_add,
+    element_mul,
+    packed_coordinates,
+    packed_group_ring_elements,
+    packed_representative,
+)
 
 # At most this many mismatch descriptions go into a RingIsoReport; any
 # mismatch at all fails it.
@@ -194,34 +202,53 @@ def check_ring_iso(cfg: CurveConfig) -> RingIsoReport:
             "bound exceeded: exhaustive ring comparison needs picard_rank <= 2, "
             f"got {cfg.picard_rank}"
         )
-    elements = enumerate_group_ring_elements(cfg)
-    reps = {x: from_group_ring(x) for x in elements}
+    m = minus_one_class(cfg)
+    elements = packed_group_ring_elements(cfg)
+    reps = {x: packed_representative(m, x) for x in elements}
+    summaries = {x: summarize(rep) for x, rep in reps.items()}
+    negated = {x: summary.negated(m) for x, summary in summaries.items()}
     mismatches: list[str] = []
 
-    roundtrip_ok = all(to_group_ring(rep) == x for x, rep in reps.items())
+    def element(x: tuple[int, int]) -> GroupRingElement:
+        return GroupRingElement.from_packed(cfg, x)
+
+    roundtrip_ok = all(packed_coordinates(m, rep) == x for x, rep in reps.items())
     if not roundtrip_ok:
         mismatches.append("from_group_ring does not invert to_group_ring")
 
     injective = True
     for i, x in enumerate(elements):
+        summary = summaries[x]
         for y in elements[i + 1 :]:
-            if equals(reps[x], reps[y]):
+            if summary_is_trivial(summary.plus(negated[y]), m):
                 injective = False
                 if len(mismatches) < MAX_MISMATCHES:
-                    mismatches.append(f"distinct elements {x} and {y} gave equal forms")
+                    mismatches.append(
+                        f"distinct elements {element(x)} and {element(y)} gave equal forms"
+                    )
 
+    # Each pair builds the real orthogonal sum and tensor product of the two
+    # representatives, and the invariant engine decides each against the
+    # representative of the group-ring result.
     additions = 0
     multiplications = 0
     for x in elements:
+        rep_x = reps[x]
         for y in elements:
+            rep_y = reps[y]
             additions += 1
-            if not equals(reps[x] + reps[y], reps[x + y]):
+            total = summarize(rep_x + rep_y).plus(negated[element_add(m, x, y)])
+            if not summary_is_trivial(total, m):
                 if len(mismatches) < MAX_MISMATCHES:
-                    mismatches.append(f"addition mismatch at {x}, {y}")
+                    mismatches.append(f"addition mismatch at {element(x)}, {element(y)}")
             multiplications += 1
-            if not equals(reps[x] * reps[y], reps[x * y]):
+            tensor = tuple(a ^ b for a in rep_x for b in rep_y)
+            total = summarize(tensor).plus(negated[element_mul(m, x, y)])
+            if not summary_is_trivial(total, m):
                 if len(mismatches) < MAX_MISMATCHES:
-                    mismatches.append(f"multiplication mismatch at {x}, {y}")
+                    mismatches.append(
+                        f"multiplication mismatch at {element(x)}, {element(y)}"
+                    )
 
     passed = roundtrip_ok and injective and not mismatches
     return RingIsoReport(

@@ -9,6 +9,8 @@ from wittcurve import (
     CurveConfig,
     DiagonalForm,
     Generator,
+    PicTorsionClass,
+    ResidueWittClass,
     enumerate_generators,
     enumerate_pic,
     minus_one_class,
@@ -61,3 +63,70 @@ def pairwise_hasse_sum(form: DiagonalForm) -> BrauerClass:
     for a, b in itertools.combinations(form.entries, 2):
         total = total + symbol(cfg, a, b)
     return total
+
+
+def scan_hasse_sum(form: DiagonalForm) -> BrauerClass:
+    """Reference Hasse invariant: one scan that adds the symbol of each entry
+    with the running discriminant of the entries before it."""
+    cfg = form.config
+    m = minus_one_class(cfg)
+    du = de = dl = 0
+    unit = 0
+    mask = 0
+    for g in form.entries:
+        u = g.unit
+        e = g.pi_exp
+        line = g.line.mask
+        unit ^= (e & du) ^ (de & u) ^ (de & e & m)
+        if e:
+            mask ^= dl
+        if de:
+            mask ^= line
+        du ^= u
+        de ^= e
+        dl ^= line
+    return BrauerClass(unit, PicTorsionClass(cfg.picard_rank, mask))
+
+
+# Reference residue-class arithmetic on ResidueWittClass objects: sums by the
+# cross-term law, products through small representatives.
+
+
+def residue_class_of(cfg: CurveConfig, gens) -> ResidueWittClass:
+    """Residue class of pi-free generators: parity and signed discriminant."""
+    gens = tuple(gens)
+    disc = Generator.one(cfg.picard_rank)
+    for g in gens:
+        assert g.pi_exp == 0
+        disc = disc * g
+    twist = (len(gens) * (len(gens) + 1) // 2) & 1 & minus_one_class(cfg)
+    return ResidueWittClass(cfg, len(gens) % 2, disc.unit ^ twist, disc.line)
+
+
+def residue_sum(x: ResidueWittClass, y: ResidueWittClass) -> ResidueWittClass:
+    cross = x.parity & y.parity & minus_one_class(x.config)
+    return ResidueWittClass(
+        x.config, x.parity ^ y.parity, x.disc_unit ^ y.disc_unit ^ cross,
+        x.disc_line + y.disc_line,
+    )
+
+
+def residue_negative(x: ResidueWittClass) -> ResidueWittClass:
+    twist = x.parity & minus_one_class(x.config)
+    return ResidueWittClass(x.config, x.parity, x.disc_unit ^ twist, x.disc_line)
+
+
+def residue_representative(x: ResidueWittClass) -> tuple[Generator, ...]:
+    """Odd classes are a single generator <-d>; even classes are <1, -d>
+    (the zero class gets <1, -1>), with d the signed discriminant."""
+    m = minus_one_class(x.config)
+    partner = Generator(x.disc_unit ^ m, 0, x.disc_line)
+    if x.parity:
+        return (partner,)
+    return (Generator.one(x.config.picard_rank), partner)
+
+
+def residue_product(x: ResidueWittClass, y: ResidueWittClass) -> ResidueWittClass:
+    """The class of the tensor product of the two representatives."""
+    product = [a * b for a in residue_representative(x) for b in residue_representative(y)]
+    return residue_class_of(x.config, product)

@@ -20,6 +20,7 @@ from wittcurve import (
     enumerate_generators,
     enumerate_pic,
     equals,
+    hasse_invariant,
     invariant_profile,
     is_trivial,
     minus_one_class,
@@ -31,7 +32,14 @@ from wittcurve import (
     verify_quaternion_distinctness,
 )
 
-from helpers import generator_alphabet, hyperbolic_pair, random_form, random_generator
+from helpers import (
+    generator_alphabet,
+    hyperbolic_pair,
+    pairwise_hasse_sum,
+    random_form,
+    random_generator,
+    scan_hasse_sum,
+)
 
 
 def _neg(cfg, g: Generator) -> Generator:
@@ -351,3 +359,51 @@ def test_engines_agree_property(data):
     assert same == (canonical_form(e) == canonical_form(f))
     if kind == "hyperbolic":
         assert same
+
+
+def _reference_is_trivial(form: DiagonalForm, hasse_sum) -> bool:
+    """Even rank, trivial signed discriminant and trivial Hasse sum, each
+    computed entry by entry on Generator objects."""
+    cfg = form.config
+    disc = Generator.one(cfg.picard_rank)
+    for g in form.entries:
+        disc = disc * g
+    twist = (form.rank * (form.rank + 1) // 2) & 1 & minus_one_class(cfg)
+    signed = Generator(disc.unit ^ twist, disc.pi_exp, disc.line)
+    return form.rank % 2 == 0 and signed.is_trivial and hasse_sum(form).is_trivial
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_summary_decision_agrees_with_symbol_oracles(data):
+    # is_trivial reads the summary; the oracles are the pairwise symbol sum
+    # and the one-scan Hasse loop.  Besides random forms, the Witt-trivial
+    # e + (-e) and the difference of e and a shuffled e + <g,-g>.
+    cfg = CurveConfig(
+        data.draw(st.sampled_from((1, 3)), label="q_mod_4"),
+        data.draw(st.sampled_from((0, 1, 2, 5, 16)), label="picard_rank"),
+    )
+    rank = cfg.picard_rank
+    generator = st.builds(
+        lambda u, e, mask: Generator(u, e, PicTorsionClass(rank, mask)),
+        st.integers(0, 1),
+        st.integers(0, 1),
+        st.integers(0, (1 << rank) - 1),
+    )
+    e = DiagonalForm(cfg, data.draw(st.lists(generator, max_size=24), label="e"))
+    kind = data.draw(st.sampled_from(("random", "e + (-e)", "hyperbolic")), label="kind")
+    if kind == "random":
+        form = e
+    elif kind == "e + (-e)":
+        form = e + (-e)
+    else:
+        padded = list((e + hyperbolic_pair(cfg, data.draw(generator, label="g"))).entries)
+        padded = DiagonalForm(cfg, data.draw(st.permutations(padded), label="order"))
+        assert equals(e, padded) and equals(padded, e)
+        form = e + (-padded)
+    expected = _reference_is_trivial(form, pairwise_hasse_sum)
+    assert expected == _reference_is_trivial(form, scan_hasse_sum)
+    assert is_trivial(form) == expected
+    if kind != "random":
+        assert expected
+    assert hasse_invariant(form) == pairwise_hasse_sum(form) == scan_hasse_sum(form)

@@ -1,10 +1,14 @@
 """Tests for diagonal form algebra: sums, tensors, discriminants, norm forms."""
 
 import itertools
+import pickle
 import random
 from collections import Counter
+from dataclasses import FrozenInstanceError
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wittcurve import (
     CurveConfig,
@@ -217,3 +221,70 @@ def test_generator_product_is_coordinatewise(q3r1):
     a = Generator(1, 0, PicTorsionClass(1, 1))
     b = Generator(1, 1, PicTorsionClass(1, 1))
     assert a * b == Generator(0, 1, PicTorsionClass(1, 0))
+
+
+def _generators(rank: int):
+    return st.builds(
+        lambda u, e, mask: Generator(u, e, PicTorsionClass(rank, mask)),
+        st.integers(0, 1),
+        st.integers(0, 1),
+        st.integers(0, (1 << rank) - 1),
+    )
+
+
+@st.composite
+def _form_pairs(draw):
+    cfg = CurveConfig(
+        draw(st.sampled_from((1, 3)), label="q_mod_4"),
+        draw(st.sampled_from((0, 1, 2, 5, 16)), label="picard_rank"),
+    )
+    forms = st.lists(_generators(cfg.picard_rank), max_size=24).map(
+        lambda gs: DiagonalForm(cfg, gs)
+    )
+    return draw(forms, label="e"), draw(forms, label="f")
+
+
+class TestSummary:
+    @settings(max_examples=300, deadline=None)
+    @given(pair=_form_pairs())
+    def test_additive_under_orthogonal_sum(self, pair):
+        e, f = pair
+        assert (e + f).summary == e.summary.plus(f.summary)
+
+    @settings(max_examples=300, deadline=None)
+    @given(pair=_form_pairs())
+    def test_negation_law(self, pair):
+        e, _ = pair
+        assert (-e).summary == e.summary.negated(minus_one_class(e.config))
+
+    @settings(max_examples=300, deadline=None)
+    @given(pair=_form_pairs())
+    def test_counts_and_discriminants(self, pair):
+        e, _ = pair
+        ramified = [g for g in e.entries if g.pi_exp]
+        disc = Generator.one(e.config.picard_rank)
+        for g in e.entries:
+            disc = disc * g
+        ramified_disc = Generator.one(e.config.picard_rank)
+        for g in ramified:
+            ramified_disc = ramified_disc * g
+        assert e.summary == (e.rank, len(ramified), disc.packed, ramified_disc.packed)
+
+    @settings(max_examples=300, deadline=None)
+    @given(pair=_form_pairs())
+    def test_rebuilt_from_entries(self, pair):
+        e, f = pair
+        for form in (e, e + f, e * f, -e):
+            rebuilt = DiagonalForm(form.config, form.entries)
+            assert rebuilt == form
+            assert hash(rebuilt) == hash(form)
+            assert str(rebuilt) == str(form)
+
+
+def test_forms_are_immutable(q3r1):
+    form = parse_form("<1,s*L1>", q3r1)
+    with pytest.raises(FrozenInstanceError):
+        form.packed = ()
+    with pytest.raises(FrozenInstanceError):
+        del form.config
+    assert pickle.loads(pickle.dumps(form)) == form

@@ -13,6 +13,7 @@ from wittcurve import (
     PicTorsionClass,
     ResidueWittClass,
     check_ring_iso,
+    enumerate_generators,
     enumerate_group_ring_elements,
     enumerate_residue_classes,
     equals,
@@ -25,7 +26,13 @@ from wittcurve import (
     to_group_ring,
 )
 
-from helpers import random_form
+from helpers import (
+    random_form,
+    residue_class_of,
+    residue_negative,
+    residue_product,
+    residue_sum,
+)
 
 
 def _residue_of(cfg, text: str) -> ResidueWittClass:
@@ -101,6 +108,45 @@ class TestResidueMultiplication:
         for x, y, z in itertools.product(classes, repeat=3):
             assert (x * y) * z == x * (y * z)
             assert x * (y + z) == x * y + x * z
+
+
+@pytest.mark.parametrize("q", (1, 3))
+@pytest.mark.parametrize("rank", (0, 1, 2, 3))
+class TestPackedArithmeticMatchesOracle:
+    """The packed closed forms against the object-level reference: the
+    cross-term sum and the product of representatives."""
+
+    def test_residue_classes_every_pair(self, q, rank):
+        cfg = CurveConfig(q, rank)
+        classes = enumerate_residue_classes(cfg)
+        for x in classes:
+            assert -x == residue_negative(x)
+            for y in classes:
+                assert x + y == residue_sum(x, y)
+                assert x * y == residue_product(x, y)
+
+    def test_residue_class_of_generators(self, q, rank):
+        cfg = CurveConfig(q, rank)
+        rng = random.Random(46)
+        residue_gens = [g for g in enumerate_generators(cfg) if not g.pi_exp]
+        for length in range(6):
+            gens = [rng.choice(residue_gens) for _ in range(length)]
+            assert ResidueWittClass.from_generators(cfg, gens) == residue_class_of(cfg, gens)
+
+
+@pytest.mark.parametrize("q", (1, 3))
+@pytest.mark.parametrize("rank", (0, 1))
+def test_packed_group_ring_arithmetic_every_pair(q, rank):
+    # (16n^2)^2 pairs: 4096 at rank 1.
+    cfg = CurveConfig(q, rank)
+    for x in enumerate_group_ring_elements(cfg):
+        assert -x == GroupRingElement(residue_negative(x.a), residue_negative(x.b))
+        for y in enumerate_group_ring_elements(cfg):
+            assert x + y == GroupRingElement(residue_sum(x.a, y.a), residue_sum(x.b, y.b))
+            assert x * y == GroupRingElement(
+                residue_sum(residue_product(x.a, y.a), residue_product(x.b, y.b)),
+                residue_sum(residue_product(x.a, y.b), residue_product(x.b, y.a)),
+            )
 
 
 class TestGroupRingCoordinates:

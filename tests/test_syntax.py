@@ -15,6 +15,7 @@ from wittcurve import (
     PicTorsionClass,
     minus_one_class,
 )
+from wittcurve import syntax
 from wittcurve.syntax import FormSyntaxError, _parse_with_cursor, parse_form
 
 CONFIGS = st.builds(
@@ -223,3 +224,29 @@ def test_long_pathological_text_is_linear(text, rank):
     except FormSyntaxError:
         pass
     assert time.perf_counter() - start < 2.0
+
+
+def test_rank_past_the_int_string_limit():
+    # str() of a rank of more than 4300 digits raises a plain ValueError; the
+    # label digit check must not need it.
+    cfg = CurveConfig(3, 10**5000)
+    assert parse_form("<1>", cfg) == DiagonalForm(cfg, (Generator.one(cfg.picard_rank),))
+    assert str(parse_form("<s*L3, L01>", cfg)) == "<s*L3,L1>"
+    for text in ("<L" + "9" * 4400 + ">", "<L" + "9" * 5001 + ">", "<L5000>", "<L0>"):
+        for parse in (parse_form, _parse_with_cursor):
+            with pytest.raises(FormSyntaxError):
+                parse(text, cfg)
+
+
+@pytest.mark.parametrize(
+    "rank",
+    [0, 1, 9, 10, 99, 100, 4096, 10**8, 2**64, 10**100 - 1, 10**100,
+     10**4299, 10**4300 - 1],
+)
+def test_label_digit_bound_is_the_rank_digit_count(rank):
+    # So every message below ranks of 10**4300 reads as when the bound was
+    # len(str(rank)).
+    assert syntax._max_label_digits(rank) == len(str(rank))
+    long_label = "<L" + "7" * (len(str(rank)) + 1) + ">"
+    with pytest.raises(FormSyntaxError, match=r"digits\)"):
+        parse_form(long_label, CurveConfig(1, rank))
