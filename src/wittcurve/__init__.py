@@ -33,10 +33,8 @@ from .groups import (
     BrauerClass,
     CurveConfig,
     Generator,
-    PicTorsionClass,
     enumerate_generators,
     enumerate_groups,
-    enumerate_pic,
     make_config,
     minus_one_class,
 )
@@ -65,7 +63,6 @@ __all__ = [
     "Generator",
     "GroupRingElement",
     "InvariantProfile",
-    "PicTorsionClass",
     "QuaternionDistinctnessReport",
     "RankOneStructureReport",
     "RelationSuiteReport",
@@ -78,7 +75,6 @@ __all__ = [
     "enumerate_generators",
     "enumerate_group_ring_elements",
     "enumerate_groups",
-    "enumerate_pic",
     "enumerate_residue_classes",
     "equals",
     "from_group_ring",

@@ -17,6 +17,9 @@ from .groups import BrauerClass, CurveConfig, Generator, minus_one_class
 from .group_ring import packed_coordinates, packed_group_ring_elements, packed_representative
 from .symbols import symbol_sum, witt_invariant
 
+# enumerate_classes refuses a picard_rank above this.
+CENSUS_RANK_BOUND = 4
+
 
 def summary_is_trivial(summary: Summary, minus_one: int) -> bool:
     """True iff a form with this summary represents the zero Witt class."""
@@ -149,15 +152,16 @@ class CensusReport:
         return sum(count for _, count in self.shape_counts)
 
 
-def enumerate_classes(cfg: CurveConfig, rank_bound: int = 4) -> CensusReport:
+def enumerate_classes(cfg: CurveConfig) -> CensusReport:
     """Census of all 16n^2 classes, grouped by canonical shape.
 
     Shape rows cover the nontrivial classes; the total includes the zero
-    class.  Refuses configurations with picard_rank above rank_bound.
+    class.  Refuses configurations with picard_rank above CENSUS_RANK_BOUND.
     """
-    if cfg.picard_rank > rank_bound:
+    if cfg.picard_rank > CENSUS_RANK_BOUND:
         raise ValueError(
-            f"bound exceeded: picard_rank {cfg.picard_rank} > rank bound {rank_bound}"
+            f"bound exceeded: picard_rank {cfg.picard_rank} > "
+            f"rank bound {CENSUS_RANK_BOUND}"
         )
     counts = {shape: 0 for shape in Shape}
     elements = packed_group_ring_elements(cfg)

@@ -16,7 +16,7 @@ from functools import reduce
 from operator import xor
 from typing import Iterable, NamedTuple
 
-from .groups import CurveConfig, Generator, PicTorsionClass, label, minus_one_class
+from .groups import CurveConfig, Generator, check_mask, label, minus_one_class
 
 _set = object.__setattr__
 
@@ -90,10 +90,10 @@ class DiagonalForm:
         rank = config.picard_rank
         packed = []
         for g in entries:
-            if g.line.rank != rank:
+            if g.rank != rank:
                 raise ValueError(
                     "config mismatch: entry line bundle rank "
-                    f"{g.line.rank} != picard_rank {rank}"
+                    f"{g.rank} != picard_rank {rank}"
                 )
             packed.append(g.packed)
         _set(self, "config", config)
@@ -174,17 +174,15 @@ class DiagonalForm:
         return "<" + ",".join(label(p & 1, p >> 1 & 1, p >> 2) for p in self.packed) + ">"
 
 
-def quaternion_norm_form(
-    cfg: CurveConfig, unit: int, line: PicTorsionClass
-) -> DiagonalForm:
-    """Norm form <1, -uL, -pi, u*pi*L> of the quaternion class (uL, pi)."""
-    if line.rank != cfg.picard_rank:
-        raise ValueError(
-            f"config mismatch: line bundle rank {line.rank} != picard_rank "
-            f"{cfg.picard_rank}"
-        )
+def quaternion_norm_form(cfg: CurveConfig, unit: int, mask: int) -> DiagonalForm:
+    """Norm form <1, -uL, -pi, u*pi*L> of the quaternion class (uL, pi),
+    with L the line bundle class of mask."""
+    try:
+        check_mask(mask, cfg.picard_rank)
+    except ValueError as exc:
+        raise ValueError(f"config mismatch: {exc}") from None
     if unit not in (0, 1):
         raise ValueError(f"unit square class bit must be 0 or 1, got {unit!r}")
     m = minus_one_class(cfg)
-    u_line = unit | line.mask << 2
+    u_line = unit | mask << 2
     return DiagonalForm._from_packed(cfg, (0, u_line ^ m, m | 2, u_line | 2))

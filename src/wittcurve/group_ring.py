@@ -22,7 +22,7 @@ from operator import xor
 from typing import Iterable
 
 from .forms import DiagonalForm, sign_exponent
-from .groups import CurveConfig, Generator, PicTorsionClass, label, minus_one_class
+from .groups import CurveConfig, Generator, check_mask, label, minus_one_class
 
 
 def residue_add(m: int, a: int, b: int) -> int:
@@ -135,7 +135,7 @@ class ResidueWittClass:
     config: CurveConfig
     parity: int
     disc_unit: int
-    disc_line: PicTorsionClass
+    disc_mask: int
 
     def __post_init__(self) -> None:
         if self.parity not in (0, 1):
@@ -144,19 +144,16 @@ class ResidueWittClass:
             raise ValueError(
                 f"unit square class bit must be 0 or 1, got {self.disc_unit!r}"
             )
-        if self.disc_line.rank != self.config.picard_rank:
-            raise ValueError("config mismatch: discriminant line rank")
+        check_mask(self.disc_mask, self.config.picard_rank)
 
     @classmethod
     def from_packed(cls, cfg: CurveConfig, packed: int) -> "ResidueWittClass":
         """The class of parity | unit << 1 | mask << 2."""
-        return cls(
-            cfg, packed & 1, packed >> 1 & 1, PicTorsionClass(cfg.picard_rank, packed >> 2)
-        )
+        return cls(cfg, packed & 1, packed >> 1 & 1, packed >> 2)
 
     @property
     def packed(self) -> int:
-        return self.parity | self.disc_unit << 1 | self.disc_line.mask << 2
+        return self.parity | self.disc_unit << 1 | self.disc_mask << 2
 
     @classmethod
     def zero(cls, cfg: CurveConfig) -> "ResidueWittClass":
@@ -172,14 +169,14 @@ class ResidueWittClass:
         cls, cfg: CurveConfig, gens: Iterable[Generator]
     ) -> "ResidueWittClass":
         """Class of a diagonal form over the reduction (pi-free generators only)."""
-        packed = [g.packed for g in gens]
+        packed = DiagonalForm(cfg, gens).packed
         if any(p & 2 for p in packed):
             raise ValueError("residue classes come from pi-free generators")
         return cls.from_packed(cfg, packed_coordinates(minus_one_class(cfg), packed)[0])
 
     @property
     def is_zero(self) -> bool:
-        return self.parity == 0 and self.disc_unit == 0 and self.disc_line.mask == 0
+        return self.parity == 0 and self.disc_unit == 0 and self.disc_mask == 0
 
     def _require_same_config(self, other: "ResidueWittClass") -> None:
         if self.config != other.config:
@@ -204,7 +201,7 @@ class ResidueWittClass:
         )
 
     def __str__(self) -> str:
-        disc = label(self.disc_unit, 0, self.disc_line.mask)
+        disc = label(self.disc_unit, 0, self.disc_mask)
         return f"(parity {self.parity}, disc {disc})"
 
 

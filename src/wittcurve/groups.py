@@ -3,10 +3,11 @@
 Everything here is an elementary abelian 2-group.  The residue field is
 non-dyadic, so its unit square classes form Z/2 and are stored as a plain
 unit bit (1 for the class of the fixed non-square s); the uniformizer
-exponent is a pi bit; 2-torsion line bundle classes are a mask over L1..Lr.
-The two composite groups (global square classes, which are also the rank-1
-generators, and 2-torsion Brauer classes) hold those coordinates.  Elements
-are immutable and the group law is coordinatewise XOR.
+exponent is a pi bit; a 2-torsion line bundle class is a plain int mask
+over L1..Lr, printed by line_label.  The two composite groups (global square
+classes, which are also the rank-1 generators, and 2-torsion Brauer classes)
+hold those coordinates.  Elements are immutable and the group law is
+coordinatewise XOR.
 
 The working form of a generator is one packed int, unit | pi_exp << 1 |
 mask << 2, so that the product of generators is XOR of ints; the classes here
@@ -31,11 +32,13 @@ class CurveConfig:
     picard_rank: int
 
     def __post_init__(self) -> None:
-        if self.q_mod_4 not in (1, 3):
+        if type(self.q_mod_4) is not int or self.q_mod_4 not in (1, 3):
             raise ValueError(
                 "dyadic or invalid residue class: "
                 f"q_mod_4 must be 1 or 3, got {self.q_mod_4!r}"
             )
+        if type(self.picard_rank) is not int:
+            raise ValueError(f"picard_rank must be an int, got {self.picard_rank!r}")
         if self.picard_rank < 0:
             raise ValueError(f"picard_rank must be >= 0, got {self.picard_rank!r}")
 
@@ -53,6 +56,21 @@ def make_config(q_mod_4: int, picard_rank: int) -> CurveConfig:
 def minus_one_class(cfg: CurveConfig) -> int:
     """Unit bit of -1: 0 (a square) iff q = 1 mod 4 (Euler criterion)."""
     return 1 if cfg.q_mod_4 == 3 else 0
+
+
+def check_mask(mask: int, rank: int) -> None:
+    """Reject a rank that is not an int >= 0, or a line bundle mask that is
+    not a bit vector over L1..L<rank> (bit i-1 is the L_i coordinate)."""
+    if type(rank) is not int:
+        raise ValueError(f"rank must be an int, got {rank!r}")
+    if rank < 0:
+        raise ValueError(f"rank must be >= 0, got {rank!r}")
+    if type(mask) is not int:
+        raise ValueError(f"line bundle mask must be an int, got {mask!r}")
+    # A shift, not a comparison with 1 << rank: that would allocate rank bits
+    # for every class.
+    if mask < 0 or mask >> rank:
+        raise ValueError(f"line bundle mask {mask!r} out of range for rank {rank}")
 
 
 def label(unit: int, pi_exp: int, mask: int) -> str:
@@ -73,49 +91,9 @@ def label(unit: int, pi_exp: int, mask: int) -> str:
     return "*".join(terms) if terms else "1"
 
 
-@dataclass(frozen=True, slots=True)
-class PicTorsionClass:
-    """2-torsion line bundle class: a bit vector over the basis L1..Lr.
-
-    Stored as an integer mask; bit i-1 of the mask is the L_i coordinate.
-    The identity is the class of the structure sheaf O.
-    """
-
-    rank: int
-    mask: int
-
-    def __post_init__(self) -> None:
-        if self.rank < 0:
-            raise ValueError(f"rank must be >= 0, got {self.rank!r}")
-        # A shift, not a comparison with 1 << rank: that would allocate
-        # rank bits for every class.
-        if self.mask < 0 or self.mask >> self.rank:
-            raise ValueError(
-                f"line bundle mask {self.mask!r} out of range for rank {self.rank}"
-            )
-
-    @classmethod
-    def identity(cls, rank: int) -> "PicTorsionClass":
-        return cls(rank, 0)
-
-    @classmethod
-    def basis(cls, rank: int, index: int) -> "PicTorsionClass":
-        """Basis class L<index>, 1-indexed."""
-        if not 1 <= index <= rank:
-            raise ValueError(f"unknown bundle label L{index} for rank {rank}")
-        return cls(rank, 1 << (index - 1))
-
-    def __add__(self, other: "PicTorsionClass") -> "PicTorsionClass":
-        if self.rank != other.rank:
-            raise ValueError("config mismatch: line bundle classes of different rank")
-        return PicTorsionClass(self.rank, self.mask ^ other.mask)
-
-    @property
-    def is_trivial(self) -> bool:
-        return self.mask == 0
-
-    def __str__(self) -> str:
-        return label(0, 0, self.mask) if self.mask else "O"
+def line_label(mask: int) -> str:
+    """Concrete syntax of a line bundle class; the trivial one is O."""
+    return label(0, 0, mask) if mask else "O"
 
 
 @dataclass(frozen=True, slots=True)
@@ -123,52 +101,58 @@ class Generator:
     """Square class u * pi^e * L over the curve, equally the rank-1 form <u*pi^e*L>.
 
     Discriminants live here.  A group of order 4n under multiplication, which
-    adds all three coordinates mod 2 (pi^2 is a square).
+    adds all three coordinates mod 2 (pi^2 is a square).  The line bundle L is
+    a mask over L1..L<rank>.
     """
 
     unit: int
     pi_exp: int
-    line: PicTorsionClass
+    mask: int
+    rank: int
 
     def __post_init__(self) -> None:
         if self.unit not in (0, 1):
             raise ValueError(f"unit square class bit must be 0 or 1, got {self.unit!r}")
         if self.pi_exp not in (0, 1):
             raise ValueError(f"pi exponent must be 0 or 1, got {self.pi_exp!r}")
+        check_mask(self.mask, self.rank)
 
     @classmethod
     def one(cls, rank: int) -> "Generator":
         """The trivial class, the generator <1>."""
-        return cls(0, 0, PicTorsionClass.identity(rank))
+        return cls(0, 0, 0, rank)
 
     @classmethod
     def pi(cls, rank: int) -> "Generator":
         """The generator <pi>."""
-        return cls(0, 1, PicTorsionClass.identity(rank))
+        return cls(0, 1, 0, rank)
 
     def __mul__(self, other: "Generator") -> "Generator":
+        if self.rank != other.rank:
+            raise ValueError("config mismatch: line bundle classes of different rank")
         return Generator(
             self.unit ^ other.unit,
             self.pi_exp ^ other.pi_exp,
-            self.line + other.line,
+            self.mask ^ other.mask,
+            self.rank,
         )
 
     @classmethod
     def from_packed(cls, rank: int, packed: int) -> "Generator":
         """The generator of the packed int unit | pi_exp << 1 | mask << 2."""
-        return cls(packed & 1, packed >> 1 & 1, PicTorsionClass(rank, packed >> 2))
+        return cls(packed & 1, packed >> 1 & 1, packed >> 2, rank)
 
     @property
     def packed(self) -> int:
         """unit | pi_exp << 1 | mask << 2: the product of generators is XOR."""
-        return self.unit | self.pi_exp << 1 | self.line.mask << 2
+        return self.unit | self.pi_exp << 1 | self.mask << 2
 
     @property
     def is_trivial(self) -> bool:
-        return self.unit == 0 and self.pi_exp == 0 and self.line.mask == 0
+        return self.unit == 0 and self.pi_exp == 0 and self.mask == 0
 
     def __str__(self) -> str:
-        return label(self.unit, self.pi_exp, self.line.mask)
+        return label(self.unit, self.pi_exp, self.mask)
 
 
 @dataclass(frozen=True, slots=True)
@@ -180,48 +164,50 @@ class BrauerClass:
     """
 
     unit: int
-    line: PicTorsionClass
+    mask: int
+    rank: int
 
     def __post_init__(self) -> None:
         if self.unit not in (0, 1):
             raise ValueError(f"unit square class bit must be 0 or 1, got {self.unit!r}")
+        check_mask(self.mask, self.rank)
 
     def __add__(self, other: "BrauerClass") -> "BrauerClass":
-        return BrauerClass(self.unit ^ other.unit, self.line + other.line)
+        if self.rank != other.rank:
+            raise ValueError("config mismatch: line bundle classes of different rank")
+        return BrauerClass(self.unit ^ other.unit, self.mask ^ other.mask, self.rank)
 
     @classmethod
     def identity(cls, rank: int) -> "BrauerClass":
-        return cls(0, PicTorsionClass.identity(rank))
+        return cls(0, 0, rank)
 
     @property
     def is_trivial(self) -> bool:
-        return self.unit == 0 and self.line.mask == 0
+        return self.unit == 0 and self.mask == 0
 
     def __str__(self) -> str:
-        return f"({label(self.unit, 0, self.line.mask)}, pi)"
-
-
-def enumerate_pic(cfg: CurveConfig) -> list[PicTorsionClass]:
-    """All n bundle classes, in mask order (O first)."""
-    return [PicTorsionClass(cfg.picard_rank, m) for m in range(cfg.pic_order)]
+        return f"({label(self.unit, 0, self.mask)}, pi)"
 
 
 def enumerate_generators(cfg: CurveConfig) -> list[Generator]:
     """All 4n generators, units before non-units, pi-free before ramified."""
-    pic = enumerate_pic(cfg)
-    return [Generator(u, e, line) for e in (0, 1) for u in (0, 1) for line in pic]
+    rank = cfg.picard_rank
+    pic = range(cfg.pic_order)
+    return [Generator(u, e, mask, rank) for e in (0, 1) for u in (0, 1) for mask in pic]
 
 
 def enumerate_groups(
     cfg: CurveConfig,
-) -> tuple[list[PicTorsionClass], list[Generator], list[BrauerClass]]:
-    """Complete duplicate-free enumerations of the three value groups.
+) -> tuple[list[int], list[Generator], list[BrauerClass]]:
+    """Complete duplicate-free enumerations of the three value groups: line
+    bundle masks, square classes and Brauer classes.
 
     Sizes are n, 4n and 2n respectively, in a fixed deterministic order.
     """
-    pic = enumerate_pic(cfg)
+    rank = cfg.picard_rank
+    pic = list(range(cfg.pic_order))
     square_classes = [
-        Generator(u, e, line) for u in (0, 1) for e in (0, 1) for line in pic
+        Generator(u, e, mask, rank) for u in (0, 1) for e in (0, 1) for mask in pic
     ]
-    brauer = [BrauerClass(u, line) for u in (0, 1) for line in pic]
+    brauer = [BrauerClass(u, mask, rank) for u in (0, 1) for mask in pic]
     return pic, square_classes, brauer

@@ -3,13 +3,7 @@
 from __future__ import annotations
 
 from .forms import DiagonalForm, Summary
-from .groups import (
-    BrauerClass,
-    CurveConfig,
-    Generator,
-    PicTorsionClass,
-    minus_one_class,
-)
+from .groups import BrauerClass, CurveConfig, Generator, minus_one_class
 
 
 def symbol(cfg: CurveConfig, a: Generator, b: Generator) -> BrauerClass:
@@ -25,7 +19,7 @@ def symbol(cfg: CurveConfig, a: Generator, b: Generator) -> BrauerClass:
     (pi, pi) = (-1, pi).
     """
     rank = cfg.picard_rank
-    if a.line.rank != rank or b.line.rank != rank:
+    if a.rank != rank or b.rank != rank:
         raise ValueError(
             "config mismatch: generator line rank does not match picard_rank"
         )
@@ -33,8 +27,8 @@ def symbol(cfg: CurveConfig, a: Generator, b: Generator) -> BrauerClass:
     e = a.pi_exp
     f = b.pi_exp
     unit = (f & a.unit) ^ (e & b.unit) ^ (e & f & m)
-    mask = (a.line.mask if f else 0) ^ (b.line.mask if e else 0)
-    return BrauerClass(unit, PicTorsionClass(rank, mask))
+    mask = (a.mask if f else 0) ^ (b.mask if e else 0)
+    return BrauerClass(unit, mask, rank)
 
 
 def symbol_sum(summary: Summary, minus_one: int) -> int:
@@ -67,7 +61,7 @@ def hasse_invariant(form: DiagonalForm) -> BrauerClass:
     """
     cfg = form.config
     packed = symbol_sum(form.summary, minus_one_class(cfg))
-    return BrauerClass(packed & 1, PicTorsionClass(cfg.picard_rank, packed >> 2))
+    return BrauerClass(packed & 1, packed >> 2, cfg.picard_rank)
 
 
 def witt_invariant(form: DiagonalForm) -> BrauerClass:

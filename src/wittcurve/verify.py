@@ -17,7 +17,7 @@ from .groups import (
     CurveConfig,
     Generator,
     enumerate_generators,
-    enumerate_pic,
+    line_label,
     minus_one_class,
 )
 from .group_ring import (
@@ -51,9 +51,9 @@ def verify_quaternion_distinctness(cfg: CurveConfig) -> QuaternionDistinctnessRe
     Exactly one of them, the one with trivial symbol, may be Witt-trivial.
     """
     labeled = [
-        (BrauerClass(u, line), quaternion_norm_form(cfg, u, line))
+        (BrauerClass(u, mask, cfg.picard_rank), quaternion_norm_form(cfg, u, mask))
         for u in (0, 1)
-        for line in enumerate_pic(cfg)
+        for mask in range(cfg.pic_order)
     ]
     distinct = True
     for i, (_, form_a) in enumerate(labeled):
@@ -95,7 +95,7 @@ def rank_one_group_structure(cfg: CurveConfig) -> RankOneStructureReport:
     base_labels = {(0, 0): "1", (1, 0): "s", (0, 1): "pi", (1, 1): "s*pi"}
 
     def coordinates(g: Generator) -> tuple[str, str]:
-        return base_labels[(g.unit, g.pi_exp)], str(g.line)
+        return base_labels[(g.unit, g.pi_exp)], line_label(g.mask)
 
     singles = {g: DiagonalForm(cfg, (g,)) for g in gens}
     distinct = True
@@ -110,7 +110,7 @@ def rank_one_group_structure(cfg: CurveConfig) -> RankOneStructureReport:
     homomorphism_ok = all(
         coordinates(g * h) == (
             base_labels[(g.unit ^ h.unit, g.pi_exp ^ h.pi_exp)],
-            str(g.line + h.line),
+            line_label(g.mask ^ h.mask),
         )
         and equals(singles[g] * singles[h], DiagonalForm(cfg, (g * h,)))
         for g in gens
@@ -145,16 +145,16 @@ def verify_generator_relations(cfg: CurveConfig) -> RelationSuiteReport:
     for all unit classes u, v and all bundle classes L, M.
     """
     rank = cfg.picard_rank
-    pic = enumerate_pic(cfg)
+    pic = range(cfg.pic_order)
     checked = 0
     failures: list[str] = []
     for u in (0, 1):
         for v in (0, 1):
-            for line_l in pic:
-                for line_m in pic:
-                    a = Generator(u, 0, line_l)
-                    b = Generator(v, 0, line_m)
-                    product = Generator(u ^ v, 0, line_l + line_m)
+            for mask_l in pic:
+                for mask_m in pic:
+                    a = Generator(u, 0, mask_l, rank)
+                    b = Generator(v, 0, mask_m, rank)
+                    product = Generator(u ^ v, 0, mask_l ^ mask_m, rank)
                     lhs = DiagonalForm(cfg, (a, b))
                     rhs = DiagonalForm(cfg, (Generator.one(rank), product))
                     checked += 1

@@ -9,10 +9,8 @@ from wittcurve import (
     CurveConfig,
     DiagonalForm,
     Generator,
-    PicTorsionClass,
     ResidueWittClass,
     enumerate_generators,
-    enumerate_pic,
     minus_one_class,
     quaternion_norm_form,
     symbol,
@@ -39,7 +37,7 @@ def random_generator(rng: random.Random, cfg: CurveConfig) -> Generator:
 def hyperbolic_pair(cfg: CurveConfig, g: Generator) -> DiagonalForm:
     """The Witt-trivial form <g, -g>."""
     m = minus_one_class(cfg)
-    return DiagonalForm(cfg, (g, Generator(g.unit ^ m, g.pi_exp, g.line)))
+    return DiagonalForm(cfg, (g, Generator(g.unit ^ m, g.pi_exp, g.mask, g.rank)))
 
 
 def random_ideal_square_form(rng: random.Random, cfg: CurveConfig) -> DiagonalForm:
@@ -49,8 +47,8 @@ def random_ideal_square_form(rng: random.Random, cfg: CurveConfig) -> DiagonalFo
     in the square of the fundamental ideal.
     """
     unit = rng.randint(0, 1)
-    line = rng.choice(enumerate_pic(cfg))
-    form = quaternion_norm_form(cfg, unit, line)
+    mask = rng.choice(range(cfg.pic_order))
+    form = quaternion_norm_form(cfg, unit, mask)
     if rng.random() < 0.5:
         form = form + hyperbolic_pair(cfg, random_generator(rng, cfg))
     return form
@@ -76,7 +74,7 @@ def scan_hasse_sum(form: DiagonalForm) -> BrauerClass:
     for g in form.entries:
         u = g.unit
         e = g.pi_exp
-        line = g.line.mask
+        line = g.mask
         unit ^= (e & du) ^ (de & u) ^ (de & e & m)
         if e:
             mask ^= dl
@@ -85,7 +83,7 @@ def scan_hasse_sum(form: DiagonalForm) -> BrauerClass:
         du ^= u
         de ^= e
         dl ^= line
-    return BrauerClass(unit, PicTorsionClass(cfg.picard_rank, mask))
+    return BrauerClass(unit, mask, cfg.picard_rank)
 
 
 # Reference residue-class arithmetic on ResidueWittClass objects: sums by the
@@ -100,27 +98,27 @@ def residue_class_of(cfg: CurveConfig, gens) -> ResidueWittClass:
         assert g.pi_exp == 0
         disc = disc * g
     twist = (len(gens) * (len(gens) + 1) // 2) & 1 & minus_one_class(cfg)
-    return ResidueWittClass(cfg, len(gens) % 2, disc.unit ^ twist, disc.line)
+    return ResidueWittClass(cfg, len(gens) % 2, disc.unit ^ twist, disc.mask)
 
 
 def residue_sum(x: ResidueWittClass, y: ResidueWittClass) -> ResidueWittClass:
     cross = x.parity & y.parity & minus_one_class(x.config)
     return ResidueWittClass(
         x.config, x.parity ^ y.parity, x.disc_unit ^ y.disc_unit ^ cross,
-        x.disc_line + y.disc_line,
+        x.disc_mask ^ y.disc_mask,
     )
 
 
 def residue_negative(x: ResidueWittClass) -> ResidueWittClass:
     twist = x.parity & minus_one_class(x.config)
-    return ResidueWittClass(x.config, x.parity, x.disc_unit ^ twist, x.disc_line)
+    return ResidueWittClass(x.config, x.parity, x.disc_unit ^ twist, x.disc_mask)
 
 
 def residue_representative(x: ResidueWittClass) -> tuple[Generator, ...]:
     """Odd classes are a single generator <-d>; even classes are <1, -d>
     (the zero class gets <1, -1>), with d the signed discriminant."""
     m = minus_one_class(x.config)
-    partner = Generator(x.disc_unit ^ m, 0, x.disc_line)
+    partner = Generator(x.disc_unit ^ m, 0, x.disc_mask, x.config.picard_rank)
     if x.parity:
         return (partner,)
     return (Generator.one(x.config.picard_rank), partner)

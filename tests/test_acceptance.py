@@ -18,7 +18,6 @@ from wittcurve import (
     check_ring_iso,
     enumerate_classes,
     enumerate_group_ring_elements,
-    enumerate_pic,
     enumerate_residue_classes,
     equals,
     from_group_ring,
@@ -122,21 +121,21 @@ def test_criterion_6_proof_trace_vectors():
             one = Generator.one(1)
 
             def neg(g: Generator) -> Generator:
-                return Generator(g.unit ^ minus_one, g.pi_exp, g.line)
+                return Generator(g.unit ^ minus_one, g.pi_exp, g.mask, g.rank)
 
             for u_s, u_t, line, line_m in itertools.product(
-                units, units, enumerate_pic(config), enumerate_pic(config)
+                units, units, range(config.pic_order), range(config.pic_order)
             ):
-                s_l = Generator(u_s, 0, line)
+                s_l = Generator(u_s, 0, line, config.picard_rank)
                 # residue discriminant <t*M>: reduces to <st*LM, pi, -s*pi*L>
-                t_m = Generator(u_t, 0, line_m)
+                t_m = Generator(u_t, 0, line_m, config.picard_rank)
                 lhs = DiagonalForm(
                     config, (one, neg(s_l), t_m, pi, neg(pi * s_l))
                 )
                 rhs = DiagonalForm(config, (s_l * t_m, pi, neg(pi * s_l)))
                 assert equals(lhs, rhs)
                 # ramified discriminant <t*pi*M>: reduces to <1, -s*L, st*pi*LM>
-                t_pi_m = Generator(u_t, 1, line_m)
+                t_pi_m = Generator(u_t, 1, line_m, config.picard_rank)
                 lhs = DiagonalForm(
                     config, (one, neg(s_l), t_pi_m, pi, neg(pi * s_l))
                 )

@@ -16,7 +16,6 @@ from wittcurve import (
     CurveConfig,
     DiagonalForm,
     FormSyntaxError,
-    PicTorsionClass,
     enumerate_generators,
     parse_form,
     quaternion_norm_form,
@@ -28,9 +27,7 @@ class TestParse:
     def test_norm_form_text(self, q3r1, q1r1):
         for config in (q3r1, q1r1):
             parsed = parse_form("<1,-s*L1,-pi,s*pi*L1>", config)
-            built = quaternion_norm_form(
-                config, 1, PicTorsionClass.basis(1, 1)
-            )
+            built = quaternion_norm_form(config, 1, 1)
             assert parsed == built
 
     def test_empty_form(self, q3r1):
@@ -55,7 +52,7 @@ class TestParse:
         # A label builds a mask of its own size, so labels stop at L4096
         # whatever the rank.
         cfg = CurveConfig(3, 10**8)
-        assert parse_form("<L4096>", cfg).entries[0].line.mask == 1 << 4095
+        assert parse_form("<L4096>", cfg).entries[0].mask == 1 << 4095
         with pytest.raises(
             FormSyntaxError, match="^bundle label L4097 exceeds the limit L4096"
         ) as err:

@@ -13,12 +13,10 @@ from wittcurve import (
     CurveConfig,
     DiagonalForm,
     Generator,
-    PicTorsionClass,
     Shape,
     canonical_form,
     enumerate_classes,
     enumerate_generators,
-    enumerate_pic,
     equals,
     hasse_invariant,
     invariant_profile,
@@ -31,6 +29,7 @@ from wittcurve import (
     verify_generator_relations,
     verify_quaternion_distinctness,
 )
+from wittcurve import engine
 
 from helpers import (
     generator_alphabet,
@@ -43,7 +42,7 @@ from helpers import (
 
 
 def _neg(cfg, g: Generator) -> Generator:
-    return Generator(g.unit ^ minus_one_class(cfg), g.pi_exp, g.line)
+    return Generator(g.unit ^ minus_one_class(cfg), g.pi_exp, g.mask, g.rank)
 
 
 class TestIsTrivial:
@@ -62,8 +61,8 @@ class TestIsTrivial:
         for g in generator_alphabet(cfg):
             if g.pi_exp:
                 continue
-            form = quaternion_norm_form(cfg, g.unit, g.line)
-            expected_trivial = g.unit == 0 and g.line.mask == 0
+            form = quaternion_norm_form(cfg, g.unit, g.mask)
+            expected_trivial = g.unit == 0 and g.mask == 0
             assert is_trivial(form) == expected_trivial
 
     def test_empty_form(self, cfg):
@@ -134,10 +133,10 @@ class TestRewritingVectors:
         one = Generator.one(1)
         units = (0, 1)
         for u_s, u_t, line, line_m in itertools.product(
-            units, units, enumerate_pic(cfg), enumerate_pic(cfg)
+            units, units, range(cfg.pic_order), range(cfg.pic_order)
         ):
-            s_l = Generator(u_s, 0, line)
-            t_m = Generator(u_t, 0, line_m)
+            s_l = Generator(u_s, 0, line, cfg.picard_rank)
+            t_m = Generator(u_t, 0, line_m, cfg.picard_rank)
             lhs = DiagonalForm(cfg, (one, _neg(cfg, s_l), t_m, pi, _neg(cfg, pi * s_l)))
             rhs = DiagonalForm(cfg, (s_l * t_m, pi, _neg(cfg, pi * s_l)))
             assert equals(lhs, rhs)
@@ -149,10 +148,10 @@ class TestRewritingVectors:
         one = Generator.one(1)
         units = (0, 1)
         for u_s, u_t, line, line_m in itertools.product(
-            units, units, enumerate_pic(cfg), enumerate_pic(cfg)
+            units, units, range(cfg.pic_order), range(cfg.pic_order)
         ):
-            s_l = Generator(u_s, 0, line)
-            t_pi_m = Generator(u_t, 1, line_m)
+            s_l = Generator(u_s, 0, line, cfg.picard_rank)
+            t_pi_m = Generator(u_t, 1, line_m, cfg.picard_rank)
             lhs = DiagonalForm(cfg, (one, _neg(cfg, s_l), t_pi_m, pi, _neg(cfg, pi * s_l)))
             rhs = DiagonalForm(cfg, (one, _neg(cfg, s_l), s_l * t_pi_m))
             assert equals(lhs, rhs)
@@ -163,26 +162,22 @@ class TestInvariantProfile:
         for config in (q3r1, q1r1):
             profile = invariant_profile(parse_form("<s*L1>", config))
             assert profile.rank_parity == 1
-            expected = Generator(
-                1 ^ minus_one_class(config), 0, PicTorsionClass(1, 1)
-            )
+            expected = Generator(1 ^ minus_one_class(config), 0, 1, 1)
             assert profile.signed_disc == expected
             assert profile.witt_inv is None
 
     def test_kernel_ideal_generator(self, cfg):
         profile = invariant_profile(parse_form("<1,-pi>", cfg))
         assert profile.rank_parity == 0
-        assert profile.signed_disc == Generator(
-            0, 1, PicTorsionClass.identity(cfg.picard_rank)
-        )
+        assert profile.signed_disc == Generator(0, 1, 0, cfg.picard_rank)
         assert profile.witt_inv is None
 
     def test_norm_form(self, q3r1):
-        form = quaternion_norm_form(q3r1, 1, PicTorsionClass(1, 1))
+        form = quaternion_norm_form(q3r1, 1, 1)
         profile = invariant_profile(form)
         assert profile.rank_parity == 0
         assert profile.signed_disc.is_trivial
-        assert profile.witt_inv == BrauerClass(1, PicTorsionClass(1, 1))
+        assert profile.witt_inv == BrauerClass(1, 1, 1)
 
 
 class TestCanonicalForm:
@@ -262,10 +257,11 @@ class TestCensus:
             Shape.EVEN_EVEN,
         )
 
-    def test_rank_bound(self):
+    def test_rank_bound(self, monkeypatch):
         with pytest.raises(ValueError, match="bound exceeded"):
             enumerate_classes(CurveConfig(3, 5))
-        census = enumerate_classes(CurveConfig(3, 5), rank_bound=5)
+        monkeypatch.setattr(engine, "CENSUS_RANK_BOUND", 5)
+        census = enumerate_classes(CurveConfig(3, 5))
         assert census.total == 16 * 32 * 32
 
     def test_every_class_reached_by_rank_at_most_four(self):
@@ -290,8 +286,8 @@ class TestQuaternionDistinctness:
         assert report.passed
 
     def test_specific_pair_distinct(self, q3r1):
-        a = quaternion_norm_form(q3r1, 1, PicTorsionClass.identity(1))
-        b = quaternion_norm_form(q3r1, 1, PicTorsionClass(1, 1))
+        a = quaternion_norm_form(q3r1, 1, 0)
+        b = quaternion_norm_form(q3r1, 1, 1)
         assert not equals(a, b)
 
 
@@ -336,7 +332,7 @@ def test_engines_agree_property(data):
     )
     rank = cfg.picard_rank
     generator = st.builds(
-        lambda u, e, mask: Generator(u, e, PicTorsionClass(rank, mask)),
+        lambda u, e, mask: Generator(u, e, mask, rank),
         st.integers(0, 1),
         st.integers(0, 1),
         # small masks too, so that entries repeat at rank 16
@@ -369,7 +365,7 @@ def _reference_is_trivial(form: DiagonalForm, hasse_sum) -> bool:
     for g in form.entries:
         disc = disc * g
     twist = (form.rank * (form.rank + 1) // 2) & 1 & minus_one_class(cfg)
-    signed = Generator(disc.unit ^ twist, disc.pi_exp, disc.line)
+    signed = Generator(disc.unit ^ twist, disc.pi_exp, disc.mask, disc.rank)
     return form.rank % 2 == 0 and signed.is_trivial and hasse_sum(form).is_trivial
 
 
@@ -385,7 +381,7 @@ def test_summary_decision_agrees_with_symbol_oracles(data):
     )
     rank = cfg.picard_rank
     generator = st.builds(
-        lambda u, e, mask: Generator(u, e, PicTorsionClass(rank, mask)),
+        lambda u, e, mask: Generator(u, e, mask, rank),
         st.integers(0, 1),
         st.integers(0, 1),
         st.integers(0, (1 << rank) - 1),

@@ -14,7 +14,6 @@ from wittcurve import (
     CurveConfig,
     DiagonalForm,
     Generator,
-    PicTorsionClass,
     enumerate_generators,
     minus_one_class,
     parse_form,
@@ -125,7 +124,7 @@ class TestDiscriminant:
 
     def test_single_entry(self, q3r1):
         disc = parse_form("<s*L1>", q3r1).discriminant()
-        assert disc == Generator(1, 0, PicTorsionClass(1, 1))
+        assert disc == Generator(1, 0, 1, 1)
 
     def test_additive_under_orthogonal_sum(self, cfg):
         rng = random.Random(13)
@@ -139,9 +138,7 @@ class TestSignedDiscriminant:
     def test_one_one_gives_minus_one(self, cfg):
         # rank 2 twists by (-1)^3
         signed = parse_form("<1,1>", cfg).signed_discriminant()
-        expected = Generator(
-            minus_one_class(cfg), 0, PicTorsionClass.identity(cfg.picard_rank)
-        )
+        expected = Generator(minus_one_class(cfg), 0, 0, cfg.picard_rank)
         assert signed == expected
 
     def test_hyperbolic_plane_trivial(self, cfg):
@@ -159,9 +156,7 @@ class TestSignedDiscriminant:
         # signed(E + F) = signed(E) + signed(F) + (rank E * rank F) * [-1],
         # checked for every pair of forms of rank at most 2 at rank r = 1.
         cfg = CurveConfig(q, 1)
-        minus_one = Generator(
-            minus_one_class(cfg), 0, PicTorsionClass.identity(1)
-        )
+        minus_one = Generator(minus_one_class(cfg), 0, 0, 1)
         gens = enumerate_generators(cfg)
         small_forms = [DiagonalForm.zero(cfg)]
         small_forms += [DiagonalForm(cfg, (g,)) for g in gens]
@@ -175,9 +170,7 @@ class TestSignedDiscriminant:
 
     def test_cross_term_law_random(self, cfg):
         rng = random.Random(14)
-        minus_one = Generator(
-            minus_one_class(cfg), 0, PicTorsionClass.identity(cfg.picard_rank)
-        )
+        minus_one = Generator(minus_one_class(cfg), 0, 0, cfg.picard_rank)
         for _ in range(200):
             e = random_form(rng, cfg)
             f = random_form(rng, cfg)
@@ -190,25 +183,21 @@ class TestSignedDiscriminant:
 class TestQuaternionNormForm:
     def test_matches_template(self, q3r1, q1r1):
         for config in (q3r1, q1r1):
-            form = quaternion_norm_form(
-                config, 1, PicTorsionClass.basis(1, 1)
-            )
+            form = quaternion_norm_form(config, 1, 1)
             assert form == parse_form("<1,-s*L1,-pi,s*pi*L1>", config)
 
     def test_trivial_symbol_gives_double_hyperbolic(self, cfg):
-        form = quaternion_norm_form(
-            cfg, 0, PicTorsionClass.identity(cfg.picard_rank)
-        )
+        form = quaternion_norm_form(cfg, 0, 0)
         assert form == parse_form("<1,-1,-pi,pi>", cfg)
 
     def test_rank_always_four(self, cfg):
         for g in generator_alphabet(cfg):
-            form = quaternion_norm_form(cfg, g.unit, g.line)
+            form = quaternion_norm_form(cfg, g.unit, g.mask)
             assert form.rank == 4
 
     def test_config_mismatch(self, q3r1):
         with pytest.raises(ValueError, match="config mismatch"):
-            quaternion_norm_form(q3r1, 0, PicTorsionClass(2, 0))
+            quaternion_norm_form(q3r1, 0, 0b10)
 
 
 def test_generator_alphabet_size(cfg):
@@ -218,14 +207,14 @@ def test_generator_alphabet_size(cfg):
 
 
 def test_generator_product_is_coordinatewise(q3r1):
-    a = Generator(1, 0, PicTorsionClass(1, 1))
-    b = Generator(1, 1, PicTorsionClass(1, 1))
-    assert a * b == Generator(0, 1, PicTorsionClass(1, 0))
+    a = Generator(1, 0, 1, 1)
+    b = Generator(1, 1, 1, 1)
+    assert a * b == Generator(0, 1, 0, 1)
 
 
 def _generators(rank: int):
     return st.builds(
-        lambda u, e, mask: Generator(u, e, PicTorsionClass(rank, mask)),
+        lambda u, e, mask: Generator(u, e, mask, rank),
         st.integers(0, 1),
         st.integers(0, 1),
         st.integers(0, (1 << rank) - 1),

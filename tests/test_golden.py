@@ -28,6 +28,7 @@ from wittcurve import (
     enumerate_residue_classes,
     run_command,
 )
+from wittcurve.groups import line_label
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -91,7 +92,7 @@ def enumeration_listing(q: int) -> str:
     cfg = CurveConfig(q, 3)
     pic, square_classes, brauer = enumerate_groups(cfg)
     sections = [
-        ("enumerate_groups: line bundle classes", pic),
+        ("enumerate_groups: line bundle classes", map(line_label, pic)),
         ("enumerate_groups: square classes", square_classes),
         ("enumerate_groups: Brauer classes", brauer),
         ("enumerate_generators", enumerate_generators(cfg)),

@@ -10,7 +10,6 @@ from wittcurve import (
     DiagonalForm,
     Generator,
     GroupRingElement,
-    PicTorsionClass,
     ResidueWittClass,
     check_ring_iso,
     enumerate_generators,
@@ -43,9 +42,7 @@ def _residue_of(cfg, text: str) -> ResidueWittClass:
 class TestResidueAddition:
     def test_one_plus_one(self, cfg):
         total = ResidueWittClass.one(cfg) + ResidueWittClass.one(cfg)
-        expected = ResidueWittClass(
-            cfg, 0, minus_one_class(cfg), PicTorsionClass.identity(cfg.picard_rank)
-        )
+        expected = ResidueWittClass(cfg, 0, minus_one_class(cfg), 0)
         assert total == expected
 
     def test_zero_identity(self, cfg):
@@ -58,7 +55,7 @@ class TestResidueAddition:
         for x in enumerate_residue_classes(cfg):
             doubled = x + x
             assert doubled.parity == 0
-            assert doubled.disc_line.is_trivial
+            assert doubled.disc_mask == 0
             expected_unit = m if x.parity else 0
             assert doubled.disc_unit == expected_unit
 
@@ -159,7 +156,7 @@ class TestGroupRingCoordinates:
         assert x == GroupRingElement(ResidueWittClass.one(cfg), ResidueWittClass.one(cfg))
 
     def test_norm_form_coordinates(self, q3r1):
-        form = quaternion_norm_form(q3r1, 1, PicTorsionClass(1, 1))
+        form = quaternion_norm_form(q3r1, 1, 1)
         x = to_group_ring(form)
         assert x.a == _residue_of(q3r1, "<1,-s*L1>")
         assert x.b == _residue_of(q3r1, "<-1,s*L1>")
@@ -270,3 +267,8 @@ def test_residue_class_count_matches_square_root_of_total(cfg):
 def test_residue_requires_pi_free_generators(q3r1):
     with pytest.raises(ValueError, match="pi-free"):
         ResidueWittClass.from_generators(q3r1, (Generator.pi(1),))
+
+
+def test_from_generators_rejects_a_generator_of_another_rank():
+    with pytest.raises(ValueError, match="config mismatch"):
+        ResidueWittClass.from_generators(CurveConfig(3, 2), [Generator(0, 0, 1, 1)])

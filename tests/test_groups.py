@@ -5,17 +5,20 @@ import operator
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wittcurve import (
     BrauerClass,
     CurveConfig,
     Generator,
-    PicTorsionClass,
     ResidueWittClass,
     enumerate_groups,
     make_config,
     minus_one_class,
+    parse_form,
 )
+from wittcurve.groups import label, line_label
 
 
 class TestConfig:
@@ -33,6 +36,22 @@ class TestConfig:
     def test_rejects_negative_rank(self):
         with pytest.raises(ValueError, match="picard_rank"):
             make_config(3, -1)
+
+    @pytest.mark.parametrize("rank", [2.0, "2", True, None])
+    def test_rejects_non_int_rank(self, rank):
+        with pytest.raises(ValueError, match="^picard_rank must be an int, got "):
+            make_config(3, rank)
+
+    @pytest.mark.parametrize("q", [3.0, "3", True, None])
+    def test_rejects_non_int_residue_class(self, q):
+        with pytest.raises(ValueError, match="q_mod_4 must be 1 or 3"):
+            make_config(q, 1)
+
+    def test_float_rank_never_reaches_the_parser(self):
+        # A float rank used to pass construction and fail later inside
+        # parse_form with an AttributeError.
+        with pytest.raises(ValueError, match="picard_rank must be an int"):
+            parse_form("<L1,s>", make_config(3, 2.0))
 
 
 class TestMinusOne:
@@ -77,7 +96,7 @@ class TestGroupLaws:
     def test_every_element_self_inverse(self, cfg):
         pic, squares, brauer = enumerate_groups(cfg)
         for line in pic:
-            assert (line + line).is_trivial
+            assert line ^ line == 0
         for sq in squares:
             assert (sq * sq).is_trivial
         for cls in brauer:
@@ -102,69 +121,116 @@ class TestGroupLaws:
             assert cls + zero_br == cls
 
 
-class TestPicTorsion:
-    def test_basis_labels(self):
-        line = PicTorsionClass.basis(3, 1) + PicTorsionClass.basis(3, 3)
-        assert str(line) == "L1*L3"
-        assert line.mask == 0b101
+# Each holder of a line bundle mask, built from (unit, mask, rank).
+HOLDERS = {
+    "Generator": lambda unit, mask, rank: Generator(unit, 0, mask, rank),
+    "BrauerClass": lambda unit, mask, rank: BrauerClass(unit, mask, rank),
+    "ResidueWittClass": lambda unit, mask, rank: ResidueWittClass(
+        CurveConfig(3, rank), 0, unit, mask
+    ),
+}
 
-    def test_basis_out_of_range(self):
-        with pytest.raises(ValueError, match="unknown bundle label"):
-            PicTorsionClass.basis(1, 2)
-        with pytest.raises(ValueError, match="unknown bundle label"):
-            PicTorsionClass.basis(1, 0)
 
-    def test_mask_bounds(self):
+class TestLineBundleMask:
+    def test_labels(self):
+        assert line_label(0b001 ^ 0b100) == "L1*L3"
+        assert line_label(0) == "O"
+
+    @pytest.mark.parametrize("holder", HOLDERS)
+    def test_mask_bounds(self, holder):
         with pytest.raises(ValueError, match="out of range"):
-            PicTorsionClass(1, 2)
+            HOLDERS[holder](0, 2, 1)
+        with pytest.raises(ValueError, match="out of range"):
+            HOLDERS[holder](0, -1, 1)
 
-    def test_huge_rank_allocates_no_rank_sized_int(self):
+    @pytest.mark.parametrize("holder", HOLDERS)
+    def test_huge_rank_allocates_no_rank_sized_int(self, holder):
         tracemalloc.start()
         try:
-            line = PicTorsionClass(10**8, 0)
+            trivial = HOLDERS[holder](0, 0, 10**8)
+            top = HOLDERS[holder](0, 1, 10**8)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert line.is_trivial
+        assert "L" not in str(trivial)
+        assert "L1" in str(top)
         assert peak < 1 << 20
         with pytest.raises(ValueError, match="out of range"):
-            PicTorsionClass(1, -1)
+            HOLDERS[holder](0, -1, 10**8)
 
-    def test_mixed_rank_addition_rejected(self):
+    @pytest.mark.parametrize("holder", ["Generator", "BrauerClass"])
+    def test_negative_rank_rejected(self, holder):
+        with pytest.raises(ValueError, match="^rank must be >= 0, got -1$"):
+            HOLDERS[holder](0, 0, -1)
+
+    @pytest.mark.parametrize("holder", HOLDERS)
+    @pytest.mark.parametrize("mask", [1.0, "1", True, None])
+    def test_non_int_mask_rejected(self, holder, mask):
+        with pytest.raises(ValueError, match="^line bundle mask must be an int, got "):
+            HOLDERS[holder](0, mask, 1)
+
+    @pytest.mark.parametrize("holder", ["Generator", "BrauerClass"])
+    @pytest.mark.parametrize("rank", [1.0, "1", True, None])
+    def test_non_int_rank_rejected(self, holder, rank):
+        with pytest.raises(ValueError, match="^rank must be an int, got "):
+            HOLDERS[holder](0, 0, rank)
+
+    def test_mixed_rank_product_rejected(self):
         with pytest.raises(ValueError, match="config mismatch"):
-            PicTorsionClass(1, 1) + PicTorsionClass(2, 1)
+            Generator(0, 0, 1, 1) * Generator(0, 0, 1, 2)
+
+    def test_mixed_rank_sum_rejected(self):
+        with pytest.raises(ValueError, match="config mismatch"):
+            BrauerClass(0, 1, 1) + BrauerClass(0, 1, 2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from((1, 3)), st.sampled_from((0, 1, 2, 16)), st.data())
+def test_packed_round_trip(q, rank, data):
+    cfg = make_config(q, rank)
+    p = data.draw(st.integers(0, (4 << rank) - 1))
+    unit, bit, mask = p & 1, p >> 1 & 1, p >> 2
+    g = Generator.from_packed(rank, p)
+    assert g.packed == p
+    assert g == Generator(unit, bit, mask, rank)
+    assert str(g) == str(Generator(unit, bit, mask, rank)) == label(unit, bit, mask)
+    x = ResidueWittClass.from_packed(cfg, p)
+    assert x.packed == p
+    assert x == ResidueWittClass(cfg, unit, bit, mask)
+    assert str(x) == str(ResidueWittClass(cfg, unit, bit, mask))
+    assert str(x) == f"(parity {unit}, disc {label(bit, 0, mask)})"
 
 
 class TestUnitBit:
     @pytest.mark.parametrize("bit", [2, -1])
     def test_generator_rejects(self, bit):
         with pytest.raises(ValueError, match="unit square class bit must be 0 or 1"):
-            Generator(bit, 0, PicTorsionClass.identity(1))
+            Generator(bit, 0, 0, 1)
 
     @pytest.mark.parametrize("bit", [2, -1])
     def test_brauer_class_rejects(self, bit):
         with pytest.raises(ValueError, match="unit square class bit must be 0 or 1"):
-            BrauerClass(bit, PicTorsionClass.identity(1))
+            BrauerClass(bit, 0, 1)
 
     @pytest.mark.parametrize("bit", [2, -1])
     def test_residue_class_rejects(self, bit):
         cfg = CurveConfig(3, 1)
         with pytest.raises(ValueError, match="unit square class bit must be 0 or 1"):
-            ResidueWittClass(cfg, 0, bit, PicTorsionClass.identity(1))
+            ResidueWittClass(cfg, 0, bit, 0)
 
     def test_generator_keeps_pi_message(self):
         with pytest.raises(ValueError, match="pi exponent must be 0 or 1"):
-            Generator(0, 2, PicTorsionClass.identity(1))
+            Generator(0, 2, 0, 1)
 
 
 class TestRendering:
     def test_square_class_strings(self):
         rank = 2
-        sq = Generator(1, 1, PicTorsionClass(rank, 0b01))
+        sq = Generator(1, 1, 0b01, rank)
         assert str(sq) == "s*pi*L1"
         assert str(Generator.one(rank)) == "1"
 
     def test_brauer_strings(self):
         assert str(BrauerClass.identity(2)) == "(1, pi)"
-        cls = BrauerClass(1, PicTorsionClass(2, 0b10))
+        cls = BrauerClass(1, 0b10, 2)
         assert str(cls) == "(s*L2, pi)"

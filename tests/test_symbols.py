@@ -12,7 +12,6 @@ from wittcurve import (
     CurveConfig,
     DiagonalForm,
     Generator,
-    PicTorsionClass,
     hasse_invariant,
     minus_one_class,
     parse_form,
@@ -32,7 +31,7 @@ from helpers import (
 
 
 def _negated(cfg, g: Generator) -> Generator:
-    return Generator(g.unit ^ minus_one_class(cfg), g.pi_exp, g.line)
+    return Generator(g.unit ^ minus_one_class(cfg), g.pi_exp, g.mask, g.rank)
 
 
 class TestSymbolBaseCases:
@@ -45,18 +44,14 @@ class TestSymbolBaseCases:
     def test_pi_with_pi(self, cfg):
         # (pi, pi) = (-1, pi)
         pi = Generator.pi(cfg.picard_rank)
-        expected = BrauerClass(
-            minus_one_class(cfg), PicTorsionClass.identity(cfg.picard_rank)
-        )
+        expected = BrauerClass(minus_one_class(cfg), 0, cfg.picard_rank)
         assert symbol(cfg, pi, pi) == expected
 
     def test_quaternion_pairing(self, q3r1, q1r1):
         for config in (q3r1, q1r1):
-            a = Generator(1, 0, PicTorsionClass(1, 1))
+            a = Generator(1, 0, 1, 1)
             pi = Generator.pi(1)
-            assert symbol(config, a, pi) == BrauerClass(
-                1, PicTorsionClass(1, 1)
-            )
+            assert symbol(config, a, pi) == BrauerClass(1, 1, 1)
 
 
 class TestSymbolLaws:
@@ -100,9 +95,7 @@ class TestHasseInvariant:
         total = BrauerClass.identity(cfg.picard_rank)
         for i, j in itertools.combinations(range(4), 2):
             total = total + symbol(cfg, form.entries[i], form.entries[j])
-        assert total == BrauerClass(
-            1, PicTorsionClass(cfg.picard_rank, 1)
-        )
+        assert total == BrauerClass(1, 1, cfg.picard_rank)
         assert hasse_invariant(form) == total
 
     def test_all_units_trivial(self, cfg):
@@ -129,9 +122,7 @@ class TestHasseInvariant:
         )
         rank = cfg.picard_rank
         generator = st.builds(
-            lambda u, e, mask: Generator(
-                u, e, PicTorsionClass(rank, mask)
-            ),
+            lambda u, e, mask: Generator(u, e, mask, rank),
             st.integers(0, 1),
             st.integers(0, 1),
             st.integers(0, (1 << rank) - 1),
@@ -147,9 +138,9 @@ class TestWittInvariant:
         for g in generator_alphabet(cfg):
             if g.pi_exp:
                 continue
-            form = quaternion_norm_form(cfg, g.unit, g.line)
+            form = quaternion_norm_form(cfg, g.unit, g.mask)
             value = witt_invariant(form)
-            assert value == BrauerClass(g.unit, g.line)
+            assert value == BrauerClass(g.unit, g.mask, g.rank)
             values.append(value)
         # the 2n values are pairwise distinct
         assert len(set(values)) == 2 * cfg.pic_order

@@ -12,7 +12,6 @@ from wittcurve import (
     CurveConfig,
     DiagonalForm,
     Generator,
-    PicTorsionClass,
     minus_one_class,
 )
 from wittcurve import syntax
@@ -36,7 +35,7 @@ TEXTS = st.one_of(
 
 def generators(rank: int):
     return st.builds(
-        lambda u, e, mask: Generator(u, e, PicTorsionClass(rank, mask)),
+        lambda u, e, mask: Generator(u, e, mask, rank),
         st.integers(0, 1),
         st.integers(0, 1),
         st.integers(0, (1 << rank) - 1),
@@ -63,7 +62,7 @@ def respell(form: DiagonalForm, rng: random.Random) -> str:
         terms += [
             "L" + "0" * rng.randint(0, 2) + str(i + 1)
             for i in range(rank)
-            if g.line.mask >> i & 1
+            if g.mask >> i & 1
         ]
         terms += ["1"] * rng.randint(0 if terms else 1, 2)
         rng.shuffle(terms)
@@ -189,7 +188,8 @@ def test_long_form_parses_in_bounded_memory():
             Generator(
                 rng.randint(0, 1),
                 rng.randint(0, 1),
-                PicTorsionClass(16, rng.getrandbits(16)),
+                rng.getrandbits(16),
+                16,
             )
             for _ in range(4096)
         ),
