@@ -14,7 +14,7 @@ from enum import Enum
 
 from .forms import DiagonalForm, Summary
 from .groups import BrauerClass, CurveConfig, Generator, minus_one_class
-from .group_ring import packed_coordinates, packed_group_ring_elements, packed_representative
+from .group_ring import packed_coordinates, packed_representative
 from .symbols import symbol_sum, witt_invariant
 
 # enumerate_classes refuses a picard_rank above this.
@@ -153,7 +153,7 @@ class CensusReport:
 
 
 def enumerate_classes(cfg: CurveConfig) -> CensusReport:
-    """Census of all 16n^2 classes, grouped by canonical shape.
+    """Census of all 16n^2 classes, grouped by canonical shape, in closed form.
 
     Shape rows cover the nontrivial classes; the total includes the zero
     class.  Refuses configurations with picard_rank above CENSUS_RANK_BOUND.
@@ -163,12 +163,13 @@ def enumerate_classes(cfg: CurveConfig) -> CensusReport:
             f"bound exceeded: picard_rank {cfg.picard_rank} > "
             f"rank bound {CENSUS_RANK_BOUND}"
         )
-    counts = {shape: 0 for shape in Shape}
-    elements = packed_group_ring_elements(cfg)
-    for a, b in elements:
-        counts[_SHAPE_BY_TYPES[(_component_type(a), _component_type(b))]] += 1
+    # Of the 4n residue classes one is zero, 2n - 1 are even and nonzero, and
+    # 2n are odd; a shape takes one class of its type in each component.
+    n = cfg.pic_order
+    sizes = {"zero": 1, "even": 2 * n - 1, "odd": 2 * n}
+    counts = {shape: sizes[a] * sizes[b] for (a, b), shape in _SHAPE_BY_TYPES.items()}
     return CensusReport(
         config=cfg,
-        total=len(elements),
+        total=sum(counts.values()),
         shape_counts=tuple((shape, counts[shape]) for shape in NONTRIVIAL_SHAPES),
     )

@@ -16,9 +16,12 @@ from functools import reduce
 from operator import xor
 from typing import Iterable, NamedTuple
 
-from .groups import CurveConfig, Generator, check_mask, label, minus_one_class
+from .groups import CurveConfig, Generator, check_bit, check_mask, label, minus_one_class
 
 _set = object.__setattr__
+# Builds a Summary from a tuple without the Python-level NamedTuple __new__,
+# which costs about as much as the arithmetic of plus.
+_new = tuple.__new__
 
 
 def sign_exponent(rank: int) -> int:
@@ -45,21 +48,44 @@ class Summary(NamedTuple):
 
     def plus(self, other: "Summary") -> "Summary":
         """Summary of the orthogonal sum."""
-        return Summary(
-            self.rank + other.rank,
-            self.ramified + other.ramified,
-            self.disc ^ other.disc,
-            self.ramified_disc ^ other.ramified_disc,
-        )
+        n, r, d, rd = self
+        k, q, e, re = other
+        return _new(Summary, (n + k, r + q, d ^ e, rd ^ re))
+
+    def times(self, other: "Summary") -> "Summary":
+        """Summary of the tensor product, whose entries are the n*k products
+        a_i ^ b_j of the packed entries.
+
+        With (n, r, d, rd) and (k, q, e, re) the two summaries:
+
+            rank          = n*k
+            ramified      = r*(k - q) + (n - r)*q
+            disc          = [k odd]*d + [n odd]*e
+            ramified_disc = [(k - q) odd]*rd + [r odd]*(e + re)
+                          + [(n - r) odd]*re + [q odd]*(d + rd)
+
+        with + on discriminants meaning XOR.  A product is ramified exactly
+        when one factor is.  Each a_i meets all k entries b_j, so XOR over
+        the products counts d k times and e n times.  The ramified products
+        pair a ramified a_i with the k - q pi-free b_j, whose XOR is e + re,
+        or a pi-free a_i, whose XOR is d + rd, with the q ramified b_j.
+        """
+        n, r, d, rd = self
+        k, q, e, re = other
+        return _new(Summary, (
+            n * k,
+            r * (k - q) + (n - r) * q,
+            (d if k & 1 else 0) ^ (e if n & 1 else 0),
+            (rd if (k - q) & 1 else 0)
+            ^ (e ^ re if r & 1 else 0)
+            ^ (re if (n - r) & 1 else 0)
+            ^ (d ^ rd if q & 1 else 0),
+        ))
 
     def negated(self, minus_one: int) -> "Summary":
         """Summary of the negative: every entry, ramified or not, gains [-1]."""
-        return Summary(
-            self.rank,
-            self.ramified,
-            self.disc ^ (self.rank & minus_one),
-            self.ramified_disc ^ (self.ramified & minus_one),
-        )
+        n, r, d, rd = self
+        return _new(Summary, (n, r, d ^ (n & minus_one), rd ^ (r & minus_one)))
 
     def signed_disc(self, minus_one: int) -> int:
         """Packed discriminant twisted by (-1)^(rank*(rank+1)/2)."""
@@ -181,8 +207,7 @@ def quaternion_norm_form(cfg: CurveConfig, unit: int, mask: int) -> DiagonalForm
         check_mask(mask, cfg.picard_rank)
     except ValueError as exc:
         raise ValueError(f"config mismatch: {exc}") from None
-    if unit not in (0, 1):
-        raise ValueError(f"unit square class bit must be 0 or 1, got {unit!r}")
+    check_bit(unit, "unit square class bit")
     m = minus_one_class(cfg)
     u_line = unit | mask << 2
     return DiagonalForm._from_packed(cfg, (0, u_line ^ m, m | 2, u_line | 2))

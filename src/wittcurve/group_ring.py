@@ -22,7 +22,7 @@ from operator import xor
 from typing import Iterable
 
 from .forms import DiagonalForm, sign_exponent
-from .groups import CurveConfig, Generator, check_mask, label, minus_one_class
+from .groups import CurveConfig, Generator, check_bit, check_mask, label, minus_one_class
 
 
 def residue_add(m: int, a: int, b: int) -> int:
@@ -138,12 +138,8 @@ class ResidueWittClass:
     disc_mask: int
 
     def __post_init__(self) -> None:
-        if self.parity not in (0, 1):
-            raise ValueError(f"parity must be 0 or 1, got {self.parity!r}")
-        if self.disc_unit not in (0, 1):
-            raise ValueError(
-                f"unit square class bit must be 0 or 1, got {self.disc_unit!r}"
-            )
+        check_bit(self.parity, "parity")
+        check_bit(self.disc_unit, "unit square class bit")
         check_mask(self.disc_mask, self.config.picard_rank)
 
     @classmethod

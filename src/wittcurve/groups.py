@@ -73,6 +73,13 @@ def check_mask(mask: int, rank: int) -> None:
         raise ValueError(f"line bundle mask {mask!r} out of range for rank {rank}")
 
 
+def check_bit(bit: int, what: str) -> None:
+    """Reject a coordinate bit that is not the int 0 or 1.  A bool or a float
+    such as 1.0 compares equal to 1 but cannot be packed."""
+    if type(bit) is not int or bit not in (0, 1):
+        raise ValueError(f"{what} must be 0 or 1, got {bit!r}")
+
+
 def label(unit: int, pi_exp: int, mask: int) -> str:
     """Concrete syntax of the class s^unit * pi^pi_exp * (L-mask), "1" if trivial.
 
@@ -111,10 +118,8 @@ class Generator:
     rank: int
 
     def __post_init__(self) -> None:
-        if self.unit not in (0, 1):
-            raise ValueError(f"unit square class bit must be 0 or 1, got {self.unit!r}")
-        if self.pi_exp not in (0, 1):
-            raise ValueError(f"pi exponent must be 0 or 1, got {self.pi_exp!r}")
+        check_bit(self.unit, "unit square class bit")
+        check_bit(self.pi_exp, "pi exponent")
         check_mask(self.mask, self.rank)
 
     @classmethod
@@ -168,8 +173,7 @@ class BrauerClass:
     rank: int
 
     def __post_init__(self) -> None:
-        if self.unit not in (0, 1):
-            raise ValueError(f"unit square class bit must be 0 or 1, got {self.unit!r}")
+        check_bit(self.unit, "unit square class bit")
         check_mask(self.mask, self.rank)
 
     def __add__(self, other: "BrauerClass") -> "BrauerClass":

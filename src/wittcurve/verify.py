@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .engine import equals, is_trivial, summary_is_trivial
-from .forms import DiagonalForm, quaternion_norm_form, summarize
+from .forms import DiagonalForm, Summary, quaternion_norm_form, summarize
 from .groups import (
     BrauerClass,
     CurveConfig,
@@ -32,6 +32,9 @@ from .group_ring import (
 # At most this many mismatch descriptions go into a RingIsoReport; any
 # mismatch at all fails it.
 MAX_MISMATCHES = 10
+
+# check_ring_iso refuses a picard_rank above this.
+RING_ISO_RANK_BOUND = 2
 
 
 @dataclass(frozen=True)
@@ -90,32 +93,43 @@ def rank_one_group_structure(cfg: CurveConfig) -> RankOneStructureReport:
 
     The witness maps each generator to its (base field class, line bundle)
     coordinate pair; tensor product must match coordinatewise multiplication.
+    The invariant engine decides each claim on summaries: a tensor product
+    of forms is the product of their summaries.
     """
     gens = enumerate_generators(cfg)
+    m = minus_one_class(cfg)
     base_labels = {(0, 0): "1", (1, 0): "s", (0, 1): "pi", (1, 1): "s*pi"}
 
     def coordinates(g: Generator) -> tuple[str, str]:
         return base_labels[(g.unit, g.pi_exp)], line_label(g.mask)
 
-    singles = {g: DiagonalForm(cfg, (g,)) for g in gens}
+    # The summary of <g> and of -<g>, keyed on the packed generator.
+    singles = {g.packed: summarize((g.packed,)) for g in gens}
+    negated = {p: single.negated(m) for p, single in singles.items()}
+    packed = list(singles)
     distinct = True
-    for i, g in enumerate(gens):
-        for h in gens[i + 1 :]:
-            if equals(singles[g], singles[h]):
+    for i, p in enumerate(packed):
+        for q in packed[i + 1 :]:
+            if summary_is_trivial(singles[p].plus(negated[q]), m):
                 distinct = False
 
-    one = DiagonalForm(cfg, (Generator.one(cfg.picard_rank),))
-    exponent_two = all(equals(singles[g] * singles[g], one) for g in gens)
-
-    homomorphism_ok = all(
-        coordinates(g * h) == (
-            base_labels[(g.unit ^ h.unit, g.pi_exp ^ h.pi_exp)],
-            line_label(g.mask ^ h.mask),
-        )
-        and equals(singles[g] * singles[h], DiagonalForm(cfg, (g * h,)))
-        for g in gens
-        for h in gens
+    # negated[0] is -<1>: the trivial generator packs to 0.
+    exponent_two = all(
+        summary_is_trivial(single.times(single).plus(negated[0]), m)
+        for single in singles.values()
     )
+
+    homomorphism_ok = True
+    for g in gens:
+        p = g.packed
+        single = singles[p]
+        for h in gens:
+            q = h.packed
+            product = (g * h).packed
+            if product != p ^ q or not summary_is_trivial(
+                single.times(singles[q]).plus(negated[product]), m
+            ):
+                homomorphism_ok = False
 
     witness = tuple((str(g), coordinates(g)) for g in gens)
     passed = distinct and exponent_two and homomorphism_ok and len(gens) == 4 * cfg.pic_order
@@ -143,29 +157,32 @@ class RelationSuiteReport:
 def verify_generator_relations(cfg: CurveConfig) -> RelationSuiteReport:
     """Verify <uL, vM> = <1, uvLM> and <pi*uL, pi*vM> = <pi, pi*uvLM>
     for all unit classes u, v and all bundle classes L, M.
+
+    Each side is a pair of packed entries, decided on the summaries.
     """
-    rank = cfg.picard_rank
+    m = minus_one_class(cfg)
     pic = range(cfg.pic_order)
     checked = 0
     failures: list[str] = []
+
+    def holds(lhs: tuple[int, int], rhs: tuple[int, int]) -> bool:
+        return summary_is_trivial(summarize(lhs).plus(summarize(rhs).negated(m)), m)
+
     for u in (0, 1):
         for v in (0, 1):
             for mask_l in pic:
+                a = u | mask_l << 2
                 for mask_m in pic:
-                    a = Generator(u, 0, mask_l, rank)
-                    b = Generator(v, 0, mask_m, rank)
-                    product = Generator(u ^ v, 0, mask_l ^ mask_m, rank)
-                    lhs = DiagonalForm(cfg, (a, b))
-                    rhs = DiagonalForm(cfg, (Generator.one(rank), product))
-                    checked += 1
-                    if not equals(lhs, rhs):
-                        failures.append(f"residue relation failed at {lhs}")
-                    pi = Generator.pi(rank)
-                    lhs_pi = DiagonalForm(cfg, (pi * a, pi * b))
-                    rhs_pi = DiagonalForm(cfg, (pi, pi * product))
-                    checked += 1
-                    if not equals(lhs_pi, rhs_pi):
-                        failures.append(f"ramified relation failed at {lhs_pi}")
+                    b = v | mask_m << 2
+                    product = a ^ b
+                    for kind, lhs, rhs in (
+                        ("residue", (a, b), (0, product)),
+                        ("ramified", (a | 2, b | 2), (2, product | 2)),
+                    ):
+                        checked += 1
+                        if not holds(lhs, rhs):
+                            form = DiagonalForm._from_packed(cfg, lhs)
+                            failures.append(f"{kind} relation failed at {form}")
     return RelationSuiteReport(
         config=cfg,
         checked=checked,
@@ -196,59 +213,81 @@ def check_ring_iso(cfg: CurveConfig) -> RingIsoReport:
     representative of the group-ring sum and product.  Also checks that
     distinct elements give non-equal forms and that to_group_ring inverts
     from_group_ring.
+
+    The group-ring engine fills the addition and multiplication tables, as
+    element indices; the invariant engine decides each entry on summaries,
+    Summary.plus and Summary.times of the representatives against the
+    negated summary of the table's element, so no form is built per pair.
+    A sample of pairs that meets every row and every column builds the real
+    sum and tensor product and checks that their summaries are the ones the
+    tables were decided on.
     """
-    if cfg.picard_rank > 2:
+    if cfg.picard_rank > RING_ISO_RANK_BOUND:
         raise ValueError(
-            "bound exceeded: exhaustive ring comparison needs picard_rank <= 2, "
-            f"got {cfg.picard_rank}"
+            "bound exceeded: exhaustive ring comparison needs "
+            f"picard_rank <= {RING_ISO_RANK_BOUND}, got {cfg.picard_rank}"
         )
     m = minus_one_class(cfg)
     elements = packed_group_ring_elements(cfg)
-    reps = {x: packed_representative(m, x) for x in elements}
-    summaries = {x: summarize(rep) for x, rep in reps.items()}
-    negated = {x: summary.negated(m) for x, summary in summaries.items()}
+    index = {x: i for i, x in enumerate(elements)}
+    reps = [packed_representative(m, x) for x in elements]
+    summaries = [summarize(rep) for rep in reps]
+    negated = [summary.negated(m) for summary in summaries]
     mismatches: list[str] = []
 
-    def element(x: tuple[int, int]) -> GroupRingElement:
-        return GroupRingElement.from_packed(cfg, x)
+    def mismatch(message: str) -> None:
+        if len(mismatches) < MAX_MISMATCHES:
+            mismatches.append(message)
 
-    roundtrip_ok = all(packed_coordinates(m, rep) == x for x, rep in reps.items())
+    def element(i: int) -> GroupRingElement:
+        return GroupRingElement.from_packed(cfg, elements[i])
+
+    roundtrip_ok = all(packed_coordinates(m, rep) == x for x, rep in zip(elements, reps))
     if not roundtrip_ok:
-        mismatches.append("from_group_ring does not invert to_group_ring")
+        mismatch("from_group_ring does not invert to_group_ring")
 
     injective = True
-    for i, x in enumerate(elements):
-        summary = summaries[x]
-        for y in elements[i + 1 :]:
-            if summary_is_trivial(summary.plus(negated[y]), m):
+    for i, summary in enumerate(summaries):
+        for j in range(i + 1, len(elements)):
+            if summary_is_trivial(summary.plus(negated[j]), m):
                 injective = False
-                if len(mismatches) < MAX_MISMATCHES:
-                    mismatches.append(
-                        f"distinct elements {element(x)} and {element(y)} gave equal forms"
-                    )
+                mismatch(f"distinct elements {element(i)} and {element(j)} gave equal forms")
 
-    # Each pair builds the real orthogonal sum and tensor product of the two
-    # representatives, and the invariant engine decides each against the
-    # representative of the group-ring result.
+    # Row i of the sample meets column i (squares) and column N-1-i, which
+    # pairs each class type with the others.
+    last = len(elements) - 1
+    forms = [DiagonalForm._from_packed(cfg, rep) for rep in reps]
+    for i in range(len(elements)):
+        for j in (i, last - i):
+            if (forms[i] + forms[j]).summary != summaries[i].plus(summaries[j]):
+                mismatch(f"sampled sum differs from Summary.plus at {element(i)}, {element(j)}")
+            if (forms[i] * forms[j]).summary != summaries[i].times(summaries[j]):
+                mismatch(
+                    f"sampled tensor product differs from Summary.times at {element(i)}, {element(j)}"
+                )
+
+    # Distinct totals repeat across the tables, so each is decided once.
+    decided: dict[Summary, bool] = {}
+
+    def trivial(total: Summary) -> bool:
+        result = decided.get(total)
+        if result is None:
+            result = decided[total] = summary_is_trivial(total, m)
+        return result
+
     additions = 0
     multiplications = 0
-    for x in elements:
-        rep_x = reps[x]
-        for y in elements:
-            rep_y = reps[y]
-            additions += 1
-            total = summarize(rep_x + rep_y).plus(negated[element_add(m, x, y)])
-            if not summary_is_trivial(total, m):
-                if len(mismatches) < MAX_MISMATCHES:
-                    mismatches.append(f"addition mismatch at {element(x)}, {element(y)}")
-            multiplications += 1
-            tensor = tuple(a ^ b for a in rep_x for b in rep_y)
-            total = summarize(tensor).plus(negated[element_mul(m, x, y)])
-            if not summary_is_trivial(total, m):
-                if len(mismatches) < MAX_MISMATCHES:
-                    mismatches.append(
-                        f"multiplication mismatch at {element(x)}, {element(y)}"
-                    )
+    for i, x in enumerate(elements):
+        summary = summaries[i]
+        add_row = [index[element_add(m, x, y)] for y in elements]
+        mul_row = [index[element_mul(m, x, y)] for y in elements]
+        for j, other in enumerate(summaries):
+            if not trivial(summary.plus(other).plus(negated[add_row[j]])):
+                mismatch(f"addition mismatch at {element(i)}, {element(j)}")
+            if not trivial(summary.times(other).plus(negated[mul_row[j]])):
+                mismatch(f"multiplication mismatch at {element(i)}, {element(j)}")
+        additions += len(add_row)
+        multiplications += len(mul_row)
 
     passed = roundtrip_ok and injective and not mismatches
     return RingIsoReport(

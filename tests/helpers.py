@@ -3,6 +3,7 @@
 import functools
 import itertools
 import random
+from collections import Counter
 
 from wittcurve import (
     BrauerClass,
@@ -10,7 +11,9 @@ from wittcurve import (
     DiagonalForm,
     Generator,
     ResidueWittClass,
+    Shape,
     enumerate_generators,
+    enumerate_group_ring_elements,
     minus_one_class,
     quaternion_norm_form,
     symbol,
@@ -128,3 +131,18 @@ def residue_product(x: ResidueWittClass, y: ResidueWittClass) -> ResidueWittClas
     """The class of the tensor product of the two representatives."""
     product = [a * b for a in residue_representative(x) for b in residue_representative(y)]
     return residue_class_of(x.config, product)
+
+
+def enumerated_census(cfg: CurveConfig) -> tuple[int, tuple[tuple[Shape, int], ...]]:
+    """Reference census: classify each of the 16n^2 group ring elements by
+    the types of its two components and count them per shape.
+
+    Shapes are named <residue type>_<ramified type>; both zero is ZERO.
+    """
+
+    def kind(x: ResidueWittClass) -> str:
+        return "ODD" if x.parity else "ZERO" if x.is_zero else "EVEN"
+
+    counts = Counter(f"{kind(x.a)}_{kind(x.b)}" for x in enumerate_group_ring_elements(cfg))
+    rows = tuple((shape, counts[shape.name]) for shape in Shape if shape is not Shape.ZERO)
+    return sum(counts.values()), rows

@@ -32,6 +32,7 @@ from wittcurve import (
 from wittcurve import engine
 
 from helpers import (
+    enumerated_census,
     generator_alphabet,
     hyperbolic_pair,
     pairwise_hasse_sum,
@@ -256,6 +257,13 @@ class TestCensus:
             Shape.ODD_EVEN,
             Shape.EVEN_EVEN,
         )
+
+    @pytest.mark.parametrize("q", (1, 3))
+    @pytest.mark.parametrize("rank", (0, 1, 2, 3, 4))
+    def test_closed_form_matches_enumeration(self, q, rank):
+        cfg = CurveConfig(q, rank)
+        census = enumerate_classes(cfg)
+        assert (census.total, census.shape_counts) == enumerated_census(cfg)
 
     def test_rank_bound(self, monkeypatch):
         with pytest.raises(ValueError, match="bound exceeded"):

@@ -19,6 +19,7 @@ from wittcurve import (
     parse_form,
     quaternion_norm_form,
 )
+from wittcurve.forms import summarize
 
 from helpers import generator_alphabet, random_form
 
@@ -268,6 +269,35 @@ class TestSummary:
             assert rebuilt == form
             assert hash(rebuilt) == hash(form)
             assert str(rebuilt) == str(form)
+
+
+@st.composite
+def _form_triples(draw):
+    cfg = CurveConfig(
+        draw(st.sampled_from((1, 3)), label="q_mod_4"),
+        draw(st.sampled_from((0, 1, 2, 16)), label="picard_rank"),
+    )
+    forms = st.lists(_generators(cfg.picard_rank), max_size=12).map(
+        lambda gs: DiagonalForm(cfg, gs)
+    )
+    return tuple(draw(forms, label=name) for name in ("e", "f", "g"))
+
+
+class TestSummaryTimes:
+    @settings(max_examples=300, deadline=None)
+    @given(forms=_form_triples())
+    def test_summary_of_the_tensor_product_commutes(self, forms):
+        e, f, _ = forms
+        tensor = tuple(a ^ b for a in e.packed for b in f.packed)
+        assert summarize(tensor) == e.summary.times(f.summary)
+        assert e.summary.times(f.summary) == f.summary.times(e.summary)
+
+    @settings(max_examples=300, deadline=None)
+    @given(forms=_form_triples())
+    def test_distributes_over_plus(self, forms):
+        a, b, c = (form.summary for form in forms)
+        assert a.times(b.plus(c)) == a.times(b).plus(a.times(c))
+        assert b.plus(c).times(a) == b.times(a).plus(c.times(a))
 
 
 def test_forms_are_immutable(q3r1):

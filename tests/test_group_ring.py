@@ -21,9 +21,12 @@ from wittcurve import (
     minus_one_class,
     parse_form,
     quaternion_norm_form,
+    rank_one_group_structure,
     splitting_map,
     to_group_ring,
 )
+from wittcurve import verify
+from wittcurve.forms import Summary
 
 from helpers import (
     random_form,
@@ -233,7 +236,7 @@ class TestSplittingMap:
 
 class TestRingIsomorphism:
     @pytest.mark.parametrize("q", (1, 3))
-    @pytest.mark.parametrize("rank", (0, 1))
+    @pytest.mark.parametrize("rank", (0, 1, 2))
     def test_exhaustive(self, q, rank):
         cfg = CurveConfig(q, rank)
         report = check_ring_iso(cfg)
@@ -247,8 +250,30 @@ class TestRingIsomorphism:
         assert report.passed
 
     def test_rank_bound(self):
-        with pytest.raises(ValueError, match="bound exceeded"):
+        assert verify.RING_ISO_RANK_BOUND == 2
+        with pytest.raises(ValueError) as exc:
             check_ring_iso(CurveConfig(3, 3))
+        assert str(exc.value) == (
+            "bound exceeded: exhaustive ring comparison needs picard_rank <= 2, got 3"
+        )
+
+    @pytest.mark.parametrize("q", (1, 3))
+    @pytest.mark.parametrize("rank", (0, 1))
+    def test_sample_meets_every_row_and_column(self, monkeypatch, q, rank):
+        # Forms are built only for the sampled pairs; record which they are.
+        sampled = []
+        tensor = DiagonalForm.__mul__
+
+        def recording_tensor(e, f):
+            sampled.append((e.packed, f.packed))
+            return tensor(e, f)
+
+        monkeypatch.setattr(DiagonalForm, "__mul__", recording_tensor)
+        cfg = CurveConfig(q, rank)
+        check_ring_iso(cfg)
+        reps = {from_group_ring(x).packed for x in enumerate_group_ring_elements(cfg)}
+        assert {e for e, _ in sampled} == {f for _, f in sampled} == reps
+        assert len(sampled) == 2 * len(reps)
 
     def test_engines_agree_on_equality(self, cfg):
         rng = random.Random(45)
@@ -256,6 +281,60 @@ class TestRingIsomorphism:
             e = random_form(rng, cfg)
             f = random_form(rng, cfg)
             assert equals(e, f) == (to_group_ring(e) == to_group_ring(f))
+
+
+# At r <= 1 the suites must still catch a fault in either engine.  With
+# q = 3 the class of -1 is not a square, so every [-1] term is live.
+
+
+def _drop_minus_one(operation):
+    """The group-ring operation computed as if -1 were a square."""
+    return lambda m, x, y: operation(0, x, y)
+
+
+def _shift_ramified(offset):
+    """Summary.times with its ramified count off by offset."""
+    times = Summary.times
+
+    def shifted(self, other):
+        product = times(self, other)
+        return product._replace(ramified=product.ramified + offset)
+
+    return shifted
+
+
+class TestFaultInjection:
+    @pytest.mark.parametrize("rank", (0, 1))
+    @pytest.mark.parametrize(
+        "name, kind", [("element_add", "addition"), ("element_mul", "multiplication")]
+    )
+    def test_table_fault_is_reported(self, monkeypatch, rank, name, kind):
+        monkeypatch.setattr(verify, name, _drop_minus_one(getattr(verify, name)))
+        report = check_ring_iso(CurveConfig(3, rank))
+        assert not report.passed
+        assert report.mismatches
+        assert all(m.startswith(f"{kind} mismatch at ") for m in report.mismatches)
+
+    # Off by 4, the ramified count keeps the parities that the invariant
+    # engine reads, so every table decision still holds and only the sampled
+    # real tensor products can see the fault; off by 1 the decisions fail too.
+    @pytest.mark.parametrize("rank", (0, 1))
+    @pytest.mark.parametrize("offset", (1, 4))
+    def test_sample_catches_a_wrong_tensor_summary(self, monkeypatch, rank, offset):
+        monkeypatch.setattr(Summary, "times", _shift_ramified(offset))
+        report = check_ring_iso(CurveConfig(3, rank))
+        assert not report.passed
+        assert report.mismatches[0].startswith(
+            "sampled tensor product differs from Summary.times at "
+        )
+
+    @pytest.mark.parametrize("rank", (0, 1))
+    def test_rank_one_suite_catches_a_wrong_tensor_summary(self, monkeypatch, rank):
+        monkeypatch.setattr(Summary, "times", _shift_ramified(1))
+        report = rank_one_group_structure(CurveConfig(3, rank))
+        assert not report.passed
+        assert not report.exponent_two
+        assert not report.homomorphism_ok
 
 
 def test_residue_class_count_matches_square_root_of_total(cfg):

@@ -17,6 +17,7 @@ from wittcurve import (
     make_config,
     minus_one_class,
     parse_form,
+    quaternion_norm_form,
 )
 from wittcurve.groups import label, line_label
 
@@ -221,6 +222,32 @@ class TestUnitBit:
     def test_generator_keeps_pi_message(self):
         with pytest.raises(ValueError, match="pi exponent must be 0 or 1"):
             Generator(0, 2, 0, 1)
+
+    @pytest.mark.parametrize("bit", [2, -1])
+    def test_messages_name_the_value(self, bit):
+        with pytest.raises(ValueError) as exc:
+            Generator(bit, 0, 0, 1)
+        assert str(exc.value) == f"unit square class bit must be 0 or 1, got {bit}"
+        with pytest.raises(ValueError) as exc:
+            Generator(0, bit, 0, 1)
+        assert str(exc.value) == f"pi exponent must be 0 or 1, got {bit}"
+
+    # 1.0 and True compare equal to 1 but cannot be packed: each holder
+    # rejects them up front instead of failing later with a TypeError.
+    @pytest.mark.parametrize("bit", [1.0, 0.0, True, False])
+    def test_only_int_bits(self, bit):
+        cfg = CurveConfig(3, 1)
+        unit = "unit square class bit must be 0 or 1"
+        for build, message in (
+            (lambda: Generator(bit, 0, 0, 1), unit),
+            (lambda: Generator(0, bit, 0, 1), "pi exponent must be 0 or 1"),
+            (lambda: BrauerClass(bit, 0, 1), unit),
+            (lambda: ResidueWittClass(cfg, bit, 0, 0), "parity must be 0 or 1"),
+            (lambda: ResidueWittClass(cfg, 0, bit, 0), unit),
+            (lambda: quaternion_norm_form(cfg, bit, 0), unit),
+        ):
+            with pytest.raises(ValueError, match=f"{message}, got {bit!r}"):
+                build()
 
 
 class TestRendering:
