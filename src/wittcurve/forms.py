@@ -197,7 +197,7 @@ class DiagonalForm:
         )
 
     def __str__(self) -> str:
-        return "<" + ",".join(label(p & 1, p >> 1 & 1, p >> 2) for p in self.packed) + ">"
+        return "<" + ",".join(map(label, self.packed)) + ">"
 
 
 def quaternion_norm_form(cfg: CurveConfig, unit: int, mask: int) -> DiagonalForm:

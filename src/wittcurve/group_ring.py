@@ -197,7 +197,7 @@ class ResidueWittClass:
         )
 
     def __str__(self) -> str:
-        disc = label(self.disc_unit, 0, self.disc_mask)
+        disc = label(self.disc_unit | self.disc_mask << 2)
         return f"(parity {self.parity}, disc {disc})"
 
 

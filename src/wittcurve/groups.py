@@ -80,27 +80,56 @@ def check_bit(bit: int, what: str) -> None:
         raise ValueError(f"{what} must be 0 or 1, got {bit!r}")
 
 
-def label(unit: int, pi_exp: int, mask: int) -> str:
-    """Concrete syntax of the class s^unit * pi^pi_exp * (L-mask), "1" if trivial.
+class _ByteText(dict):
+    """Text of one byte of a packed class, keyed on the byte in place: the
+    packed int with every bit outside that byte cleared.
 
-    Walks only the set bits of the mask, so the cost does not grow with the
-    Picard rank.
+    Bit i of a packed class prints as s (i = 0), pi (i = 1) or L<i-1>.
     """
+
+    def __missing__(self, byte: int) -> str:
+        # A byte in place spans at most the eight bits up to its highest one.
+        top = byte.bit_length()
+        text = "*".join(
+            "s" if i == 0 else "pi" if i == 1 else f"L{i - 1}"
+            for i in range(max(top - 8, 0), top)
+            if byte >> i & 1
+        ) or "1"
+        if top <= _CACHED_BITS:
+            self[byte] = text
+        return text
+
+
+# Only the bytes below bit 64 (s, pi, L1..L62) are kept, so _BYTE_TEXT never
+# holds more than 1 + 8 * 255 strings, the trivial class "1" included; a byte
+# above is printed on each use.  The table starts empty and fills as classes
+# are printed.
+_CACHED_BITS = 64
+_BYTE_TEXT = _ByteText()
+
+
+def label(packed: int) -> str:
+    """Concrete syntax of the packed class unit | pi_exp << 1 | mask << 2,
+    that is s^unit * pi^pi_exp * (L-mask); "1" if trivial.
+
+    Prints eight bits at a time, each non-zero byte from _BYTE_TEXT, so a
+    class of s, pi and L1..L6 is one lookup.  Each step jumps to the byte
+    of the lowest set bit, so the number of steps is the number of non-zero
+    bytes, whatever the Picard rank or the height of the bits.
+    """
+    if packed < 256:
+        return _BYTE_TEXT[packed]
     terms = []
-    if unit:
-        terms.append("s")
-    if pi_exp:
-        terms.append("pi")
-    while mask:
-        low = mask & -mask
-        terms.append(f"L{low.bit_length()}")
-        mask ^= low
-    return "*".join(terms) if terms else "1"
+    while packed:
+        byte = packed & (255 << ((packed & -packed).bit_length() - 1 & -8))
+        terms.append(_BYTE_TEXT[byte])
+        packed ^= byte
+    return "*".join(terms)
 
 
 def line_label(mask: int) -> str:
     """Concrete syntax of a line bundle class; the trivial one is O."""
-    return label(0, 0, mask) if mask else "O"
+    return label(mask << 2) if mask else "O"
 
 
 @dataclass(frozen=True, slots=True)
@@ -157,7 +186,7 @@ class Generator:
         return self.unit == 0 and self.pi_exp == 0 and self.mask == 0
 
     def __str__(self) -> str:
-        return label(self.unit, self.pi_exp, self.mask)
+        return label(self.packed)
 
 
 @dataclass(frozen=True, slots=True)
@@ -190,7 +219,7 @@ class BrauerClass:
         return self.unit == 0 and self.mask == 0
 
     def __str__(self) -> str:
-        return f"({label(self.unit, 0, self.mask)}, pi)"
+        return f"({label(self.unit | self.mask << 2)}, pi)"
 
 
 def enumerate_generators(cfg: CurveConfig) -> list[Generator]:

@@ -2,15 +2,16 @@
 
 Concrete syntax for forms is ASCII:  <entry,entry,...>  where an entry is an
 optional leading '-' followed by '*'-joined terms '1', 's', 'pi' or 'L<k>',
-where 1 <= k <= min(picard rank, MAX_BUNDLE_INDEX).
-A '-' multiplies the entry by the class of -1; repeated terms multiply in
-their component groups.  Unicode angle brackets are accepted on input and
-never emitted: str() of a form writes this syntax and parses back to it.
+where 1 <= k <= min(picard rank, MAX_BUNDLE_INDEX), and a text holds at most
+MAX_FORM_ENTRIES entries.  A '-' multiplies the entry by the class of -1;
+repeated terms multiply in their component groups.  Unicode angle brackets
+are accepted on input and never emitted: str() of a form writes this syntax
+and parses back to it.
 
-parse_form splits a well-formed text with str methods and packs each entry
-into an int; any text that path cannot take goes, unchanged, to a
-character-by-character cursor parser, the one place that names a syntax
-error and its position.
+parse_form splits a well-formed text with str methods and packs each
+distinct entry text, once, into an int; any text that path cannot take
+goes, unchanged, to a character-by-character cursor parser, the one place
+that names a syntax error and its position.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import re
 import sys
 from functools import lru_cache, reduce
-from operator import methodcaller, xor
+from operator import xor
 
 from .forms import DiagonalForm
 from .groups import CurveConfig, minus_one_class
@@ -62,6 +63,11 @@ class _Cursor:
 # for gigabytes.  A 4096-entry text of the labels L1..L4096 parses with a
 # peak of about 3 MB (tracemalloc); the 4096 labels up to L65536 take 70 MB.
 MAX_BUNDLE_INDEX = 4096
+
+# The most entries a form text may have.  A longer text is a syntax error at
+# the first character of its first entry past the limit; README derives the
+# figure from the measured cost per entry.
+MAX_FORM_ENTRIES = 1 << 16
 
 
 @lru_cache(maxsize=16)  # the cursor parser asks once per label
@@ -162,6 +168,12 @@ def _parse_with_cursor(text: str, cfg: CurveConfig) -> DiagonalForm:
         entries.append(_parse_entry(cur, cfg))
         while cur.peek() == ",":
             cur.advance()
+            if len(entries) == MAX_FORM_ENTRIES:
+                raise FormSyntaxError(
+                    f"form entry {MAX_FORM_ENTRIES + 1} exceeds the limit of "
+                    f"{MAX_FORM_ENTRIES} entries",
+                    cur.pos,
+                )
             entries.append(_parse_entry(cur, cfg))
     cur.expect(">")
     cur.skip_ws()
@@ -177,8 +189,9 @@ def _parse_with_cursor(text: str, cfg: CurveConfig) -> DiagonalForm:
 class _TermDeltas(dict):
     """Packed delta of each term met in one parse.
 
-    A key may carry whitespace on either side.  A term the cursor parser
-    would reject raises KeyError.
+    A key may carry whitespace on either side; each spelling is kept, so
+    the table grows with the distinct tokens of one text and no further.
+    A term the cursor parser would reject raises KeyError.
     """
 
     def __init__(self, picard_rank: int):
@@ -188,10 +201,7 @@ class _TermDeltas(dict):
 
     def __missing__(self, token: str) -> int:
         term = token.strip()
-        if term != token:
-            # Not cached: a text can spell a term with whitespace in many ways.
-            return self[term]
-        delta = self[term] = self._label(term)
+        delta = self[token] = self[term] if term != token else self._label(term)
         return delta
 
     def _label(self, term: str) -> int:
@@ -222,27 +232,34 @@ class _HeadDeltas(dict):
     def __missing__(self, token: str) -> int:
         term = token.strip()
         if term != token:
-            return self[term]
-        if term[:1] == "-":
+            delta = self[term]
+        elif term[:1] == "-":
             delta = self.minus ^ self.terms[term[1:].lstrip()]
         else:
             delta = self.terms[term]
-        self[term] = delta
+        self[token] = delta
         return delta
 
 
-def _packed_entries(inside: str, cfg: CurveConfig) -> list[int]:
-    """The entries between the brackets, packed; KeyError if any is malformed.
+def _packed_entries(inside: str, cfg: CurveConfig) -> tuple[int, ...]:
+    """The entries between the brackets, packed; KeyError if any is malformed
+    or there are more than MAX_FORM_ENTRIES.
 
-    The splits and dict lookups run in C; Python runs once per entry.
+    Each distinct entry text is decided once: dict.fromkeys keeps the
+    distinct texts in order, and the map back to every entry runs in C, as
+    do the splits and the term lookups.
     """
+    parts = inside.split(",")
+    if len(parts) > MAX_FORM_ENTRIES:
+        raise KeyError(MAX_FORM_ENTRIES)
     terms = _TermDeltas(cfg.picard_rank)
     heads = _HeadDeltas(terms, minus_one_class(cfg))
     term_delta = terms.__getitem__
-    return [
-        reduce(xor, map(term_delta, tail), heads[head])
-        for head, *tail in map(methodcaller("split", "*"), inside.split(","))
-    ]
+    decided = dict.fromkeys(parts)
+    for entry in decided:
+        head, *tail = entry.split("*")
+        decided[entry] = reduce(xor, map(term_delta, tail), heads[head])
+    return tuple(map(decided.__getitem__, parts))
 
 
 def parse_form(text: str, cfg: CurveConfig) -> DiagonalForm:
@@ -260,5 +277,5 @@ def parse_form(text: str, cfg: CurveConfig) -> DiagonalForm:
         except KeyError:
             pass  # malformed: the cursor parser finds and describes the fault
         else:
-            return DiagonalForm._from_packed(cfg, tuple(packed))
+            return DiagonalForm._from_packed(cfg, packed)
     return _parse_with_cursor(text, cfg)

@@ -57,6 +57,21 @@ def random_ideal_square_form(rng: random.Random, cfg: CurveConfig) -> DiagonalFo
     return form
 
 
+def set_bit_label(unit: int, pi_exp: int, mask: int) -> str:
+    """Reference class label: s, pi, then one L<i> per set bit of the mask,
+    lowest first, each found by clearing the lowest set bit; "1" if none."""
+    terms = []
+    if unit:
+        terms.append("s")
+    if pi_exp:
+        terms.append("pi")
+    while mask:
+        low = mask & -mask
+        terms.append(f"L{low.bit_length()}")
+        mask ^= low
+    return "*".join(terms) if terms else "1"
+
+
 def pairwise_hasse_sum(form: DiagonalForm) -> BrauerClass:
     """Reference Hasse invariant: the symbol of every pair of entries, summed."""
     cfg = form.config

@@ -21,6 +21,7 @@ from wittcurve import (
     quaternion_norm_form,
     run_command,
 )
+from wittcurve.syntax import MAX_FORM_ENTRIES
 
 
 class TestParse:
@@ -277,6 +278,17 @@ class TestRunCommand:
         assert captured.out == ""
         assert captured.err.startswith("error: unknown bundle label")
         assert len(captured.err.strip().splitlines()) == 1
+
+    def test_form_over_length_limit_exits_two(self, capsys):
+        limit = MAX_FORM_ENTRIES
+        code = run_command(["equal", "<1>", "<" + "1," * limit + "1>"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: form entry {limit + 1} exceeds the limit of {limit} entries "
+            f"at position {1 + 2 * limit}\n"
+        )
 
     def test_invalid_q_rejected(self, capsys):
         assert run_command(["enumerate", "--q-mod-4", "2"]) == 2

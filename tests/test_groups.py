@@ -2,6 +2,7 @@
 
 import itertools
 import operator
+import random
 import tracemalloc
 
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from wittcurve import (
     BrauerClass,
     CurveConfig,
+    DiagonalForm,
     Generator,
     ResidueWittClass,
     enumerate_groups,
@@ -19,7 +21,10 @@ from wittcurve import (
     parse_form,
     quaternion_norm_form,
 )
+from wittcurve import groups
 from wittcurve.groups import label, line_label
+
+from helpers import set_bit_label
 
 
 class TestConfig:
@@ -194,12 +199,85 @@ def test_packed_round_trip(q, rank, data):
     g = Generator.from_packed(rank, p)
     assert g.packed == p
     assert g == Generator(unit, bit, mask, rank)
-    assert str(g) == str(Generator(unit, bit, mask, rank)) == label(unit, bit, mask)
+    assert str(g) == str(Generator(unit, bit, mask, rank)) == label(p)
+    assert label(p) == set_bit_label(unit, bit, mask)
     x = ResidueWittClass.from_packed(cfg, p)
     assert x.packed == p
     assert x == ResidueWittClass(cfg, unit, bit, mask)
     assert str(x) == str(ResidueWittClass(cfg, unit, bit, mask))
-    assert str(x) == f"(parity {unit}, disc {label(bit, 0, mask)})"
+    assert str(x) == f"(parity {unit}, disc {set_bit_label(bit, 0, mask)})"
+
+
+# Bundle labels on each side of a byte boundary of the packed int (bit i of
+# the mask is bit i + 2 there): L6/L7, L14/L15, and L62/L63, the last bytes
+# the label table keeps.
+BOUNDARY_LABELS = (1, 6, 7, 14, 15, 22, 23, 62, 63, 64, 70)
+
+
+@st.composite
+def label_cases(draw):
+    """(unit, pi_exp, mask, rank) at a rank of 0 to 70: a random mask, or
+    one of bundle labels on a byte boundary."""
+    rank = draw(st.integers(0, 70), label="rank")
+    unit = draw(st.integers(0, 1), label="unit")
+    pi_exp = draw(st.integers(0, 1), label="pi_exp")
+    boundary = [k for k in BOUNDARY_LABELS if k <= rank]
+    mask = draw(
+        st.one_of(
+            st.integers(0, (1 << rank) - 1),
+            st.lists(st.sampled_from(boundary or [0])).map(
+                lambda ks: sum({1 << (k - 1) for k in ks if k})
+            ),
+        ),
+        label="mask",
+    )
+    return unit, pi_exp, mask, rank
+
+
+def _assert_labels_match_oracle(unit, pi_exp, mask, rank):
+    text = set_bit_label(unit, pi_exp, mask)
+    assert label(unit | pi_exp << 1 | mask << 2) == text
+    assert str(Generator(unit, pi_exp, mask, rank)) == text
+    assert str(BrauerClass(unit, mask, rank)) == f"({set_bit_label(unit, 0, mask)}, pi)"
+    assert line_label(mask) == (set_bit_label(0, 0, mask) if mask else "O")
+
+
+class TestLabelOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(case=label_cases())
+    def test_matches_set_bit_walk(self, case):
+        _assert_labels_match_oracle(*case)
+
+    @pytest.mark.parametrize("unit", (0, 1))
+    @pytest.mark.parametrize("pi_exp", (0, 1))
+    @pytest.mark.parametrize(
+        "mask",
+        [1 << 99, 1 << 4999, 1 << 200_000, 1 << 4999 | 1 << 99 | 1 << 62 | 1,
+         (0b1011 << 4996) | 1 << 61],
+        ids=["L100", "L5000", "bit-200000", "mixed", "byte-above-cache"],
+    )
+    def test_sparse_high_bits(self, unit, pi_exp, mask):
+        _assert_labels_match_oracle(unit, pi_exp, mask, mask.bit_length())
+
+    def test_every_byte_position_below_the_cache_bound(self):
+        for bit in range(80):
+            for byte in (1, 0b10100101, 0xFF):
+                mask = byte << bit
+                _assert_labels_match_oracle(1, 0, mask, mask.bit_length())
+
+    def test_byte_table_stays_within_its_bound(self):
+        rng = random.Random(4096)
+        rank = 4096
+        for _ in range(4):
+            form = DiagonalForm._from_packed(
+                CurveConfig(3, rank),
+                tuple(rng.getrandbits(rank + 2) for _ in range(256)),
+            )
+            str(form)
+        assert len(groups._BYTE_TEXT) <= 1 + 8 * 255
+        assert all(
+            key.bit_length() <= groups._CACHED_BITS for key in groups._BYTE_TEXT
+        )
 
 
 class TestUnitBit:

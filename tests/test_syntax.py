@@ -250,3 +250,133 @@ def test_label_digit_bound_is_the_rank_digit_count(rank):
     long_label = "<L" + "7" * (len(str(rank)) + 1) + ">"
     with pytest.raises(FormSyntaxError, match=r"digits\)"):
         parse_form(long_label, CurveConfig(1, rank))
+
+
+# -- the per-call term tables ------------------------------------------------------
+
+
+def test_tables_do_not_outlive_a_call():
+    # The same texts, alternately under both residue classes and two ranks:
+    # what one call learned must not answer for the next.
+    texts = ["<-s>", "<L2>", "<-s*L1, - s ,L2>", "< -1 >"]
+    configs = [CurveConfig(q, r) for _ in range(3) for q in (1, 3) for r in (2, 1)]
+    for cfg in configs:
+        for text in texts:
+            assert _outcome(parse_form, text, cfg) == _outcome(
+                _parse_with_cursor, text, cfg
+            ), (text, cfg)
+        minus_s = parse_form("<-s>", cfg).packed
+        assert minus_s == ((0,) if cfg.q_mod_4 == 3 else (1,))
+        if cfg.picard_rank == 1:
+            with pytest.raises(FormSyntaxError, match="^unknown bundle label L2 at position 1$"):
+                parse_form("<L2>", cfg)
+        else:
+            assert parse_form("<L2>", cfg).packed == (1 << 3,)
+
+
+@pytest.mark.parametrize(
+    "text, position",
+    [
+        ("<s, s*, s, s*>", 6),
+        ("<- s,-s, s ,- s*>", 16),
+        ("<-s,- s,--s,-s>", 9),
+        ("< s , s ,s*s*, s >", 13),
+        ("<-s,-s,s*-s,-s>", 9),
+        ("<-s,- s, s ,-s, s*- s>", 18),
+    ],
+)
+def test_repeated_malformed_entries_keep_the_cursor_message(text, position):
+    message = f"expected term '1', 's', 'pi' or 'L<k>' at position {position}"
+    for parse in (parse_form, _parse_with_cursor):
+        with pytest.raises(FormSyntaxError) as err:
+            parse(text, CurveConfig(3, 1))
+        assert (str(err.value), err.value.position) == (message, position)
+
+
+# Entry spellings, some malformed, to repeat many times in one text.
+ENTRY_POOL = st.one_of(
+    st.lists(st.sampled_from(TERMS), min_size=1, max_size=3).map("*".join),
+    st.sampled_from(["- s", "-s", " s ", "s ", "\ts*pi", "s*\tpi", " -s*L1"]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    pool=st.lists(ENTRY_POOL, min_size=1, max_size=4),
+    picks=st.lists(st.integers(0, 3), min_size=1, max_size=40),
+    cfg=CONFIGS,
+)
+def test_repeated_entries_agree_with_cursor_parser(pool, picks, cfg):
+    text = "<" + ",".join(pool[i % len(pool)] for i in picks) + ">"
+    assert _outcome(parse_form, text, cfg) == _outcome(_parse_with_cursor, text, cfg)
+
+
+# -- the form-length limit -----------------------------------------------------------
+
+LIMIT = syntax.MAX_FORM_ENTRIES
+
+
+def test_form_length_limit_is_at_least_two_to_the_sixteen():
+    assert LIMIT >= 1 << 16
+
+
+@pytest.mark.parametrize("parse", [parse_form, _parse_with_cursor])
+def test_form_at_the_limit_parses(parse):
+    cfg = CurveConfig(3, 1)
+    form = parse("<" + ",".join(["s*L1"] * LIMIT) + ">", cfg)
+    assert form.packed == (1 | 1 << 2,) * LIMIT
+
+
+@pytest.mark.parametrize("parse", [parse_form, _parse_with_cursor])
+@pytest.mark.parametrize(
+    "head, entry, tail",
+    [("<", "1,", "1>"), ("<", "1,", "pi >"), ("< ", " s ,", " L1 ,x"), ("<", "-s,", "1")],
+)
+def test_entry_past_the_limit_is_a_syntax_error(parse, head, entry, tail):
+    # At the first character of the first entry past the limit, whatever
+    # follows, and the same message from both parsers.
+    text = head + entry * LIMIT + tail
+    position = len(head) + len(entry) * LIMIT
+    with pytest.raises(FormSyntaxError) as err:
+        parse(text, CurveConfig(3, 1))
+    assert str(err.value) == (
+        f"form entry {LIMIT + 1} exceeds the limit of {LIMIT} entries "
+        f"at position {position}"
+    )
+    assert err.value.position == position
+
+
+def test_fault_before_the_limit_is_reported_first():
+    text = "<1,s*," + "1," * LIMIT + "1>"
+    for parse in (parse_form, _parse_with_cursor):
+        with pytest.raises(FormSyntaxError, match="^expected term .* at position 5$"):
+            parse(text, CurveConfig(3, 1))
+
+
+# -- printing ------------------------------------------------------------------------
+
+
+def test_long_form_prints_in_bounded_memory():
+    rng = random.Random(4096)
+    cfg = CurveConfig(3, 16)
+    form = DiagonalForm._from_packed(
+        cfg, tuple(rng.getrandbits(18) for _ in range(4096))
+    )
+    str(form)  # fill the label table first
+    tracemalloc.start()
+    try:
+        text = str(form)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert parse_form(text, cfg) == form
+    assert peak < 1 << 20
+
+
+def test_high_sparse_bits_print_in_linear_time():
+    rank = 200_001
+    form = DiagonalForm(CurveConfig(3, rank), (Generator(0, 0, 1 << 200_000, rank),) * 1000)
+    start = time.perf_counter()
+    text = str(form)
+    assert time.perf_counter() - start < 2.0
+    assert text == "<" + ",".join(["L200001"] * 1000) + ">"
