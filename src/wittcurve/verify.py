@@ -9,6 +9,8 @@ lives above both.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, product, repeat
+from operator import add, and_
 
 from .engine import equals, is_trivial, summary_is_trivial
 from .forms import DiagonalForm, Summary, quaternion_norm_form, summarize
@@ -27,6 +29,7 @@ from .group_ring import (
     packed_coordinates,
     packed_group_ring_elements,
     packed_representative,
+    packed_residue_classes,
 )
 
 # At most this many mismatch descriptions go into a RingIsoReport; any
@@ -35,6 +38,70 @@ MAX_MISMATCHES = 10
 
 # check_ring_iso refuses a picard_rank above this.
 RING_ISO_RANK_BOUND = 2
+
+# The other three suites refuse a picard_rank above this.
+SUITE_RANK_BOUND = 7
+
+
+def _check_rank(cfg: CurveConfig, bound: int, suite: str) -> None:
+    if cfg.picard_rank > bound:
+        raise ValueError(
+            f"bound exceeded: {suite} needs picard_rank <= {bound}, got {cfg.picard_rank}"
+        )
+
+
+# Spread summaries.  check_ring_iso decides its tables on ints in which each
+# count of a Summary (rank, ramified) and each bit of its two discriminants
+# (bits = picard_rank + 2 bits each) has its own 8-bit counter, counts
+# lowest.  An orthogonal sum of summaries is then one int addition, and
+# masking with _keep keeps the counts whole and the low bit of each
+# discriminant counter: exactly the spread of the summed Summary.  A table
+# total adds at most three spreads, so a count is at most 20 (ranks of at
+# most 4; a product total is two products of rank at most 4*2 and a negated
+# summary of rank at most 4) and a discriminant counter at most 3: no
+# counter carries into the next.
+
+
+def _spread_table(bits: int) -> list[int]:
+    """Entry v is v with bit i moved to bit 8*i, for every v < 2**bits."""
+    table = [0]
+    for i in range(bits):
+        table += [t | 1 << 8 * i for t in table]
+    return table
+
+
+def _spread(summary: Summary, bits: int, table: list[int]) -> int:
+    n, r, d, rd = summary
+    return n | r << 8 | (table[d] | table[rd] << 8 * bits) << 16
+
+
+def _keep(bits: int, table: list[int]) -> int:
+    """Mask of the whole count counters and the low bit of each discriminant counter."""
+    full = len(table) - 1
+    return _spread(Summary(255, 255, full, full), bits, table)
+
+
+def _unspread(key: int, bits: int) -> Summary:
+    """The Summary whose spread is the masked key."""
+    disc = ramified_disc = 0
+    for i in range(bits):
+        disc |= (key >> 16 + 8 * i & 1) << i
+        ramified_disc |= (key >> 16 + 8 * (bits + i) & 1) << i
+    return Summary(key & 255, key >> 8 & 255, disc, ramified_disc)
+
+
+class _Decisions(dict):
+    """Witt triviality of masked spread totals, each decided on first sight."""
+
+    __slots__ = ("minus_one", "bits")
+
+    def __init__(self, minus_one: int, bits: int) -> None:
+        self.minus_one = minus_one
+        self.bits = bits
+
+    def __missing__(self, key: int) -> bool:
+        result = self[key] = summary_is_trivial(_unspread(key, self.bits), self.minus_one)
+        return result
 
 
 @dataclass(frozen=True)
@@ -53,6 +120,7 @@ def verify_quaternion_distinctness(cfg: CurveConfig) -> QuaternionDistinctnessRe
 
     Exactly one of them, the one with trivial symbol, may be Witt-trivial.
     """
+    _check_rank(cfg, SUITE_RANK_BOUND, "quaternion distinctness suite")
     labeled = [
         (BrauerClass(u, mask, cfg.picard_rank), quaternion_norm_form(cfg, u, mask))
         for u in (0, 1)
@@ -96,6 +164,7 @@ def rank_one_group_structure(cfg: CurveConfig) -> RankOneStructureReport:
     The invariant engine decides each claim on summaries: a tensor product
     of forms is the product of their summaries.
     """
+    _check_rank(cfg, SUITE_RANK_BOUND, "rank-1 structure suite")
     gens = enumerate_generators(cfg)
     m = minus_one_class(cfg)
     base_labels = {(0, 0): "1", (1, 0): "s", (0, 1): "pi", (1, 1): "s*pi"}
@@ -160,6 +229,7 @@ def verify_generator_relations(cfg: CurveConfig) -> RelationSuiteReport:
 
     Each side is a pair of packed entries, decided on the summaries.
     """
+    _check_rank(cfg, SUITE_RANK_BOUND, "generator relation suite")
     m = minus_one_class(cfg)
     pic = range(cfg.pic_order)
     checked = 0
@@ -215,18 +285,20 @@ def check_ring_iso(cfg: CurveConfig) -> RingIsoReport:
     from_group_ring.
 
     The group-ring engine fills the addition and multiplication tables, as
-    element indices; the invariant engine decides each entry on summaries,
-    Summary.plus and Summary.times of the representatives against the
-    negated summary of the table's element, so no form is built per pair.
-    A sample of pairs that meets every row and every column builds the real
-    sum and tensor product and checks that their summaries are the ones the
-    tables were decided on.
+    element indices, one row at a time; the invariant engine decides each
+    entry on spread summaries, so a table entry costs one int addition and
+    one lookup of the decision.  A sum entry is S[x] + S[y] - S[x+y], with
+    S the summaries of the representatives.  The representative of y = (c, d)
+    is the sum of those of (c, 0) and (0, d), checked for every y, so by
+    bilinearity of Summary.times a product entry is S[x]*S[(c, 0)] +
+    S[x]*S[(0, d)] - S[x*y], and a row needs 2*4n products of summaries, not
+    16n^2.  Only a row that fails is rescanned entry by entry, with
+    Summary.plus and Summary.times, to name the pairs.  A sample of pairs
+    that meets every row and every column builds the real sum and tensor
+    product and checks that their summaries are the ones the tables were
+    decided on.
     """
-    if cfg.picard_rank > RING_ISO_RANK_BOUND:
-        raise ValueError(
-            "bound exceeded: exhaustive ring comparison needs "
-            f"picard_rank <= {RING_ISO_RANK_BOUND}, got {cfg.picard_rank}"
-        )
+    _check_rank(cfg, RING_ISO_RANK_BOUND, "exhaustive ring comparison")
     m = minus_one_class(cfg)
     elements = packed_group_ring_elements(cfg)
     index = {x: i for i, x in enumerate(elements)}
@@ -246,10 +318,21 @@ def check_ring_iso(cfg: CurveConfig) -> RingIsoReport:
     if not roundtrip_ok:
         mismatch("from_group_ring does not invert to_group_ring")
 
+    bits = cfg.picard_rank + 2
+    table = _spread_table(bits)
+    keep = _keep(bits, table)
+    spread = [_spread(summary, bits, table) for summary in summaries]
+    spread_negated = [_spread(summary, bits, table) for summary in negated]
+    trivial = _Decisions(m, bits)
+
     injective = True
-    for i, summary in enumerate(summaries):
+    for i, total in enumerate(spread):
+        if not any(map(trivial.__getitem__, map(
+            and_, map(total.__add__, spread_negated[i + 1 :]), repeat(keep)
+        ))):
+            continue
         for j in range(i + 1, len(elements)):
-            if summary_is_trivial(summary.plus(negated[j]), m):
+            if summary_is_trivial(summaries[i].plus(negated[j]), m):
                 injective = False
                 mismatch(f"distinct elements {element(i)} and {element(j)} gave equal forms")
 
@@ -266,28 +349,45 @@ def check_ring_iso(cfg: CurveConfig) -> RingIsoReport:
                     f"sampled tensor product differs from Summary.times at {element(i)}, {element(j)}"
                 )
 
-    # Distinct totals repeat across the tables, so each is decided once.
-    decided: dict[Summary, bool] = {}
+    # The elements are the pairs (c, d) in this order, and the product rows
+    # rely on S[(c, d)] = S[(c, 0)] + S[(0, d)].
+    classes = packed_residue_classes(cfg)
+    left = [summarize(packed_representative(m, (c, 0))) for c in classes]
+    right = [summarize(packed_representative(m, (0, d))) for d in classes]
+    for j, (a, b) in enumerate(product(left, right)):
+        if summaries[j] != a.plus(b):
+            mismatch(f"summary of {element(j)} is not the sum of its components' summaries")
 
-    def trivial(total: Summary) -> bool:
-        result = decided.get(total)
-        if result is None:
-            result = decided[total] = summary_is_trivial(total, m)
-        return result
-
+    width = len(classes)
     additions = 0
     multiplications = 0
     for i, x in enumerate(elements):
         summary = summaries[i]
-        add_row = [index[element_add(m, x, y)] for y in elements]
-        mul_row = [index[element_mul(m, x, y)] for y in elements]
-        for j, other in enumerate(summaries):
-            if not trivial(summary.plus(other).plus(negated[add_row[j]])):
-                mismatch(f"addition mismatch at {element(i)}, {element(j)}")
-            if not trivial(summary.times(other).plus(negated[mul_row[j]])):
-                mismatch(f"multiplication mismatch at {element(i)}, {element(j)}")
+        add_row = list(map(index.__getitem__, map(element_add, repeat(m), repeat(x), elements)))
+        mul_row = list(map(index.__getitem__, map(element_mul, repeat(m), repeat(x), elements)))
         additions += len(add_row)
         multiplications += len(mul_row)
+        sums = map(add, map(spread[i].__add__, spread), map(spread_negated.__getitem__, add_row))
+        by_left = [_spread(summary.times(a), bits, table) for a in left]
+        by_right = [_spread(summary.times(b), bits, table) for b in right]
+        products = map(
+            add,
+            map(add, chain.from_iterable(map(repeat, by_left, repeat(width))), by_right * width),
+            map(spread_negated.__getitem__, mul_row),
+        )
+        found = len(mismatches)
+        if found == MAX_MISMATCHES or (
+            all(map(trivial.__getitem__, map(and_, sums, repeat(keep))))
+            and all(map(trivial.__getitem__, map(and_, products, repeat(keep))))
+        ):
+            continue
+        for j, other in enumerate(summaries):
+            if not summary_is_trivial(summary.plus(other).plus(negated[add_row[j]]), m):
+                mismatch(f"addition mismatch at {element(i)}, {element(j)}")
+            if not summary_is_trivial(summary.times(other).plus(negated[mul_row[j]]), m):
+                mismatch(f"multiplication mismatch at {element(i)}, {element(j)}")
+        if len(mismatches) == found:
+            mismatch(f"table row of {element(i)} fails on spread summaries only")
 
     passed = roundtrip_ok and injective and not mismatches
     return RingIsoReport(

@@ -10,13 +10,23 @@ from wittcurve import (
     CurveConfig,
     DiagonalForm,
     Generator,
+    GroupRingElement,
     ResidueWittClass,
+    RingIsoReport,
     Shape,
     enumerate_generators,
     enumerate_group_ring_elements,
     minus_one_class,
     quaternion_norm_form,
     symbol,
+    verify,
+)
+from wittcurve.engine import summary_is_trivial
+from wittcurve.forms import summarize
+from wittcurve.group_ring import (
+    packed_coordinates,
+    packed_group_ring_elements,
+    packed_representative,
 )
 
 
@@ -161,3 +171,73 @@ def enumerated_census(cfg: CurveConfig) -> tuple[int, tuple[tuple[Shape, int], .
     counts = Counter(f"{kind(x.a)}_{kind(x.b)}" for x in enumerate_group_ring_elements(cfg))
     rows = tuple((shape, counts[shape.name]) for shape in Shape if shape is not Shape.ZERO)
     return sum(counts.values()), rows
+
+
+def pairwise_ring_iso(cfg: CurveConfig) -> RingIsoReport:
+    """Reference ring check: the same report as verify.check_ring_iso, with
+    every table entry decided on its own, as S[x] + S[y] - S[x+y] and
+    S[x] * S[y] - S[x*y] through Summary.plus and Summary.times.
+
+    The tables come from verify.element_add and verify.element_mul, looked
+    up at call time, so a fault patched into verify reaches both checks.
+    """
+    m = minus_one_class(cfg)
+    elements = packed_group_ring_elements(cfg)
+    index = {x: i for i, x in enumerate(elements)}
+    reps = [packed_representative(m, x) for x in elements]
+    summaries = [summarize(rep) for rep in reps]
+    negated = [summary.negated(m) for summary in summaries]
+    mismatches = []
+
+    def mismatch(message):
+        if len(mismatches) < verify.MAX_MISMATCHES:
+            mismatches.append(message)
+
+    def element(i):
+        return GroupRingElement.from_packed(cfg, elements[i])
+
+    roundtrip_ok = all(packed_coordinates(m, rep) == x for x, rep in zip(elements, reps))
+    if not roundtrip_ok:
+        mismatch("from_group_ring does not invert to_group_ring")
+
+    injective = True
+    for i, summary in enumerate(summaries):
+        for j in range(i + 1, len(elements)):
+            if summary_is_trivial(summary.plus(negated[j]), m):
+                injective = False
+                mismatch(f"distinct elements {element(i)} and {element(j)} gave equal forms")
+
+    last = len(elements) - 1
+    forms = [DiagonalForm._from_packed(cfg, rep) for rep in reps]
+    for i in range(len(elements)):
+        for j in (i, last - i):
+            if (forms[i] + forms[j]).summary != summaries[i].plus(summaries[j]):
+                mismatch(f"sampled sum differs from Summary.plus at {element(i)}, {element(j)}")
+            if (forms[i] * forms[j]).summary != summaries[i].times(summaries[j]):
+                mismatch(
+                    f"sampled tensor product differs from Summary.times at {element(i)}, {element(j)}"
+                )
+
+    additions = multiplications = 0
+    for i, x in enumerate(elements):
+        summary = summaries[i]
+        add_row = [index[verify.element_add(m, x, y)] for y in elements]
+        mul_row = [index[verify.element_mul(m, x, y)] for y in elements]
+        for j, other in enumerate(summaries):
+            if not summary_is_trivial(summary.plus(other).plus(negated[add_row[j]]), m):
+                mismatch(f"addition mismatch at {element(i)}, {element(j)}")
+            if not summary_is_trivial(summary.times(other).plus(negated[mul_row[j]]), m):
+                mismatch(f"multiplication mismatch at {element(i)}, {element(j)}")
+        additions += len(add_row)
+        multiplications += len(mul_row)
+
+    return RingIsoReport(
+        config=cfg,
+        element_count=len(elements),
+        addition_pairs_checked=additions,
+        multiplication_pairs_checked=multiplications,
+        roundtrip_ok=roundtrip_ok,
+        injective=injective,
+        mismatches=tuple(mismatches),
+        passed=roundtrip_ok and injective and not mismatches,
+    )

@@ -1,5 +1,6 @@
 """Tests for the residue Witt classes, the group ring, and the splitting map."""
 
+import dataclasses
 import itertools
 import random
 
@@ -26,9 +27,11 @@ from wittcurve import (
     to_group_ring,
 )
 from wittcurve import verify
-from wittcurve.forms import Summary
+from wittcurve.forms import Summary, summarize
+from wittcurve.group_ring import packed_group_ring_elements, packed_representative
 
 from helpers import (
+    pairwise_ring_iso,
     random_form,
     residue_class_of,
     residue_negative,
@@ -249,6 +252,12 @@ class TestRingIsomorphism:
         assert report.mismatches == ()
         assert report.passed
 
+    @pytest.mark.parametrize("q", (1, 3))
+    @pytest.mark.parametrize("rank", (0, 1))
+    def test_report_matches_pairwise_oracle(self, q, rank):
+        cfg = CurveConfig(q, rank)
+        _assert_same_report(check_ring_iso(cfg), pairwise_ring_iso(cfg))
+
     def test_rank_bound(self):
         assert verify.RING_ISO_RANK_BOUND == 2
         with pytest.raises(ValueError) as exc:
@@ -303,7 +312,156 @@ def _shift_ramified(offset):
     return shifted
 
 
+def _assert_same_report(report, expected):
+    for field in dataclasses.fields(report):
+        assert getattr(report, field.name) == getattr(expected, field.name), field.name
+
+
+def _times_fault_on_long_right_factor():
+    """Summary.times with its ramified count off by one when the right factor
+    has rank 3 or more; the table rows only multiply by ranks up to 2."""
+    times = Summary.times
+
+    def faulty(self, other):
+        product = times(self, other)
+        if other.rank >= 3:
+            return product._replace(ramified=product.ramified + 1)
+        return product
+
+    return faulty
+
+
+def _wrong_once(operation, elements, i, j):
+    """operation with its result at the pair (i, j) replaced by another
+    element; distinct elements are Witt-distinct."""
+
+    def wrong(m, x, y):
+        result = operation(m, x, y)
+        if (x, y) == (elements[i], elements[j]):
+            return elements[elements.index(result) - 1]
+        return result
+
+    return wrong
+
+
+def _element(cfg, i):
+    return GroupRingElement.from_packed(cfg, packed_group_ring_elements(cfg)[i])
+
+
 class TestFaultInjection:
+    # Every existing fault gives the report of the pairwise oracle.
+    @pytest.mark.parametrize("rank", (0, 1))
+    @pytest.mark.parametrize(
+        "owner, name, fault",
+        [
+            (verify, "element_add", _drop_minus_one(verify.element_add)),
+            (verify, "element_mul", _drop_minus_one(verify.element_mul)),
+            (Summary, "times", _shift_ramified(1)),
+            (Summary, "times", _shift_ramified(4)),
+        ],
+        ids=["add", "mul", "times+1", "times+4"],
+    )
+    def test_fault_report_matches_pairwise_oracle(self, monkeypatch, rank, owner, name, fault):
+        monkeypatch.setattr(owner, name, fault)
+        cfg = CurveConfig(3, rank)
+        report = check_ring_iso(cfg)
+        assert not report.passed
+        _assert_same_report(report, pairwise_ring_iso(cfg))
+
+    @pytest.mark.parametrize("q", (1, 3))
+    @pytest.mark.parametrize("rank", (0, 1))
+    def test_sample_catches_a_times_fault_the_rows_never_see(self, monkeypatch, q, rank):
+        monkeypatch.setattr(Summary, "times", _times_fault_on_long_right_factor())
+        report = check_ring_iso(CurveConfig(q, rank))
+        assert not report.passed
+        assert report.mismatches
+        assert all(
+            m.startswith("sampled tensor product differs from Summary.times at ")
+            for m in report.mismatches
+        )
+
+    @pytest.mark.parametrize("q", (1, 3))
+    @pytest.mark.parametrize("rank", (0, 1))
+    def test_component_check_catches_a_corrupted_component(self, monkeypatch, q, rank):
+        # The representative of each (c, 0), c nonzero, gains a hyperbolic
+        # pair: every Witt class and every table decision still holds, but
+        # S[(c, d)] is no longer S[(c, 0)] + S[(0, d)] for d nonzero.
+        representative = verify.packed_representative
+
+        def padded(m, x):
+            rep = representative(m, x)
+            return rep + (0, m) if x[0] and not x[1] else rep
+
+        monkeypatch.setattr(verify, "packed_representative", padded)
+        cfg = CurveConfig(q, rank)
+        report = check_ring_iso(cfg)
+        assert not report.passed
+        assert report.roundtrip_ok and report.injective
+        width = 4 * cfg.pic_order
+        assert report.mismatches[0] == (
+            f"summary of {_element(cfg, width + 1)} is not the sum of its components' summaries"
+        )
+        assert all(" is not the sum of its components' summaries" in m for m in report.mismatches)
+
+    @pytest.mark.parametrize("q", (1, 3))
+    @pytest.mark.parametrize("rank", (0, 1))
+    def test_injectivity_names_a_witt_equal_pair(self, monkeypatch, q, rank):
+        cfg = CurveConfig(q, rank)
+        m = minus_one_class(cfg)
+        elements = packed_group_ring_elements(cfg)
+        i, j = 1, len(elements) - 2
+        # The invariant engine calls the representatives of i and j equal.
+        equal = summarize(packed_representative(m, elements[i])).plus(
+            summarize(packed_representative(m, elements[j])).negated(m)
+        )
+        decide = verify.summary_is_trivial
+        monkeypatch.setattr(
+            verify, "summary_is_trivial", lambda summary, m: summary == equal or decide(summary, m)
+        )
+        report = check_ring_iso(cfg)
+        assert not report.passed
+        assert not report.injective
+        assert report.mismatches[0] == (
+            f"distinct elements {_element(cfg, i)} and {_element(cfg, j)} gave equal forms"
+        )
+
+    # Within a row, the addition mismatch of a pair comes before its
+    # multiplication mismatch.
+    @pytest.mark.parametrize("q", (1, 3))
+    @pytest.mark.parametrize("rank", (0, 1))
+    @pytest.mark.parametrize(
+        "kinds", [("addition",), ("multiplication",), ("addition", "multiplication")]
+    )
+    def test_one_wrong_entry_is_named(self, monkeypatch, q, rank, kinds):
+        cfg = CurveConfig(q, rank)
+        elements = packed_group_ring_elements(cfg)
+        i, j = 5, len(elements) - 3
+        for kind in kinds:
+            name = {"addition": "element_add", "multiplication": "element_mul"}[kind]
+            monkeypatch.setattr(verify, name, _wrong_once(getattr(verify, name), elements, i, j))
+        report = check_ring_iso(cfg)
+        assert report.roundtrip_ok and report.injective
+        assert report.mismatches == tuple(
+            f"{kind} mismatch at {_element(cfg, i)}, {_element(cfg, j)}" for kind in kinds
+        )
+        assert not report.passed
+
+    @pytest.mark.parametrize("rank", (0, 1))
+    def test_a_row_failing_on_spread_summaries_only_is_reported(self, monkeypatch, rank):
+        # A codec fault fails every row although each entry holds.
+        unspread = verify._unspread
+        monkeypatch.setattr(
+            verify, "_unspread", lambda key, bits: unspread(key, bits)._replace(rank=1)
+        )
+        cfg = CurveConfig(3, rank)
+        report = check_ring_iso(cfg)
+        assert not report.passed
+        assert report.injective
+        assert report.mismatches == tuple(
+            f"table row of {_element(cfg, i)} fails on spread summaries only"
+            for i in range(verify.MAX_MISMATCHES)
+        )
+
     @pytest.mark.parametrize("rank", (0, 1))
     @pytest.mark.parametrize(
         "name, kind", [("element_add", "addition"), ("element_mul", "multiplication")]
