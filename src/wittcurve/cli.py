@@ -33,47 +33,38 @@ def _csv_table(rows: list[tuple]) -> str:
     return buf.getvalue().rstrip("\n")
 
 
-def _cmd_reduce(cfg: CurveConfig, args: argparse.Namespace) -> tuple[int, str]:
+def _render(record: dict, fmt: str) -> str:
+    """One record in the output format; a None field is left out (an empty
+    cell in CSV), and a one-field text record prints its value alone."""
+    if fmt == "json":
+        return json.dumps({k: v for k, v in record.items() if v is not None}, indent=2)
+    cells = {k: str(v).lower() if isinstance(v, bool) else v for k, v in record.items()}
+    if fmt == "csv":
+        return _csv_table([tuple(cells), tuple(cells.values())])
+    shown = [(k, v) for k, v in cells.items() if v is not None]
+    if len(shown) == 1:
+        return str(shown[0][1])
+    width = max(len(k) for k, _ in shown)
+    return "\n".join(f"{k:<{width}} {v}" for k, v in shown)
+
+
+def _cmd_reduce(cfg: CurveConfig, args: argparse.Namespace) -> tuple[int, dict]:
     shape = canonical_form(parse_form(args.form, cfg))
-    payload = str(shape.payload)
-    if args.format == "json":
-        return 0, json.dumps({"shape": shape.tag.value, "payload": payload}, indent=2)
-    if args.format == "csv":
-        return 0, _csv_table([("shape", "payload"), (shape.tag.value, payload)])
-    return 0, f"shape   {shape.tag.value}\npayload {payload}"
+    return 0, {"shape": shape.tag.value, "payload": str(shape.payload)}
 
 
-def _cmd_equal(cfg: CurveConfig, args: argparse.Namespace) -> tuple[int, str]:
+def _cmd_equal(cfg: CurveConfig, args: argparse.Namespace) -> tuple[int, dict]:
     result = equals(parse_form(args.left, cfg), parse_form(args.right, cfg))
-    if args.format == "json":
-        out = json.dumps({"equal": result}, indent=2)
-    elif args.format == "csv":
-        out = _csv_table([("equal",), (str(result).lower(),)])
-    else:
-        out = str(result).lower()
-    return (0 if result else 1), out
+    return (0 if result else 1), {"equal": result}
 
 
-def _cmd_invariants(cfg: CurveConfig, args: argparse.Namespace) -> tuple[int, str]:
+def _cmd_invariants(cfg: CurveConfig, args: argparse.Namespace) -> tuple[int, dict]:
     profile = invariant_profile(parse_form(args.form, cfg))
-    signed = str(profile.signed_disc)
-    witt = None if profile.witt_inv is None else str(profile.witt_inv)
-    if args.format == "json":
-        payload: dict = {"rank_parity": profile.rank_parity, "signed_disc": signed}
-        if witt is not None:
-            payload["witt_inv"] = witt
-        return 0, json.dumps(payload, indent=2)
-    if args.format == "csv":
-        return 0, _csv_table(
-            [
-                ("rank_parity", "signed_disc", "witt_inv"),
-                (profile.rank_parity, signed, "" if witt is None else witt),
-            ]
-        )
-    lines = [f"rank_parity {profile.rank_parity}", f"signed_disc {signed}"]
-    if witt is not None:
-        lines.append(f"witt_inv    {witt}")
-    return 0, "\n".join(lines)
+    return 0, {
+        "rank_parity": profile.rank_parity,
+        "signed_disc": str(profile.signed_disc),
+        "witt_inv": None if profile.witt_inv is None else str(profile.witt_inv),
+    }
 
 
 def _cmd_enumerate(cfg: CurveConfig, args: argparse.Namespace) -> tuple[int, str]:
@@ -135,7 +126,8 @@ def _cmd_verify(cfg: CurveConfig, args: argparse.Namespace) -> tuple[int, str]:
     return code, "\n".join(lines)
 
 
-_COMMANDS: dict[str, Callable[[CurveConfig, argparse.Namespace], tuple[int, str]]] = {
+# A command returns its exit code and a record for _render or finished text.
+_COMMANDS: dict[str, Callable[..., tuple[int, dict | str]]] = {
     "reduce": _cmd_reduce,
     "equal": _cmd_equal,
     "invariants": _cmd_invariants,
@@ -207,6 +199,8 @@ def run_command(argv: Sequence[str] | None = None) -> int:
     try:
         cfg = CurveConfig(args.q_mod_4, args.picard_rank)
         code, output = _COMMANDS[args.command](cfg, args)
+        if isinstance(output, dict):
+            output = _render(output, args.format)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

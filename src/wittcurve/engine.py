@@ -17,8 +17,13 @@ from .groups import BrauerClass, CurveConfig, Generator, minus_one_class
 from .group_ring import packed_coordinates, packed_representative
 from .symbols import symbol_sum, witt_invariant
 
-# enumerate_classes refuses a picard_rank above this.
-CENSUS_RANK_BOUND = 4
+# enumerate_classes refuses a picard_rank above this.  The census is closed
+# form, so the bound comes from its output, not its cost: the largest rank
+# whose total 16 * 4**r = 2**(2r + 4), with floor((2r + 4) * log10(2)) + 1
+# digits, prints within CPython's default int-to-string limit of 4300 digits
+# (sys.get_int_max_str_digits()).  That is 4300 digits at r = 7140 and 4301
+# at r = 7141; every shape count is smaller than the total.
+CENSUS_RANK_BOUND = 7140
 
 
 def summary_is_trivial(summary: Summary, minus_one: int) -> bool:

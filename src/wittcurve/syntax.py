@@ -8,10 +8,13 @@ repeated terms multiply in their component groups.  Unicode angle brackets
 are accepted on input and never emitted: str() of a form writes this syntax
 and parses back to it.
 
+Every term is its packed delta, unit | pi_exp << 1 | mask << 2, and an
+entry is the XOR of its terms and, if it has a '-', of the class of -1.
 parse_form splits a well-formed text with str methods and packs each
 distinct entry text, once, into an int; any text that path cannot take
 goes, unchanged, to a character-by-character cursor parser, the one place
-that names a syntax error and its position.
+that names a syntax error and its position.  Both paths read a bundle
+label through _label_delta, the one rule for which labels exist.
 """
 
 from __future__ import annotations
@@ -92,68 +95,67 @@ def _max_label_digits(picard_rank: int) -> int:
 _INDEX = re.compile(r"0*([0-9]*)")
 
 
-def _parse_term(cur: _Cursor, cfg: CurveConfig) -> tuple[int, int, int]:
-    """One term as a (unit bit, pi bit, line mask) delta."""
+class _LabelError(KeyError):
+    """A bundle label the syntax refuses; its message carries no position."""
+
+
+def _label_delta(digits: str, picard_rank: int) -> int:
+    """Packed delta of the label L<digits>, given its significant digits.
+
+    The one rule for which labels exist, and the message for one that does
+    not; the cursor parser places the message at the label.
+    """
+    if len(digits) > _max_label_digits(picard_rank):
+        # Too large to be an index, or for int() to read.
+        raise _LabelError(
+            f"unknown bundle label L{digits[:8]}... ({len(digits)} digits)"
+        )
+    index = int(digits or "0")
+    if not 1 <= index <= picard_rank:
+        raise _LabelError(f"unknown bundle label L{index}")
+    if index > MAX_BUNDLE_INDEX:
+        raise _LabelError(
+            f"bundle label L{index} exceeds the limit L{MAX_BUNDLE_INDEX}"
+        )
+    return 1 << (index + 1)
+
+
+def _parse_term(cur: _Cursor, cfg: CurveConfig) -> int:
+    """One term as its packed delta."""
     start = cur.pos
-    ch = cur.peek()
-    if ch == "1":
-        cur.advance()
-        return 0, 0, 0
-    if ch == "s":
-        cur.advance()
-        return 1, 0, 0
-    if ch == "p":
-        if cur.text.startswith("pi", cur.pos):
-            cur.pos += 2
-            return 0, 1, 0
-        raise FormSyntaxError("expected term '1', 's', 'pi' or 'L<k>'", start)
-    if ch == "L":
+    if cur.peek() == "L":
         match = _INDEX.match(cur.text, start + 1)
         cur.pos = match.end()
         if cur.pos == start + 1:
             raise FormSyntaxError("expected bundle index after 'L'", cur.pos)
-        digits = match.group(1)
-        if len(digits) > _max_label_digits(cfg.picard_rank):
-            # Too large to be an index, or for int() to read.
-            raise FormSyntaxError(
-                f"unknown bundle label L{digits[:8]}... ({len(digits)} digits)",
-                start,
-            )
-        index = int(digits or "0")
-        if not 1 <= index <= cfg.picard_rank:
-            raise FormSyntaxError(f"unknown bundle label L{index}", start)
-        if index > MAX_BUNDLE_INDEX:
-            raise FormSyntaxError(
-                f"bundle label L{index} exceeds the limit L{MAX_BUNDLE_INDEX}", start
-            )
-        return 0, 0, 1 << (index - 1)
+        try:
+            return _label_delta(match.group(1), cfg.picard_rank)
+        except _LabelError as err:
+            raise FormSyntaxError(err.args[0], start) from None
+    for term, delta in (("1", 0), ("s", 1), ("pi", 2)):
+        if cur.text.startswith(term, start):
+            cur.pos += len(term)
+            return delta
     raise FormSyntaxError("expected term '1', 's', 'pi' or 'L<k>'", start)
 
 
 def _parse_entry(cur: _Cursor, cfg: CurveConfig) -> int:
-    """One entry, packed as unit | pi_exp << 1 | mask << 2."""
+    """One entry, packed as unit | pi_exp << 1 | mask << 2: the XOR of its
+    terms, and of the class of -1 if it has a sign."""
     cur.skip_ws()
-    unit = 0
-    pi_exp = 0
-    mask = 0
+    packed = 0
     if cur.peek() == "-":
         cur.advance()
-        unit ^= minus_one_class(cfg)
+        packed = minus_one_class(cfg)
         cur.skip_ws()
-    du, dpi, dmask = _parse_term(cur, cfg)
-    unit ^= du
-    pi_exp ^= dpi
-    mask ^= dmask
+    packed ^= _parse_term(cur, cfg)
     cur.skip_ws()
     while cur.peek() == "*":
         cur.advance()
         cur.skip_ws()
-        du, dpi, dmask = _parse_term(cur, cfg)
-        unit ^= du
-        pi_exp ^= dpi
-        mask ^= dmask
+        packed ^= _parse_term(cur, cfg)
         cur.skip_ws()
-    return unit | pi_exp << 1 | mask << 2
+    return packed
 
 
 def _parse_with_cursor(text: str, cfg: CurveConfig) -> DiagonalForm:
@@ -182,61 +184,28 @@ def _parse_with_cursor(text: str, cfg: CurveConfig) -> DiagonalForm:
     return DiagonalForm._from_packed(cfg, tuple(entries))
 
 
-# The fast path packs each term, and each entry, as the int
-# unit | pi_exp << 1 | mask << 2, so that an entry is the XOR of its terms.
-
-
 class _TermDeltas(dict):
     """Packed delta of each term met in one parse.
 
     A key may carry whitespace on either side; each spelling is kept, so
     the table grows with the distinct tokens of one text and no further.
-    A term the cursor parser would reject raises KeyError.
+    A term the cursor parser would reject raises KeyError.  A label is
+    read with str methods, not a regex: a full match of a long zero run
+    backtracks quadratically.
     """
 
     def __init__(self, picard_rank: int):
         super().__init__({"1": 0, "s": 1, "pi": 2})
-        self.max_index = min(picard_rank, MAX_BUNDLE_INDEX)
-        self.max_digits = _max_label_digits(picard_rank)
-
-    def __missing__(self, token: str) -> int:
-        term = token.strip()
-        delta = self[token] = self[term] if term != token else self._label(term)
-        return delta
-
-    def _label(self, term: str) -> int:
-        """L<index>, checked as _parse_term checks it.
-
-        No regex: a full match of a long zero run backtracks quadratically.
-        """
-        digits = term[1:]
-        if term[:1] != "L" or not (digits.isascii() and digits.isdigit()):
-            raise KeyError(term)
-        digits = digits.lstrip("0")
-        if len(digits) > self.max_digits:
-            raise KeyError(term)
-        index = int(digits or "0")
-        if not 1 <= index <= self.max_index:
-            raise KeyError(term)
-        return 1 << (index + 1)
-
-
-class _HeadDeltas(dict):
-    """Packed delta of the first term of an entry, which may carry a '-'."""
-
-    def __init__(self, terms: _TermDeltas, minus: int):
-        super().__init__()
-        self.terms = terms
-        self.minus = minus
+        self.picard_rank = picard_rank
 
     def __missing__(self, token: str) -> int:
         term = token.strip()
         if term != token:
             delta = self[term]
-        elif term[:1] == "-":
-            delta = self.minus ^ self.terms[term[1:].lstrip()]
+        elif term[:1] == "L" and term[1:].isascii() and term[1:].isdigit():
+            delta = _label_delta(term[1:].lstrip("0"), self.picard_rank)
         else:
-            delta = self.terms[term]
+            raise KeyError(term)
         self[token] = delta
         return delta
 
@@ -247,18 +216,22 @@ def _packed_entries(inside: str, cfg: CurveConfig) -> tuple[int, ...]:
 
     Each distinct entry text is decided once: dict.fromkeys keeps the
     distinct texts in order, and the map back to every entry runs in C, as
-    do the splits and the term lookups.
+    do the splits and the term lookups.  A leading '-' XORs in the class
+    of -1.
     """
     parts = inside.split(",")
     if len(parts) > MAX_FORM_ENTRIES:
         raise KeyError(MAX_FORM_ENTRIES)
-    terms = _TermDeltas(cfg.picard_rank)
-    heads = _HeadDeltas(terms, minus_one_class(cfg))
-    term_delta = terms.__getitem__
+    term_delta = _TermDeltas(cfg.picard_rank).__getitem__
+    minus = minus_one_class(cfg)
     decided = dict.fromkeys(parts)
     for entry in decided:
-        head, *tail = entry.split("*")
-        decided[entry] = reduce(xor, map(term_delta, tail), heads[head])
+        body = entry.lstrip()
+        signed = body[:1] == "-"
+        # Any other '-' fails the lookup of its term.
+        decided[entry] = reduce(
+            xor, map(term_delta, body[signed:].split("*")), minus if signed else 0
+        )
     return tuple(map(decided.__getitem__, parts))
 
 

@@ -187,6 +187,21 @@ class TestRunCommand:
         assert rows[-1] == ["total", "16"]
         assert len(rows) == 10
 
+    @pytest.mark.parametrize("fmt", ("text", "json", "csv"))
+    def test_enumerate_up_to_census_rank_bound(self, fmt, capsys):
+        # 7140 is the largest rank whose total prints in 4300 digits.
+        code = run_command(["enumerate", "--picard-rank", "7140", "--format", fmt])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert str(16 * 4**7140) in out
+        code = run_command(["enumerate", "--picard-rank", "7141", "--format", fmt])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            "error: bound exceeded: picard_rank 7141 > rank bound 7140\n"
+        )
+
     def test_enumerate_deterministic(self, capsys):
         run_command(["enumerate"])
         first = capsys.readouterr().out

@@ -265,12 +265,18 @@ class TestCensus:
         census = enumerate_classes(cfg)
         assert (census.total, census.shape_counts) == enumerated_census(cfg)
 
-    def test_rank_bound(self, monkeypatch):
-        with pytest.raises(ValueError, match="bound exceeded"):
-            enumerate_classes(CurveConfig(3, 5))
-        monkeypatch.setattr(engine, "CENSUS_RANK_BOUND", 5)
-        census = enumerate_classes(CurveConfig(3, 5))
-        assert census.total == 16 * 32 * 32
+    def test_rank_bound(self):
+        # The bound is the largest rank whose total prints within the default
+        # limit of 4300 digits; past it the digits are counted without str().
+        assert engine.CENSUS_RANK_BOUND == 7140
+        census = enumerate_classes(CurveConfig(3, 7140))
+        assert census.total == 16 * 4**7140
+        assert len(str(census.total)) == 4300
+        assert 16 * 4**7141 >= 10**4300
+        with pytest.raises(
+            ValueError, match="^bound exceeded: picard_rank 7141 > rank bound 7140$"
+        ):
+            enumerate_classes(CurveConfig(3, 7141))
 
     def test_every_class_reached_by_rank_at_most_four(self):
         # all 16n^2 classes appear among forms of length <= 4

@@ -153,7 +153,11 @@ def test_parse_form_agrees_with_cursor_parser(case):
 
 
 @pytest.mark.parametrize("q", (1, 3))
-@pytest.mark.parametrize("rank", (0, 1, 2, 16, 4097, 10**8))
+# str() cannot print 10**5000, so that rank is given an id.
+@pytest.mark.parametrize(
+    "rank",
+    (0, 1, 2, 16, 4095, 4096, 4097, 10**8, pytest.param(10**5000, id="10**5000")),
+)
 def test_each_term_in_each_place_agrees_with_cursor_parser(q, rank):
     cfg = CurveConfig(q, rank)
     for term in TERMS:
