@@ -26,11 +26,20 @@ from .verify import (
 )
 
 
-def _csv_table(rows: list[tuple]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerows(rows)
-    return buf.getvalue().rstrip("\n")
+def _table(header: tuple, rows: list[tuple], fmt: str) -> str:
+    """Rows under a header as CSV, bools as true/false and None as an empty
+    cell; or (label, value) rows, the total row last, as text with the labels
+    aligned and bools as PASS/FAIL."""
+    if fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        for row in (header, *rows):
+            writer.writerow([str(v).lower() if isinstance(v, bool) else v for v in row])
+        return buf.getvalue().rstrip("\n")
+    width = max(len(k) for k, _ in rows)
+    return "\n".join(
+        f"{k:<{width}}  {('PASS' if v else 'FAIL') if isinstance(v, bool) else v}" for k, v in rows
+    )
 
 
 def _render(record: dict, fmt: str) -> str:
@@ -38,9 +47,9 @@ def _render(record: dict, fmt: str) -> str:
     cell in CSV), and a one-field text record prints its value alone."""
     if fmt == "json":
         return json.dumps({k: v for k, v in record.items() if v is not None}, indent=2)
-    cells = {k: str(v).lower() if isinstance(v, bool) else v for k, v in record.items()}
     if fmt == "csv":
-        return _csv_table([tuple(cells), tuple(cells.values())])
+        return _table(tuple(record), [tuple(record.values())], fmt)
+    cells = {k: str(v).lower() if isinstance(v, bool) else v for k, v in record.items()}
     shown = [(k, v) for k, v in cells.items() if v is not None]
     if len(shown) == 1:
         return str(shown[0][1])
@@ -80,17 +89,8 @@ def _cmd_enumerate(cfg: CurveConfig, args: argparse.Namespace) -> tuple[int, str
             },
             indent=2,
         )
-    if args.format == "csv":
-        rows: list[tuple] = [("shape", "count")]
-        rows += [(shape.value, count) for shape, count in census.shape_counts]
-        rows.append(("total", census.total))
-        return 0, _csv_table(rows)
-    width = max(len(shape.value) for shape, _ in census.shape_counts)
-    lines = [
-        f"{shape.value:<{width}}  {count}" for shape, count in census.shape_counts
-    ]
-    lines.append(f"{'total':<{width}}  {census.total}")
-    return 0, "\n".join(lines)
+    rows = [(shape.value, count) for shape, count in census.shape_counts]
+    return 0, _table(("shape", "count"), rows + [("total", census.total)], args.format)
 
 
 def _cmd_verify(cfg: CurveConfig, args: argparse.Namespace) -> tuple[int, str]:
@@ -113,17 +113,7 @@ def _cmd_verify(cfg: CurveConfig, args: argparse.Namespace) -> tuple[int, str]:
             },
             indent=2,
         )
-    if args.format == "csv":
-        rows: list[tuple] = [("check", "passed")]
-        rows += [(name, str(passed).lower()) for name, passed in checks]
-        rows.append(("overall", str(all_passed).lower()))
-        return code, _csv_table(rows)
-    width = max(len(name) for name, _ in checks)
-    lines = [
-        f"{name:<{width}}  {'PASS' if passed else 'FAIL'}" for name, passed in checks
-    ]
-    lines.append(f"{'overall':<{width}}  {'PASS' if all_passed else 'FAIL'}")
-    return code, "\n".join(lines)
+    return code, _table(("check", "passed"), checks + [("overall", all_passed)], args.format)
 
 
 # A command returns its exit code and a record for _render or finished text.

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .forms import DiagonalForm, Summary
-from .groups import BrauerClass, CurveConfig, Generator, minus_one_class
+from .groups import BrauerClass, CurveConfig, Generator, int_text, minus_one_class
 from .group_ring import packed_coordinates, packed_representative
 from .symbols import symbol_sum, witt_invariant
 
@@ -165,7 +165,7 @@ def enumerate_classes(cfg: CurveConfig) -> CensusReport:
     """
     if cfg.picard_rank > CENSUS_RANK_BOUND:
         raise ValueError(
-            f"bound exceeded: picard_rank {cfg.picard_rank} > "
+            f"bound exceeded: picard_rank {int_text(cfg.picard_rank)} > "
             f"rank bound {CENSUS_RANK_BOUND}"
         )
     # Of the 4n residue classes one is zero, 2n - 1 are even and nonzero, and

@@ -125,8 +125,42 @@ def packed_group_ring_elements(cfg: CurveConfig) -> list[tuple[int, int]]:
     return [(a, b) for a in classes for b in classes]
 
 
+class _PackedView:
+    """Operators shared by the two views: a subclass names its packed zero and
+    the packed add, neg and mul it computes with, each taking the unit bit of
+    -1 first."""
+
+    __slots__ = ()
+
+    @classmethod
+    def zero(cls, cfg: CurveConfig) -> _PackedView:
+        return cls.from_packed(cfg, cls._zero)
+
+    @property
+    def is_zero(self) -> bool:
+        return self.packed == self._zero
+
+    def _require_same_config(self, other: _PackedView) -> None:
+        if self.config != other.config:
+            raise ValueError(f"config mismatch: {self.config} != {other.config}")
+
+    def __add__(self, other: _PackedView) -> _PackedView:
+        self._require_same_config(other)
+        cfg = self.config
+        return self.from_packed(cfg, self._add(minus_one_class(cfg), self.packed, other.packed))
+
+    def __neg__(self) -> _PackedView:
+        cfg = self.config
+        return self.from_packed(cfg, self._neg(minus_one_class(cfg), self.packed))
+
+    def __mul__(self, other: _PackedView) -> _PackedView:
+        self._require_same_config(other)
+        cfg = self.config
+        return self.from_packed(cfg, self._mul(minus_one_class(cfg), self.packed, other.packed))
+
+
 @dataclass(frozen=True, slots=True)
-class ResidueWittClass:
+class ResidueWittClass(_PackedView):
     """Witt class over the reduction: rank parity plus signed discriminant.
 
     The discriminant has no pi coordinate; there are exactly 4n classes.
@@ -136,6 +170,11 @@ class ResidueWittClass:
     parity: int
     disc_unit: int
     disc_mask: int
+
+    _zero = 0
+    _add = staticmethod(residue_add)
+    _neg = staticmethod(residue_neg)
+    _mul = staticmethod(residue_mul)
 
     def __post_init__(self) -> None:
         check_bit(self.parity, "parity")
@@ -152,10 +191,6 @@ class ResidueWittClass:
         return self.parity | self.disc_unit << 1 | self.disc_mask << 2
 
     @classmethod
-    def zero(cls, cfg: CurveConfig) -> "ResidueWittClass":
-        return cls.from_packed(cfg, 0)
-
-    @classmethod
     def one(cls, cfg: CurveConfig) -> "ResidueWittClass":
         """Class of <1>; its signed discriminant is the class of -1."""
         return cls.from_packed(cfg, 1 | minus_one_class(cfg) << 1)
@@ -170,43 +205,22 @@ class ResidueWittClass:
             raise ValueError("residue classes come from pi-free generators")
         return cls.from_packed(cfg, packed_coordinates(minus_one_class(cfg), packed)[0])
 
-    @property
-    def is_zero(self) -> bool:
-        return self.parity == 0 and self.disc_unit == 0 and self.disc_mask == 0
-
-    def _require_same_config(self, other: "ResidueWittClass") -> None:
-        if self.config != other.config:
-            raise ValueError(f"config mismatch: {self.config} != {other.config}")
-
-    def __add__(self, other: "ResidueWittClass") -> "ResidueWittClass":
-        self._require_same_config(other)
-        m = minus_one_class(self.config)
-        return ResidueWittClass.from_packed(
-            self.config, residue_add(m, self.packed, other.packed)
-        )
-
-    def __neg__(self) -> "ResidueWittClass":
-        m = minus_one_class(self.config)
-        return ResidueWittClass.from_packed(self.config, residue_neg(m, self.packed))
-
-    def __mul__(self, other: "ResidueWittClass") -> "ResidueWittClass":
-        self._require_same_config(other)
-        m = minus_one_class(self.config)
-        return ResidueWittClass.from_packed(
-            self.config, residue_mul(m, self.packed, other.packed)
-        )
-
     def __str__(self) -> str:
         disc = label(self.disc_unit | self.disc_mask << 2)
         return f"(parity {self.parity}, disc {disc})"
 
 
 @dataclass(frozen=True, slots=True)
-class GroupRingElement:
+class GroupRingElement(_PackedView):
     """Element a + <pi>*b of the group ring over the residue Witt ring."""
 
     a: ResidueWittClass
     b: ResidueWittClass
+
+    _zero = (0, 0)
+    _add = staticmethod(element_add)
+    _neg = staticmethod(element_neg)
+    _mul = staticmethod(element_mul)
 
     def __post_init__(self) -> None:
         if self.a.config != self.b.config:
@@ -225,38 +239,8 @@ class GroupRingElement:
         return self.a.config
 
     @classmethod
-    def zero(cls, cfg: CurveConfig) -> "GroupRingElement":
-        return cls(ResidueWittClass.zero(cfg), ResidueWittClass.zero(cfg))
-
-    @classmethod
     def one(cls, cfg: CurveConfig) -> "GroupRingElement":
         return cls(ResidueWittClass.one(cfg), ResidueWittClass.zero(cfg))
-
-    @property
-    def is_zero(self) -> bool:
-        return self.a.is_zero and self.b.is_zero
-
-    def _require_same_config(self, other: "GroupRingElement") -> None:
-        if self.config != other.config:
-            raise ValueError(f"config mismatch: {self.config} != {other.config}")
-
-    def __add__(self, other: "GroupRingElement") -> "GroupRingElement":
-        self._require_same_config(other)
-        m = minus_one_class(self.config)
-        return GroupRingElement.from_packed(
-            self.config, element_add(m, self.packed, other.packed)
-        )
-
-    def __neg__(self) -> "GroupRingElement":
-        m = minus_one_class(self.config)
-        return GroupRingElement.from_packed(self.config, element_neg(m, self.packed))
-
-    def __mul__(self, other: "GroupRingElement") -> "GroupRingElement":
-        self._require_same_config(other)
-        m = minus_one_class(self.config)
-        return GroupRingElement.from_packed(
-            self.config, element_mul(m, self.packed, other.packed)
-        )
 
     def __str__(self) -> str:
         return f"[{self.a} | pi: {self.b}]"

@@ -19,6 +19,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
+def int_text(value: object) -> str:
+    """repr(value) for a message.  An int past the interpreter's int-to-string
+    limit (sys.get_int_max_str_digits()), which repr refuses, prints as its
+    sign and bit length."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"<{'negative ' if value < 0 else ''}int of {value.bit_length()} bits>"
+
+
 @dataclass(frozen=True, slots=True)
 class CurveConfig:
     """The two parameters that determine the whole calculation.
@@ -35,12 +45,12 @@ class CurveConfig:
         if type(self.q_mod_4) is not int or self.q_mod_4 not in (1, 3):
             raise ValueError(
                 "dyadic or invalid residue class: "
-                f"q_mod_4 must be 1 or 3, got {self.q_mod_4!r}"
+                f"q_mod_4 must be 1 or 3, got {int_text(self.q_mod_4)}"
             )
         if type(self.picard_rank) is not int:
-            raise ValueError(f"picard_rank must be an int, got {self.picard_rank!r}")
+            raise ValueError(f"picard_rank must be an int, got {int_text(self.picard_rank)}")
         if self.picard_rank < 0:
-            raise ValueError(f"picard_rank must be >= 0, got {self.picard_rank!r}")
+            raise ValueError(f"picard_rank must be >= 0, got {int_text(self.picard_rank)}")
 
     @property
     def pic_order(self) -> int:
@@ -62,22 +72,24 @@ def check_mask(mask: int, rank: int) -> None:
     """Reject a rank that is not an int >= 0, or a line bundle mask that is
     not a bit vector over L1..L<rank> (bit i-1 is the L_i coordinate)."""
     if type(rank) is not int:
-        raise ValueError(f"rank must be an int, got {rank!r}")
+        raise ValueError(f"rank must be an int, got {int_text(rank)}")
     if rank < 0:
-        raise ValueError(f"rank must be >= 0, got {rank!r}")
+        raise ValueError(f"rank must be >= 0, got {int_text(rank)}")
     if type(mask) is not int:
-        raise ValueError(f"line bundle mask must be an int, got {mask!r}")
+        raise ValueError(f"line bundle mask must be an int, got {int_text(mask)}")
     # A shift, not a comparison with 1 << rank: that would allocate rank bits
     # for every class.
     if mask < 0 or mask >> rank:
-        raise ValueError(f"line bundle mask {mask!r} out of range for rank {rank}")
+        raise ValueError(
+            f"line bundle mask {int_text(mask)} out of range for rank {int_text(rank)}"
+        )
 
 
 def check_bit(bit: int, what: str) -> None:
     """Reject a coordinate bit that is not the int 0 or 1.  A bool or a float
     such as 1.0 compares equal to 1 but cannot be packed."""
     if type(bit) is not int or bit not in (0, 1):
-        raise ValueError(f"{what} must be 0 or 1, got {bit!r}")
+        raise ValueError(f"{what} must be 0 or 1, got {int_text(bit)}")
 
 
 class _ByteText(dict):

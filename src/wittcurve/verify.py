@@ -9,7 +9,7 @@ lives above both.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, product, repeat
+from itertools import chain, combinations, product, repeat
 from operator import add, and_
 
 from .engine import equals, is_trivial, summary_is_trivial
@@ -17,8 +17,9 @@ from .forms import DiagonalForm, Summary, quaternion_norm_form, summarize
 from .groups import (
     BrauerClass,
     CurveConfig,
-    Generator,
     enumerate_generators,
+    int_text,
+    label,
     line_label,
     minus_one_class,
 )
@@ -46,7 +47,8 @@ SUITE_RANK_BOUND = 7
 def _check_rank(cfg: CurveConfig, bound: int, suite: str) -> None:
     if cfg.picard_rank > bound:
         raise ValueError(
-            f"bound exceeded: {suite} needs picard_rank <= {bound}, got {cfg.picard_rank}"
+            f"bound exceeded: {suite} needs picard_rank <= {bound}, "
+            f"got {int_text(cfg.picard_rank)}"
         )
 
 
@@ -167,28 +169,15 @@ def rank_one_group_structure(cfg: CurveConfig) -> RankOneStructureReport:
     _check_rank(cfg, SUITE_RANK_BOUND, "rank-1 structure suite")
     gens = enumerate_generators(cfg)
     m = minus_one_class(cfg)
-    base_labels = {(0, 0): "1", (1, 0): "s", (0, 1): "pi", (1, 1): "s*pi"}
-
-    def coordinates(g: Generator) -> tuple[str, str]:
-        return base_labels[(g.unit, g.pi_exp)], line_label(g.mask)
-
     # The summary of <g> and of -<g>, keyed on the packed generator.
     singles = {g.packed: summarize((g.packed,)) for g in gens}
     negated = {p: single.negated(m) for p, single in singles.items()}
-    packed = list(singles)
-    distinct = True
-    for i, p in enumerate(packed):
-        for q in packed[i + 1 :]:
-            if summary_is_trivial(singles[p].plus(negated[q]), m):
-                distinct = False
-
-    # negated[0] is -<1>: the trivial generator packs to 0.
-    exponent_two = all(
-        summary_is_trivial(single.times(single).plus(negated[0]), m)
-        for single in singles.values()
+    distinct = not any(
+        summary_is_trivial(singles[p].plus(negated[q]), m) for p, q in combinations(singles, 2)
     )
 
-    homomorphism_ok = True
+    # The pairs g, g decide exponent two: g * g = 1 and <g> * <g> = <1>.
+    exponent_two = homomorphism_ok = True
     for g in gens:
         p = g.packed
         single = singles[p]
@@ -199,8 +188,11 @@ def rank_one_group_structure(cfg: CurveConfig) -> RankOneStructureReport:
                 single.times(singles[q]).plus(negated[product]), m
             ):
                 homomorphism_ok = False
+                if p == q:
+                    exponent_two = False
 
-    witness = tuple((str(g), coordinates(g)) for g in gens)
+    # The base field class of g is its unit and pi bits.
+    witness = tuple((str(g), (label(g.packed & 3), line_label(g.mask))) for g in gens)
     passed = distinct and exponent_two and homomorphism_ok and len(gens) == 4 * cfg.pic_order
     return RankOneStructureReport(
         config=cfg,

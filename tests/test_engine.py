@@ -277,6 +277,11 @@ class TestCensus:
             ValueError, match="^bound exceeded: picard_rank 7141 > rank bound 7140$"
         ):
             enumerate_classes(CurveConfig(3, 7141))
+        with pytest.raises(
+            ValueError,
+            match="^bound exceeded: picard_rank <int of 16610 bits> > rank bound 7140$",
+        ):
+            enumerate_classes(CurveConfig(3, 10**5000))
 
     def test_every_class_reached_by_rank_at_most_four(self):
         # all 16n^2 classes appear among forms of length <= 4

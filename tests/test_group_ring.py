@@ -2,6 +2,8 @@
 
 import dataclasses
 import itertools
+import operator
+import pickle
 import random
 
 import pytest
@@ -28,7 +30,17 @@ from wittcurve import (
 )
 from wittcurve import verify
 from wittcurve.forms import Summary, summarize
-from wittcurve.group_ring import packed_group_ring_elements, packed_representative
+from wittcurve.group_ring import (
+    element_add,
+    element_mul,
+    element_neg,
+    packed_group_ring_elements,
+    packed_representative,
+    packed_residue_classes,
+    residue_add,
+    residue_mul,
+    residue_neg,
+)
 
 from helpers import (
     pairwise_ring_iso,
@@ -152,6 +164,43 @@ def test_packed_group_ring_arithmetic_every_pair(q, rank):
             )
 
 
+# Both views compute through their packed functions, with one operator path.
+@pytest.mark.parametrize(
+    "view, packed, zero, ops",
+    [
+        (ResidueWittClass, packed_residue_classes, 0, (residue_add, residue_neg, residue_mul)),
+        (
+            GroupRingElement,
+            packed_group_ring_elements,
+            (0, 0),
+            (element_add, element_neg, element_mul),
+        ),
+    ],
+    ids=["residue", "element"],
+)
+@pytest.mark.parametrize(
+    "cfg, other_cfg",
+    [(CurveConfig(3, 1), CurveConfig(1, 1)), (CurveConfig(1, 1), CurveConfig(1, 2))],
+    ids=["q", "rank"],
+)
+def test_views_share_one_operator_path(view, packed, zero, ops, cfg, other_cfg):
+    add, neg, mul = ops
+    m = minus_one_class(cfg)
+    for op in (operator.add, operator.mul):
+        with pytest.raises(ValueError) as exc:
+            op(view.one(cfg), view.one(other_cfg))
+        assert str(exc.value) == f"config mismatch: {cfg} != {other_cfg}"
+    assert view.zero(cfg) == view.from_packed(cfg, zero)
+    xs = [view.from_packed(cfg, p) for p in packed(cfg)]
+    for x in xs:
+        assert (-x).packed == neg(m, x.packed)
+        assert x.is_zero == (x.packed == zero)
+        copy = pickle.loads(pickle.dumps(x))
+        assert copy == x and hash(copy) == hash(x) and repr(copy) == repr(x)
+        for y in xs:
+            assert (x + y).packed == add(m, x.packed, y.packed)
+            assert (x * y).packed == mul(m, x.packed, y.packed)
+
 class TestGroupRingCoordinates:
     def test_pi_maps_to_ramified_one(self, cfg):
         x = to_group_ring(parse_form("<pi>", cfg))
@@ -264,6 +313,12 @@ class TestRingIsomorphism:
             check_ring_iso(CurveConfig(3, 3))
         assert str(exc.value) == (
             "bound exceeded: exhaustive ring comparison needs picard_rank <= 2, got 3"
+        )
+        with pytest.raises(ValueError) as exc:
+            check_ring_iso(CurveConfig(3, 10**5000))
+        assert str(exc.value) == (
+            "bound exceeded: exhaustive ring comparison needs picard_rank <= 2, "
+            "got <int of 16610 bits>"
         )
 
     @pytest.mark.parametrize("q", (1, 3))
@@ -488,10 +543,17 @@ class TestFaultInjection:
 
     @pytest.mark.parametrize("rank", (0, 1))
     def test_rank_one_suite_catches_a_wrong_tensor_summary(self, monkeypatch, rank):
-        monkeypatch.setattr(Summary, "times", _shift_ramified(1))
+        times, shifted = Summary.times, _shift_ramified(1)
+        monkeypatch.setattr(Summary, "times", shifted)
         report = rank_one_group_structure(CurveConfig(3, rank))
         assert not report.passed
         assert not report.exponent_two
+        assert not report.homomorphism_ok
+        # Wrong off the diagonal only: the squares g * g still decide exponent two.
+        monkeypatch.setattr(Summary, "times", lambda a, b: (times if a == b else shifted)(a, b))
+        report = rank_one_group_structure(CurveConfig(3, rank))
+        assert not report.passed
+        assert report.exponent_two
         assert not report.homomorphism_ok
 
 
@@ -509,3 +571,8 @@ def test_residue_requires_pi_free_generators(q3r1):
 def test_from_generators_rejects_a_generator_of_another_rank():
     with pytest.raises(ValueError, match="config mismatch"):
         ResidueWittClass.from_generators(CurveConfig(3, 2), [Generator(0, 0, 1, 1)])
+    with pytest.raises(
+        ValueError,
+        match="^config mismatch: entry line bundle rank 1 != picard_rank <int of 16610 bits>$",
+    ):
+        ResidueWittClass.from_generators(CurveConfig(3, 10**5000), [Generator(0, 0, 1, 1)])

@@ -38,10 +38,21 @@ class TestConfig:
             make_config(2, 1)
         with pytest.raises(ValueError, match="dyadic or invalid residue class"):
             make_config(0, 0)
+        # Past the int-to-string limit the value prints as its bit length.
+        with pytest.raises(
+            ValueError,
+            match="^dyadic or invalid residue class: q_mod_4 must be 1 or 3, "
+            "got <int of 16610 bits>$",
+        ):
+            make_config(10**5000, 1)
 
     def test_rejects_negative_rank(self):
         with pytest.raises(ValueError, match="picard_rank"):
             make_config(3, -1)
+        with pytest.raises(
+            ValueError, match="^picard_rank must be >= 0, got <negative int of 16610 bits>$"
+        ):
+            make_config(3, -(10**5000))
 
     @pytest.mark.parametrize("rank", [2.0, "2", True, None])
     def test_rejects_non_int_rank(self, rank):
@@ -148,6 +159,15 @@ class TestLineBundleMask:
             HOLDERS[holder](0, 2, 1)
         with pytest.raises(ValueError, match="out of range"):
             HOLDERS[holder](0, -1, 1)
+        with pytest.raises(
+            ValueError, match="^line bundle mask <int of 20001 bits> out of range for rank 1$"
+        ):
+            HOLDERS[holder](0, 1 << 20000, 1)
+        with pytest.raises(
+            ValueError,
+            match="^line bundle mask <negative int of 16610 bits> out of range for rank 1$",
+        ):
+            HOLDERS[holder](0, -(10**5000), 1)
 
     @pytest.mark.parametrize("holder", HOLDERS)
     def test_huge_rank_allocates_no_rank_sized_int(self, holder):
@@ -301,14 +321,16 @@ class TestUnitBit:
         with pytest.raises(ValueError, match="pi exponent must be 0 or 1"):
             Generator(0, 2, 0, 1)
 
-    @pytest.mark.parametrize("bit", [2, -1])
+    # pytest builds a parameter id with str(), which refuses 10**5000.
+    @pytest.mark.parametrize("bit", [2, -1, pytest.param(10**5000, id="10**5000")])
     def test_messages_name_the_value(self, bit):
+        shown = "<int of 16610 bits>" if bit == 10**5000 else str(bit)
         with pytest.raises(ValueError) as exc:
             Generator(bit, 0, 0, 1)
-        assert str(exc.value) == f"unit square class bit must be 0 or 1, got {bit}"
+        assert str(exc.value) == f"unit square class bit must be 0 or 1, got {shown}"
         with pytest.raises(ValueError) as exc:
             Generator(0, bit, 0, 1)
-        assert str(exc.value) == f"pi exponent must be 0 or 1, got {bit}"
+        assert str(exc.value) == f"pi exponent must be 0 or 1, got {shown}"
 
     # 1.0 and True compare equal to 1 but cannot be packed: each holder
     # rejects them up front instead of failing later with a TypeError.

@@ -34,6 +34,12 @@ def test_suite_rejects_a_rank_above_its_bound(suite, name):
     with pytest.raises(ValueError) as exc:
         suite(CurveConfig(3, verify.SUITE_RANK_BOUND + 1))
     assert str(exc.value) == f"bound exceeded: {name} needs picard_rank <= 7, got 8"
+    # Past the int-to-string limit the rank prints as its bit length.
+    with pytest.raises(ValueError) as exc:
+        suite(CurveConfig(3, 10**5000))
+    assert str(exc.value) == (
+        f"bound exceeded: {name} needs picard_rank <= 7, got <int of 16610 bits>"
+    )
 
 
 def _summaries(bits):
