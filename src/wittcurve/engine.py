@@ -102,17 +102,9 @@ def _component_type(a: int) -> str:
     return "even" if a else "zero"
 
 
-_SHAPE_BY_TYPES = {
-    ("odd", "zero"): Shape.ODD_ZERO,
-    ("zero", "odd"): Shape.ZERO_ODD,
-    ("even", "zero"): Shape.EVEN_ZERO,
-    ("odd", "odd"): Shape.ODD_ODD,
-    ("zero", "even"): Shape.ZERO_EVEN,
-    ("even", "odd"): Shape.EVEN_ODD,
-    ("odd", "even"): Shape.ODD_EVEN,
-    ("even", "even"): Shape.EVEN_EVEN,
-    ("zero", "zero"): Shape.ZERO,
-}
+# The shape of each pair of component types, read from the member names.
+_SHAPE_BY_TYPES = {tuple(s.name.lower().split("_")): s for s in NONTRIVIAL_SHAPES}
+_SHAPE_BY_TYPES["zero", "zero"] = Shape.ZERO
 
 
 @dataclass(frozen=True, slots=True)

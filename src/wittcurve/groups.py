@@ -16,7 +16,7 @@ are the views the public API hands out.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 
 def int_text(value: object) -> str:
@@ -27,6 +27,12 @@ def int_text(value: object) -> str:
         return repr(value)
     except ValueError:
         return f"<{'negative ' if value < 0 else ''}int of {value.bit_length()} bits>"
+
+
+def _int_fields_repr(self) -> str:
+    """The dataclass repr, with each field printed by int_text."""
+    text = ", ".join(f"{f.name}={int_text(getattr(self, f.name))}" for f in fields(self))
+    return f"{type(self).__qualname__}({text})"
 
 
 @dataclass(frozen=True, slots=True)
@@ -40,6 +46,8 @@ class CurveConfig:
 
     q_mod_4: int
     picard_rank: int
+
+    __repr__ = _int_fields_repr
 
     def __post_init__(self) -> None:
         if type(self.q_mod_4) is not int or self.q_mod_4 not in (1, 3):
@@ -157,6 +165,8 @@ class Generator:
     pi_exp: int
     mask: int
     rank: int
+
+    __repr__ = _int_fields_repr
 
     def __post_init__(self) -> None:
         check_bit(self.unit, "unit square class bit")

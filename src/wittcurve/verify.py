@@ -9,8 +9,9 @@ lives above both.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations, product, repeat
+from itertools import combinations, product, repeat, starmap
 from operator import add, and_
+from typing import Iterable, Iterator
 
 from .engine import equals, is_trivial, summary_is_trivial
 from .forms import DiagonalForm, Summary, quaternion_norm_form, summarize
@@ -123,24 +124,17 @@ def verify_quaternion_distinctness(cfg: CurveConfig) -> QuaternionDistinctnessRe
     Exactly one of them, the one with trivial symbol, may be Witt-trivial.
     """
     _check_rank(cfg, SUITE_RANK_BOUND, "quaternion distinctness suite")
-    labeled = [
-        (BrauerClass(u, mask, cfg.picard_rank), quaternion_norm_form(cfg, u, mask))
-        for u in (0, 1)
-        for mask in range(cfg.pic_order)
-    ]
-    distinct = True
-    for i, (_, form_a) in enumerate(labeled):
-        for _, form_b in labeled[i + 1 :]:
-            if equals(form_a, form_b):
-                distinct = False
-    trivial = tuple(str(cls) for cls, form in labeled if is_trivial(form))
-    passed = distinct and trivial == ("(1, pi)",)
+    rank = cfg.picard_rank
+    classes = [BrauerClass(u, mask, rank) for u in (0, 1) for mask in range(cfg.pic_order)]
+    forms = [quaternion_norm_form(cfg, c.unit, c.mask) for c in classes]
+    distinct = not any(starmap(equals, combinations(forms, 2)))
+    trivial = tuple(str(c) for c, form in zip(classes, forms) if is_trivial(form))
     return QuaternionDistinctnessReport(
         config=cfg,
-        class_count=len(labeled),
+        class_count=len(classes),
         pairwise_distinct=distinct,
         trivial_symbols=trivial,
-        passed=passed,
+        passed=distinct and trivial == ("(1, pi)",),
     )
 
 
@@ -183,17 +177,14 @@ def rank_one_group_structure(cfg: CurveConfig) -> RankOneStructureReport:
         single = singles[p]
         for h in gens:
             q = h.packed
-            product = (g * h).packed
-            if product != p ^ q or not summary_is_trivial(
-                single.times(singles[q]).plus(negated[product]), m
-            ):
+            gh = (g * h).packed
+            if gh != p ^ q or not summary_is_trivial(single.times(singles[q]).plus(negated[gh]), m):
                 homomorphism_ok = False
                 if p == q:
                     exponent_two = False
 
     # The base field class of g is its unit and pi bits.
     witness = tuple((str(g), (label(g.packed & 3), line_label(g.mask))) for g in gens)
-    passed = distinct and exponent_two and homomorphism_ok and len(gens) == 4 * cfg.pic_order
     return RankOneStructureReport(
         config=cfg,
         order=len(gens),
@@ -201,7 +192,7 @@ def rank_one_group_structure(cfg: CurveConfig) -> RankOneStructureReport:
         exponent_two=exponent_two,
         homomorphism_ok=homomorphism_ok,
         witness=witness,
-        passed=passed,
+        passed=distinct and exponent_two and homomorphism_ok and len(gens) == 4 * cfg.pic_order,
     )
 
 
@@ -226,25 +217,16 @@ def verify_generator_relations(cfg: CurveConfig) -> RelationSuiteReport:
     pic = range(cfg.pic_order)
     checked = 0
     failures: list[str] = []
-
-    def holds(lhs: tuple[int, int], rhs: tuple[int, int]) -> bool:
-        return summary_is_trivial(summarize(lhs).plus(summarize(rhs).negated(m)), m)
-
-    for u in (0, 1):
-        for v in (0, 1):
-            for mask_l in pic:
-                a = u | mask_l << 2
-                for mask_m in pic:
-                    b = v | mask_m << 2
-                    product = a ^ b
-                    for kind, lhs, rhs in (
-                        ("residue", (a, b), (0, product)),
-                        ("ramified", (a | 2, b | 2), (2, product | 2)),
-                    ):
-                        checked += 1
-                        if not holds(lhs, rhs):
-                            form = DiagonalForm._from_packed(cfg, lhs)
-                            failures.append(f"{kind} relation failed at {form}")
+    for u, v, mask_l, mask_m in product((0, 1), (0, 1), pic, pic):
+        a = u | mask_l << 2
+        b = v | mask_m << 2
+        for kind, lhs, rhs in (
+            ("residue", (a, b), (0, a ^ b)),
+            ("ramified", (a | 2, b | 2), (2, a ^ b | 2)),
+        ):
+            checked += 1
+            if not summary_is_trivial(summarize(lhs).plus(summarize(rhs).negated(m)), m):
+                failures.append(f"{kind} relation failed at {DiagonalForm._from_packed(cfg, lhs)}")
     return RelationSuiteReport(
         config=cfg,
         checked=checked,
@@ -278,7 +260,7 @@ def check_ring_iso(cfg: CurveConfig) -> RingIsoReport:
 
     The group-ring engine fills the addition and multiplication tables, as
     element indices, one row at a time; the invariant engine decides each
-    entry on spread summaries, so a table entry costs one int addition and
+    entry on spread summaries, so a table entry costs two int additions and
     one lookup of the decision.  A sum entry is S[x] + S[y] - S[x+y], with
     S the summaries of the representatives.  The representative of y = (c, d)
     is the sum of those of (c, 0) and (0, d), checked for every y, so by
@@ -317,11 +299,13 @@ def check_ring_iso(cfg: CurveConfig) -> RingIsoReport:
     spread_negated = [_spread(summary, bits, table) for summary in negated]
     trivial = _Decisions(m, bits)
 
+    def decided(totals: Iterable[int]) -> Iterator[bool]:
+        """The decision of each spread total."""
+        return map(trivial.__getitem__, map(and_, totals, repeat(keep)))
+
     injective = True
     for i, total in enumerate(spread):
-        if not any(map(trivial.__getitem__, map(
-            and_, map(total.__add__, spread_negated[i + 1 :]), repeat(keep)
-        ))):
+        if not any(decided(map(total.__add__, spread_negated[i + 1 :]))):
             continue
         for j in range(i + 1, len(elements)):
             if summary_is_trivial(summaries[i].plus(negated[j]), m):
@@ -350,28 +334,20 @@ def check_ring_iso(cfg: CurveConfig) -> RingIsoReport:
         if summaries[j] != a.plus(b):
             mismatch(f"summary of {element(j)} is not the sum of its components' summaries")
 
-    width = len(classes)
-    additions = 0
-    multiplications = 0
     for i, x in enumerate(elements):
         summary = summaries[i]
         add_row = list(map(index.__getitem__, map(element_add, repeat(m), repeat(x), elements)))
         mul_row = list(map(index.__getitem__, map(element_mul, repeat(m), repeat(x), elements)))
-        additions += len(add_row)
-        multiplications += len(mul_row)
         sums = map(add, map(spread[i].__add__, spread), map(spread_negated.__getitem__, add_row))
         by_left = [_spread(summary.times(a), bits, table) for a in left]
         by_right = [_spread(summary.times(b), bits, table) for b in right]
         products = map(
             add,
-            map(add, chain.from_iterable(map(repeat, by_left, repeat(width))), by_right * width),
+            [l + r for l in by_left for r in by_right],
             map(spread_negated.__getitem__, mul_row),
         )
         found = len(mismatches)
-        if found == MAX_MISMATCHES or (
-            all(map(trivial.__getitem__, map(and_, sums, repeat(keep))))
-            and all(map(trivial.__getitem__, map(and_, products, repeat(keep))))
-        ):
+        if found == MAX_MISMATCHES or (all(decided(sums)) and all(decided(products))):
             continue
         for j, other in enumerate(summaries):
             if not summary_is_trivial(summary.plus(other).plus(negated[add_row[j]]), m):
@@ -381,14 +357,15 @@ def check_ring_iso(cfg: CurveConfig) -> RingIsoReport:
         if len(mismatches) == found:
             mismatch(f"table row of {element(i)} fails on spread summaries only")
 
-    passed = roundtrip_ok and injective and not mismatches
+    # Every table row is built in full.
+    pairs = len(elements) ** 2
     return RingIsoReport(
         config=cfg,
         element_count=len(elements),
-        addition_pairs_checked=additions,
-        multiplication_pairs_checked=multiplications,
+        addition_pairs_checked=pairs,
+        multiplication_pairs_checked=pairs,
         roundtrip_ok=roundtrip_ok,
         injective=injective,
         mismatches=tuple(mismatches),
-        passed=passed,
+        passed=roundtrip_ok and injective and not mismatches,
     )

@@ -187,6 +187,12 @@ class TestCanonicalForm:
         assert shape.tag is Shape.ZERO
         assert shape.payload.rank == 0
 
+    def test_is_zero_exactly_for_the_zero_shape(self, cfg):
+        assert canonical_form(parse_form("<1,-1>", cfg)).is_zero
+        assert canonical_form(DiagonalForm.zero(cfg)).is_zero
+        assert not canonical_form(parse_form("<1>", cfg)).is_zero
+        assert not canonical_form(parse_form("<pi,-1>", cfg)).is_zero
+
     def test_sum_of_two_nonsquares(self):
         # over a finite field every unit is a sum of two squares, so <s,s> = <1,1>
         cfg = CurveConfig(3, 1)

@@ -1,6 +1,7 @@
 """Tests for diagonal form algebra: sums, tensors, discriminants, norm forms."""
 
 import itertools
+import operator
 import pickle
 import random
 from collections import Counter
@@ -15,6 +16,7 @@ from wittcurve import (
     DiagonalForm,
     Generator,
     enumerate_generators,
+    equals,
     minus_one_class,
     parse_form,
     quaternion_norm_form,
@@ -53,6 +55,16 @@ class TestOrthogonalSum:
         f = parse_form("<1>", CurveConfig(1, 1))
         with pytest.raises(ValueError, match="config mismatch"):
             e + f
+        # Past the int-to-string limit each rank prints as its bit length.
+        e = DiagonalForm.zero(CurveConfig(3, 10**5000))
+        f = DiagonalForm.zero(CurveConfig(1, 10**5000))
+        for op in (operator.add, operator.mul, equals):
+            with pytest.raises(ValueError) as exc:
+                op(e, f)
+            assert str(exc.value) == (
+                "config mismatch: CurveConfig(q_mod_4=3, picard_rank=<int of 16610 bits>) "
+                "!= CurveConfig(q_mod_4=1, picard_rank=<int of 16610 bits>)"
+            )
 
 
 class TestTensor:
@@ -307,3 +319,24 @@ def test_forms_are_immutable(q3r1):
     with pytest.raises(FrozenInstanceError):
         del form.config
     assert pickle.loads(pickle.dumps(form)) == form
+
+
+def test_repr_names_config_and_entries(q3r1):
+    form = DiagonalForm(q3r1, [Generator(1, 0, 1, 1), Generator(0, 1, 0, 1)])
+    assert repr(form) == (
+        "DiagonalForm(config=CurveConfig(q_mod_4=3, picard_rank=1), "
+        "entries=(Generator(unit=1, pi_exp=0, mask=1, rank=1), "
+        "Generator(unit=0, pi_exp=1, mask=0, rank=1)))"
+    )
+    assert repr(DiagonalForm.zero(CurveConfig(1, 0))) == (
+        "DiagonalForm(config=CurveConfig(q_mod_4=1, picard_rank=0), entries=())"
+    )
+
+
+def test_repr_prints_a_huge_rank_as_its_bit_length():
+    huge = 10**5000
+    form = DiagonalForm(CurveConfig(3, huge), [Generator(1, 1, 5, huge)])
+    assert repr(form) == (
+        "DiagonalForm(config=CurveConfig(q_mod_4=3, picard_rank=<int of 16610 bits>), "
+        "entries=(Generator(unit=1, pi_exp=1, mask=5, rank=<int of 16610 bits>),))"
+    )

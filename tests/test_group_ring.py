@@ -501,6 +501,52 @@ class TestFaultInjection:
         )
         assert not report.passed
 
+    @pytest.mark.parametrize("q", (1, 3))
+    @pytest.mark.parametrize("rank", (0, 1))
+    def test_roundtrip_fault_is_reported(self, monkeypatch, q, rank):
+        # The group-ring engine reads the last representative as zero.
+        cfg = CurveConfig(q, rank)
+        m = minus_one_class(cfg)
+        last = packed_representative(m, packed_group_ring_elements(cfg)[-1])
+        coordinates = verify.packed_coordinates
+        monkeypatch.setattr(
+            verify,
+            "packed_coordinates",
+            lambda m, rep: (0, 0) if rep == last else coordinates(m, rep),
+        )
+        report = check_ring_iso(cfg)
+        assert not report.roundtrip_ok
+        assert report.injective
+        assert report.mismatches == ("from_group_ring does not invert to_group_ring",)
+        assert not report.passed
+
+    @pytest.mark.parametrize("q", (1, 3))
+    @pytest.mark.parametrize("rank", (0, 1))
+    def test_sample_catches_a_wrong_orthogonal_sum(self, monkeypatch, q, rank):
+        # Every real orthogonal sum gains a hyperbolic pair <1, -1>, so every
+        # sampled sum has the wrong summary, in sample order: (i, i), then
+        # (i, N - 1 - i).
+        cfg = CurveConfig(q, rank)
+        pair = (0, minus_one_class(cfg))
+        add = DiagonalForm.__add__
+        monkeypatch.setattr(
+            DiagonalForm,
+            "__add__",
+            lambda e, f: DiagonalForm._from_packed(e.config, add(e, f).packed + pair),
+        )
+        report = check_ring_iso(cfg)
+        last = len(packed_group_ring_elements(cfg)) - 1
+        assert report.roundtrip_ok and report.injective
+        assert report.mismatches == tuple(
+            f"sampled sum differs from Summary.plus at {_element(cfg, i)}, {_element(cfg, j)}"
+            for i in range(verify.MAX_MISMATCHES // 2)
+            for j in (i, last - i)
+        )
+        assert report.mismatches[0] == (
+            f"sampled sum differs from Summary.plus at {_element(cfg, 0)}, {_element(cfg, 0)}"
+        )
+        assert not report.passed
+
     @pytest.mark.parametrize("rank", (0, 1))
     def test_a_row_failing_on_spread_summaries_only_is_reported(self, monkeypatch, rank):
         # A codec fault fails every row although each entry holds.
@@ -555,6 +601,27 @@ class TestFaultInjection:
         assert not report.passed
         assert report.exponent_two
         assert not report.homomorphism_ok
+
+
+@pytest.mark.parametrize("view", (ResidueWittClass, GroupRingElement))
+def test_config_mismatch_prints_a_huge_rank_as_its_bit_length(view):
+    x = view.one(CurveConfig(3, 10**5000))
+    y = view.one(CurveConfig(1, 10**5000))
+    for op in (operator.add, operator.mul):
+        with pytest.raises(ValueError) as exc:
+            op(x, y)
+        assert str(exc.value) == (
+            "config mismatch: CurveConfig(q_mod_4=3, picard_rank=<int of 16610 bits>) "
+            "!= CurveConfig(q_mod_4=1, picard_rank=<int of 16610 bits>)"
+        )
+
+
+def test_element_rejects_components_of_two_configs():
+    with pytest.raises(ValueError) as exc:
+        GroupRingElement(
+            ResidueWittClass.zero(CurveConfig(3, 1)), ResidueWittClass.zero(CurveConfig(1, 1))
+        )
+    assert str(exc.value) == "config mismatch: mixed group ring components"
 
 
 def test_residue_class_count_matches_square_root_of_total(cfg):

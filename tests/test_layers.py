@@ -99,3 +99,45 @@ def test_no_import_inside_a_function(module):
                 if isinstance(child, (ast.Import, ast.ImportFrom))
             ]
             assert not inner, f"{module}.{node.name} imports at lines {inner}"
+
+
+def _module_names(tree: ast.Module) -> set[str]:
+    """Names a module binds at its top level: imports, functions, classes and
+    assignments."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(
+                name.id
+                for target in targets
+                for name in ast.walk(target)
+                if isinstance(name, ast.Name)
+            )
+    return names
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_local_name_shadows_a_module_name(module):
+    # A local that takes the name of, say, an imported itertools.product hides
+    # it for the rest of the function, and a later edit that means the import
+    # gets the local.
+    tree = _tree(module)
+    module_names = _module_names(tree)
+    shadowing = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            for child in ast.walk(node):
+                if isinstance(child, ast.arg):
+                    name = child.arg
+                elif isinstance(child, ast.Name) and isinstance(child.ctx, ast.Store):
+                    name = child.id
+                else:
+                    continue
+                if name in module_names:
+                    shadowing.add(f"{module}.{getattr(node, 'name', '<lambda>')}: {name}")
+    assert not shadowing, f"locals shadow module names: {sorted(shadowing)}"

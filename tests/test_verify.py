@@ -1,5 +1,7 @@
-"""Tests for the rank bounds of the verification suites and for the spread
-summaries that check_ring_iso decides its tables on."""
+"""Tests for the rank bounds of the verification suites, their failure
+reports, and the spread summaries that check_ring_iso decides its tables on."""
+
+import itertools
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,7 @@ from wittcurve import (
     verify_quaternion_distinctness,
 )
 from wittcurve import verify
-from wittcurve.forms import Summary, summarize
+from wittcurve.forms import Summary, quaternion_norm_form, summarize
 from wittcurve.group_ring import (
     packed_group_ring_elements,
     packed_representative,
@@ -81,3 +83,55 @@ def test_table_totals_fit_their_counters_at_the_rank_bound(q):
     assert largest == 20
     assert largest < 256
     assert all(s.ramified <= s.rank for s in summaries)
+
+
+def _refusing(calls):
+    """verify.summary_is_trivial with its decisions number calls (from 1) refused."""
+    decide = verify.summary_is_trivial
+    count = itertools.count(1)
+    return lambda summary, m: next(count) not in calls and decide(summary, m)
+
+
+def test_relation_suite_names_each_refused_relation_in_order(monkeypatch):
+    # The suite decides u, v, L, M in nested order and, for each, the residue
+    # relation before the ramified one: 2 * 2 * 2 * 2 * 2 = 32 decisions at r = 1.
+    monkeypatch.setattr(verify, "summary_is_trivial", _refusing({1, 6, 32}))
+    report = verify_generator_relations(CurveConfig(3, 1))
+    assert report.checked == 32
+    assert report.failures == (
+        "residue relation failed at <1,1>",
+        "ramified relation failed at <pi*L1,pi>",
+        "ramified relation failed at <s*pi*L1,s*pi*L1>",
+    )
+    assert not report.passed
+
+
+def test_relation_suite_counts_every_claim(monkeypatch, cfg):
+    monkeypatch.setattr(verify, "summary_is_trivial", lambda summary, m: False)
+    report = verify_generator_relations(cfg)
+    assert report.checked == len(report.failures) == 8 * cfg.pic_order**2
+    assert report.failures[:2] == (
+        "residue relation failed at <1,1>",
+        "ramified relation failed at <pi,pi>",
+    )
+    assert not report.passed
+
+
+def test_quaternion_suite_reports_an_equal_pair(monkeypatch, cfg):
+    expected = verify_quaternion_distinctness(cfg)
+    assert expected.pairwise_distinct and expected.passed
+    # The engine calls the norm forms of (s, pi) and (L1*...*Lr, pi) equal;
+    # at r = 0 the second is (1, pi).
+    pair = {
+        quaternion_norm_form(cfg, 1, 0).packed,
+        quaternion_norm_form(cfg, 0, cfg.pic_order - 1).packed,
+    }
+    equals = verify.equals
+    monkeypatch.setattr(
+        verify, "equals", lambda e, f: {e.packed, f.packed} == pair or equals(e, f)
+    )
+    report = verify_quaternion_distinctness(cfg)
+    assert report.class_count == expected.class_count == 2 * cfg.pic_order
+    assert not report.pairwise_distinct
+    assert report.trivial_symbols == expected.trivial_symbols == ("(1, pi)",)
+    assert not report.passed
