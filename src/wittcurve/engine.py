@@ -13,17 +13,9 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .forms import DiagonalForm, Summary
-from .groups import BrauerClass, CurveConfig, Generator, int_text, minus_one_class
+from .groups import BrauerClass, CurveConfig, Generator, minus_one_class
 from .group_ring import packed_coordinates, packed_representative
 from .symbols import symbol_sum, witt_invariant
-
-# enumerate_classes refuses a picard_rank above this.  The census is closed
-# form, so the bound comes from its output, not its cost: the largest rank
-# whose total 16 * 4**r = 2**(2r + 4), with floor((2r + 4) * log10(2)) + 1
-# digits, prints within CPython's default int-to-string limit of 4300 digits
-# (sys.get_int_max_str_digits()).  That is 4300 digits at r = 7140 and 4301
-# at r = 7141; every shape count is smaller than the total.
-CENSUS_RANK_BOUND = 7140
 
 
 def summary_is_trivial(summary: Summary, minus_one: int) -> bool:
@@ -153,13 +145,8 @@ def enumerate_classes(cfg: CurveConfig) -> CensusReport:
     """Census of all 16n^2 classes, grouped by canonical shape, in closed form.
 
     Shape rows cover the nontrivial classes; the total includes the zero
-    class.  Refuses configurations with picard_rank above CENSUS_RANK_BOUND.
+    class.
     """
-    if cfg.picard_rank > CENSUS_RANK_BOUND:
-        raise ValueError(
-            f"bound exceeded: picard_rank {int_text(cfg.picard_rank)} > "
-            f"rank bound {CENSUS_RANK_BOUND}"
-        )
     # Of the 4n residue classes one is zero, 2n - 1 are even and nonzero, and
     # 2n are odd; a shape takes one class of its type in each component.
     n = cfg.pic_order

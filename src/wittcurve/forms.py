@@ -16,7 +16,7 @@ from functools import reduce
 from operator import xor
 from typing import Iterable, NamedTuple
 
-from .groups import CurveConfig, Generator, check_bit, check_mask, int_text, label, minus_one_class
+from .groups import CurveConfig, Generator, check_bit, check_mask, label, minus_one_class
 
 _set = object.__setattr__
 # Builds a Summary from a tuple without the Python-level NamedTuple __new__,
@@ -118,8 +118,7 @@ class DiagonalForm:
         for g in entries:
             if g.rank != rank:
                 raise ValueError(
-                    "config mismatch: entry line bundle rank "
-                    f"{int_text(g.rank)} != picard_rank {int_text(rank)}"
+                    f"config mismatch: entry line bundle rank {g.rank} != picard_rank {rank}"
                 )
             packed.append(g.packed)
         _set(self, "config", config)

@@ -2,11 +2,11 @@
 
 Concrete syntax for forms is ASCII:  <entry,entry,...>  where an entry is an
 optional leading '-' followed by '*'-joined terms '1', 's', 'pi' or 'L<k>',
-where 1 <= k <= min(picard rank, MAX_BUNDLE_INDEX), and a text holds at most
-MAX_FORM_ENTRIES entries.  A '-' multiplies the entry by the class of -1;
-repeated terms multiply in their component groups.  Unicode angle brackets
-are accepted on input and never emitted: str() of a form writes this syntax
-and parses back to it.
+where 1 <= k <= picard rank, and a text holds at most MAX_FORM_ENTRIES
+entries.  A '-' multiplies the entry by the class of -1; repeated terms
+multiply in their component groups.  Unicode angle brackets are accepted on
+input and never emitted: str() of a form writes this syntax and parses back
+to it.
 
 Every term is its packed delta, unit | pi_exp << 1 | mask << 2, and an
 entry is the XOR of its terms and, if it has a '-', of the class of -1.
@@ -20,8 +20,7 @@ label through _label_delta, the one rule for which labels exist.
 from __future__ import annotations
 
 import re
-import sys
-from functools import lru_cache, reduce
+from functools import reduce
 from operator import xor
 
 from .forms import DiagonalForm
@@ -61,33 +60,10 @@ class _Cursor:
         self.pos += 1
 
 
-# The largest bundle label L<k> the syntax takes, whatever the Picard rank:
-# a label builds a k-bit mask, so without a bound the text alone could ask
-# for gigabytes.  A 4096-entry text of the labels L1..L4096 parses with a
-# peak of about 3 MB (tracemalloc); the 4096 labels up to L65536 take 70 MB.
-MAX_BUNDLE_INDEX = 4096
-
 # The most entries a form text may have.  A longer text is a syntax error at
 # the first character of its first entry past the limit; README derives the
 # figure from the measured cost per entry.
 MAX_FORM_ENTRIES = 1 << 16
-
-
-@lru_cache(maxsize=16)  # the cursor parser asks once per label
-def _max_label_digits(picard_rank: int) -> int:
-    """Most significant digits a bundle label may have and still be read.
-
-    The digit count of the rank, found without str(picard_rank), which
-    refuses an int of more digits than sys.get_int_max_str_digits() (4300
-    by default); and no more than int() reads, so a longer label is
-    rejected unread.
-    """
-    # 0.30102999 < log10(2): the estimate never exceeds the digit count.
-    digits = max(1, picard_rank.bit_length() * 30102999 // 100000000)
-    while picard_rank >= 10**digits:
-        digits += 1
-    limit = sys.get_int_max_str_digits()
-    return min(digits, limit) if limit else digits
 
 
 # Leading zeros, then the significant digits of a bundle index.  [0-9], not
@@ -105,18 +81,14 @@ def _label_delta(digits: str, picard_rank: int) -> int:
     The one rule for which labels exist, and the message for one that does
     not; the cursor parser places the message at the label.
     """
-    if len(digits) > _max_label_digits(picard_rank):
-        # Too large to be an index, or for int() to read.
+    if len(digits) > len(str(picard_rank)):
+        # Too large to be an index: rejected before int() reads it.
         raise _LabelError(
             f"unknown bundle label L{digits[:8]}... ({len(digits)} digits)"
         )
     index = int(digits or "0")
     if not 1 <= index <= picard_rank:
         raise _LabelError(f"unknown bundle label L{index}")
-    if index > MAX_BUNDLE_INDEX:
-        raise _LabelError(
-            f"bundle label L{index} exceeds the limit L{MAX_BUNDLE_INDEX}"
-        )
     return 1 << (index + 1)
 
 

@@ -19,7 +19,6 @@ from .groups import (
     BrauerClass,
     CurveConfig,
     enumerate_generators,
-    int_text,
     label,
     line_label,
     minus_one_class,
@@ -31,7 +30,6 @@ from .group_ring import (
     packed_coordinates,
     packed_group_ring_elements,
     packed_representative,
-    packed_residue_classes,
 )
 
 # At most this many mismatch descriptions go into a RingIsoReport; any
@@ -48,8 +46,7 @@ SUITE_RANK_BOUND = 7
 def _check_rank(cfg: CurveConfig, bound: int, suite: str) -> None:
     if cfg.picard_rank > bound:
         raise ValueError(
-            f"bound exceeded: {suite} needs picard_rank <= {bound}, "
-            f"got {int_text(cfg.picard_rank)}"
+            f"bound exceeded: {suite} needs picard_rank <= {bound}, got {cfg.picard_rank}"
         )
 
 
@@ -325,11 +322,13 @@ def check_ring_iso(cfg: CurveConfig) -> RingIsoReport:
                     f"sampled tensor product differs from Summary.times at {element(i)}, {element(j)}"
                 )
 
-    # The elements are the pairs (c, d) in this order, and the product rows
-    # rely on S[(c, d)] = S[(c, 0)] + S[(0, d)].
-    classes = packed_residue_classes(cfg)
-    left = [summarize(packed_representative(m, (c, 0))) for c in classes]
-    right = [summarize(packed_representative(m, (0, d))) for d in classes]
+    # The elements are the pairs (c, d) of the 4n residue classes in this
+    # order, zero first, so S[(c, 0)] is every 4n-th summary and S[(0, d)]
+    # one of the first 4n.  The product rows rely on
+    # S[(c, d)] = S[(c, 0)] + S[(0, d)].
+    width = 4 * cfg.pic_order
+    left = summaries[::width]
+    right = summaries[:width]
     for j, (a, b) in enumerate(product(left, right)):
         if summaries[j] != a.plus(b):
             mismatch(f"summary of {element(j)} is not the sum of its components' summaries")

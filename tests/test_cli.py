@@ -12,6 +12,7 @@ import tracemalloc
 
 import pytest
 
+import wittcurve
 from wittcurve import (
     CurveConfig,
     DiagonalForm,
@@ -50,15 +51,17 @@ class TestParse:
         assert parse_form("<L" + "0" * 5000 + "1>", q3r1) == parse_form("<L1>", q3r1)
 
     def test_bundle_label_limit(self):
-        # A label builds a mask of its own size, so labels stop at L4096
-        # whatever the rank.
-        cfg = CurveConfig(3, 10**8)
+        # A label builds a mask of its own size, so labels stop at the rank,
+        # and the rank stops at L4096.
+        cfg = CurveConfig(3, 4096)
         assert parse_form("<L4096>", cfg).entries[0].mask == 1 << 4095
         with pytest.raises(
-            FormSyntaxError, match="^bundle label L4097 exceeds the limit L4096"
+            FormSyntaxError, match="^unknown bundle label L4097 at position 5$"
         ) as err:
             parse_form("<1,s*L4097>", cfg)
         assert err.value.position == 5
+        with pytest.raises(ValueError, match="^picard_rank must be <= 4096, got 4097$"):
+            CurveConfig(3, 4097)
 
     def test_non_ascii_digit_label(self, q3r1):
         with pytest.raises(FormSyntaxError, match="expected bundle index"):
@@ -189,18 +192,17 @@ class TestRunCommand:
 
     @pytest.mark.parametrize("fmt", ("text", "json", "csv"))
     def test_enumerate_up_to_census_rank_bound(self, fmt, capsys):
-        # 7140 is the largest rank whose total prints in 4300 digits.
-        code = run_command(["enumerate", "--picard-rank", "7140", "--format", fmt])
+        # The census takes every rank a configuration takes; its total at
+        # the largest has 2468 digits.
+        code = run_command(["enumerate", "--picard-rank", "4096", "--format", fmt])
         out = capsys.readouterr().out
         assert code == 0
-        assert str(16 * 4**7140) in out
-        code = run_command(["enumerate", "--picard-rank", "7141", "--format", fmt])
+        assert str(16 * 4**4096) in out
+        code = run_command(["enumerate", "--picard-rank", "4097", "--format", fmt])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
-        assert captured.err == (
-            "error: bound exceeded: picard_rank 7141 > rank bound 7140\n"
-        )
+        assert captured.err == "error: picard_rank must be <= 4096, got 4097\n"
 
     def test_enumerate_deterministic(self, capsys):
         run_command(["enumerate"])
@@ -238,41 +240,42 @@ class TestRunCommand:
         assert elapsed < 1.0
 
     def test_huge_rank_allocates_nothing_rank_sized(self, capsys):
-        tracemalloc.start()
-        try:
-            code = run_command(["invariants", "<1,L1>", "--picard-rank", "100000000"])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert code == 0
-        assert "signed_disc" in capsys.readouterr().out
-        assert peak < 1 << 20
+        for rank, expected in (("4096", 0), ("100000000", 2)):
+            tracemalloc.start()
+            try:
+                code = run_command(["invariants", "<1,L1>", "--picard-rank", rank])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert code == expected
+            assert peak < 1 << 20
+        captured = capsys.readouterr()
+        assert "signed_disc" in captured.out
+        assert captured.err == "error: picard_rank must be <= 4096, got 100000000\n"
 
     def test_label_over_limit_exits_two_in_bounded_memory(self, capsys):
-        # Without the label limit this asks for a 12.5 GB mask.
-        tracemalloc.start()
-        start = time.perf_counter()
-        try:
-            code = run_command(
-                [
-                    "invariants",
-                    "<1,L1,-pi*L99999999999>",
-                    "--picard-rank",
-                    "99999999999",
-                ]
-            )
-            elapsed = time.perf_counter() - start
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.out == ""
-        assert captured.err == (
-            "error: bundle label L99999999999 exceeds the limit L4096 at position 10\n"
-        )
-        assert elapsed < 1.0
-        assert peak < 1 << 20
+        for rank, message in (
+            # Without the rank limit this asks for a 12.5 GB mask.
+            ("99999999999", "picard_rank must be <= 4096, got 99999999999"),
+            # A label of more digits than the rank is refused unread.
+            ("4096", "unknown bundle label L99999999... (11 digits) at position 10"),
+        ):
+            tracemalloc.start()
+            start = time.perf_counter()
+            try:
+                code = run_command(
+                    ["invariants", "<1,L1,-pi*L99999999999>", "--picard-rank", rank]
+                )
+                elapsed = time.perf_counter() - start
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            captured = capsys.readouterr()
+            assert code == 2
+            assert captured.out == ""
+            assert captured.err == f"error: {message}\n"
+            assert elapsed < 1.0
+            assert peak < 1 << 20
 
     def test_usage_error_exits_two(self, capsys):
         assert run_command(["no-such-command"]) == 2
@@ -357,6 +360,16 @@ def _closed_pipe():
     return write_end
 
 
+def _child_env() -> dict:
+    """This environment, with the directory that holds the imported package
+    first on PYTHONPATH, so that a child interpreter runs the same code from
+    a checkout as from an install."""
+    env = dict(os.environ)
+    root = os.path.dirname(os.path.dirname(wittcurve.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (root, env.get("PYTHONPATH"))))
+    return env
+
+
 @pytest.mark.parametrize(
     "open_stdout, message",
     [
@@ -374,7 +387,8 @@ def _closed_pipe():
 def test_stdout_write_failure_exits_two_in_a_process(open_stdout, message):
     # Block-buffered, as in a shell: the unwritten rest must not fail again
     # when the interpreter flushes stdout at exit.
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env = _child_env()
+    env.pop("PYTHONUNBUFFERED", None)
     stdout = open_stdout()
     try:
         result = subprocess.run(
@@ -395,6 +409,7 @@ def test_module_entry_point():
         [sys.executable, "-m", "wittcurve", "equal", "<pi*L1,pi*L1>", "<pi,pi>"],
         capture_output=True,
         text=True,
+        env=_child_env(),
     )
     assert result.returncode == 0
     assert result.stdout.strip() == "true"

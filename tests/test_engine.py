@@ -29,7 +29,6 @@ from wittcurve import (
     verify_generator_relations,
     verify_quaternion_distinctness,
 )
-from wittcurve import engine
 
 from helpers import (
     enumerated_census,
@@ -272,22 +271,14 @@ class TestCensus:
         assert (census.total, census.shape_counts) == enumerated_census(cfg)
 
     def test_rank_bound(self):
-        # The bound is the largest rank whose total prints within the default
-        # limit of 4300 digits; past it the digits are counted without str().
-        assert engine.CENSUS_RANK_BOUND == 7140
-        census = enumerate_classes(CurveConfig(3, 7140))
-        assert census.total == 16 * 4**7140
-        assert len(str(census.total)) == 4300
-        assert 16 * 4**7141 >= 10**4300
-        with pytest.raises(
-            ValueError, match="^bound exceeded: picard_rank 7141 > rank bound 7140$"
-        ):
-            enumerate_classes(CurveConfig(3, 7141))
-        with pytest.raises(
-            ValueError,
-            match="^bound exceeded: picard_rank <int of 16610 bits> > rank bound 7140$",
-        ):
-            enumerate_classes(CurveConfig(3, 10**5000))
+        # The census takes every rank a configuration takes; its total at the
+        # largest has 2468 digits, within the default limit of 4300.
+        census = enumerate_classes(CurveConfig(3, 4096))
+        assert census.total == 16 * 4**4096
+        assert len(str(census.total)) == 2468
+        assert census.nontrivial_total == census.total - 1
+        with pytest.raises(ValueError, match="^picard_rank must be <= 4096, got 4097$"):
+            enumerate_classes(CurveConfig(3, 4097))
 
     def test_every_class_reached_by_rank_at_most_four(self):
         # all 16n^2 classes appear among forms of length <= 4

@@ -55,15 +55,15 @@ class TestOrthogonalSum:
         f = parse_form("<1>", CurveConfig(1, 1))
         with pytest.raises(ValueError, match="config mismatch"):
             e + f
-        # Past the int-to-string limit each rank prints as its bit length.
-        e = DiagonalForm.zero(CurveConfig(3, 10**5000))
-        f = DiagonalForm.zero(CurveConfig(1, 10**5000))
+        # At the largest rank each config prints in full.
+        e = DiagonalForm.zero(CurveConfig(3, 4096))
+        f = DiagonalForm.zero(CurveConfig(1, 4096))
         for op in (operator.add, operator.mul, equals):
             with pytest.raises(ValueError) as exc:
                 op(e, f)
             assert str(exc.value) == (
-                "config mismatch: CurveConfig(q_mod_4=3, picard_rank=<int of 16610 bits>) "
-                "!= CurveConfig(q_mod_4=1, picard_rank=<int of 16610 bits>)"
+                "config mismatch: CurveConfig(q_mod_4=3, picard_rank=4096) "
+                "!= CurveConfig(q_mod_4=1, picard_rank=4096)"
             )
 
 
@@ -334,9 +334,14 @@ def test_repr_names_config_and_entries(q3r1):
 
 
 def test_repr_prints_a_huge_rank_as_its_bit_length():
-    huge = 10**5000
-    form = DiagonalForm(CurveConfig(3, huge), [Generator(1, 1, 5, huge)])
+    # Every int a form holds prints in full; a rank past the int-to-string
+    # limit is refused, and its message prints it as its bit length.
+    form = DiagonalForm(CurveConfig(3, 4096), [Generator(1, 1, 5 << 4093, 4096)])
     assert repr(form) == (
-        "DiagonalForm(config=CurveConfig(q_mod_4=3, picard_rank=<int of 16610 bits>), "
-        "entries=(Generator(unit=1, pi_exp=1, mask=5, rank=<int of 16610 bits>),))"
+        "DiagonalForm(config=CurveConfig(q_mod_4=3, picard_rank=4096), "
+        f"entries=(Generator(unit=1, pi_exp=1, mask={5 << 4093}, rank=4096),))"
     )
+    with pytest.raises(
+        ValueError, match="^picard_rank must be <= 4096, got <int of 16610 bits>$"
+    ):
+        CurveConfig(3, 10**5000)

@@ -315,10 +315,9 @@ class TestRingIsomorphism:
             "bound exceeded: exhaustive ring comparison needs picard_rank <= 2, got 3"
         )
         with pytest.raises(ValueError) as exc:
-            check_ring_iso(CurveConfig(3, 10**5000))
+            check_ring_iso(CurveConfig(3, 4096))
         assert str(exc.value) == (
-            "bound exceeded: exhaustive ring comparison needs picard_rank <= 2, "
-            "got <int of 16610 bits>"
+            "bound exceeded: exhaustive ring comparison needs picard_rank <= 2, got 4096"
         )
 
     @pytest.mark.parametrize("q", (1, 3))
@@ -605,14 +604,15 @@ class TestFaultInjection:
 
 @pytest.mark.parametrize("view", (ResidueWittClass, GroupRingElement))
 def test_config_mismatch_prints_a_huge_rank_as_its_bit_length(view):
-    x = view.one(CurveConfig(3, 10**5000))
-    y = view.one(CurveConfig(1, 10**5000))
+    # At the largest rank each config prints in full.
+    x = view.one(CurveConfig(3, 4096))
+    y = view.one(CurveConfig(1, 4096))
     for op in (operator.add, operator.mul):
         with pytest.raises(ValueError) as exc:
             op(x, y)
         assert str(exc.value) == (
-            "config mismatch: CurveConfig(q_mod_4=3, picard_rank=<int of 16610 bits>) "
-            "!= CurveConfig(q_mod_4=1, picard_rank=<int of 16610 bits>)"
+            "config mismatch: CurveConfig(q_mod_4=3, picard_rank=4096) "
+            "!= CurveConfig(q_mod_4=1, picard_rank=4096)"
         )
 
 
@@ -639,7 +639,6 @@ def test_from_generators_rejects_a_generator_of_another_rank():
     with pytest.raises(ValueError, match="config mismatch"):
         ResidueWittClass.from_generators(CurveConfig(3, 2), [Generator(0, 0, 1, 1)])
     with pytest.raises(
-        ValueError,
-        match="^config mismatch: entry line bundle rank 1 != picard_rank <int of 16610 bits>$",
+        ValueError, match="^config mismatch: entry line bundle rank 1 != picard_rank 4096$"
     ):
-        ResidueWittClass.from_generators(CurveConfig(3, 10**5000), [Generator(0, 0, 1, 1)])
+        ResidueWittClass.from_generators(CurveConfig(3, 4096), [Generator(0, 0, 1, 1)])

@@ -16,6 +16,7 @@ from wittcurve import (
     Generator,
     ResidueWittClass,
     enumerate_groups,
+    invariant_profile,
     make_config,
     minus_one_class,
     parse_form,
@@ -53,6 +54,16 @@ class TestConfig:
             ValueError, match="^picard_rank must be >= 0, got <negative int of 16610 bits>$"
         ):
             make_config(3, -(10**5000))
+
+    def test_rank_bound(self):
+        assert groups.MAX_PICARD_RANK == 4096
+        assert make_config(3, 4096).picard_rank == 4096
+        with pytest.raises(ValueError, match="^picard_rank must be <= 4096, got 4097$"):
+            make_config(3, 4097)
+        with pytest.raises(
+            ValueError, match="^picard_rank must be <= 4096, got <int of 16610 bits>$"
+        ):
+            make_config(3, 10**5000)
 
     @pytest.mark.parametrize("rank", [2.0, "2", True, None])
     def test_rejects_non_int_rank(self, rank):
@@ -173,16 +184,24 @@ class TestLineBundleMask:
     def test_huge_rank_allocates_no_rank_sized_int(self, holder):
         tracemalloc.start()
         try:
-            trivial = HOLDERS[holder](0, 0, 10**8)
-            top = HOLDERS[holder](0, 1, 10**8)
+            trivial = HOLDERS[holder](0, 0, 4096)
+            low = HOLDERS[holder](0, 1, 4096)
+            top = HOLDERS[holder](0, 1 << 4095, 4096)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert "L" not in str(trivial)
-        assert "L1" in str(top)
+        assert "L1" in str(low)
+        assert "L4096" in str(top)
         assert peak < 1 << 20
         with pytest.raises(ValueError, match="out of range"):
-            HOLDERS[holder](0, -1, 10**8)
+            HOLDERS[holder](0, -1, 4096)
+        with pytest.raises(ValueError, match="^line bundle mask .* out of range for rank 4096$"):
+            HOLDERS[holder](0, 1 << 4096, 4096)
+        # A larger rank is refused before any mask is checked.
+        for rank in (4097, 10**8):
+            with pytest.raises(ValueError, match=f"rank must be <= 4096, got {rank}$"):
+                HOLDERS[holder](0, 0, rank)
 
     @pytest.mark.parametrize("holder", ["Generator", "BrauerClass"])
     def test_negative_rank_rejected(self, holder):
@@ -272,12 +291,17 @@ class TestLabelOracle:
     @pytest.mark.parametrize("pi_exp", (0, 1))
     @pytest.mark.parametrize(
         "mask",
-        [1 << 99, 1 << 4999, 1 << 200_000, 1 << 4999 | 1 << 99 | 1 << 62 | 1,
-         (0b1011 << 4996) | 1 << 61],
-        ids=["L100", "L5000", "bit-200000", "mixed", "byte-above-cache"],
+        [1 << 99, 1 << 4095, 1 << 4999, 1 << 200_000, 1 << 4095 | 1 << 99 | 1 << 62 | 1,
+         (0b1011 << 4092) | 1 << 61],
+        ids=["L100", "L4096", "L5000", "bit-200000", "mixed", "byte-above-cache"],
     )
     def test_sparse_high_bits(self, unit, pi_exp, mask):
-        _assert_labels_match_oracle(unit, pi_exp, mask, mask.bit_length())
+        if mask.bit_length() <= groups.MAX_PICARD_RANK:
+            _assert_labels_match_oracle(unit, pi_exp, mask, mask.bit_length())
+        else:
+            # No class holds such a mask, but label takes any int.
+            assert label(unit | pi_exp << 1 | mask << 2) == set_bit_label(unit, pi_exp, mask)
+            assert line_label(mask) == set_bit_label(0, 0, mask)
 
     def test_every_byte_position_below_the_cache_bound(self):
         for bit in range(80):
@@ -361,3 +385,25 @@ class TestRendering:
         assert str(BrauerClass.identity(2)) == "(1, pi)"
         cls = BrauerClass(1, 0b10, 2)
         assert str(cls) == "(s*L2, pi)"
+
+    def test_reprs_at_the_rank_bound_are_the_dataclass_text(self):
+        # Every int a class holds prints within the int-to-string limit.
+        high = 1 << 4095
+        cfg = CurveConfig(3, 4096)
+        assert repr(BrauerClass(0, high, 4096)) == (
+            f"BrauerClass(unit=0, mask={high}, rank=4096)"
+        )
+        assert repr(ResidueWittClass(cfg, 0, 0, high)) == (
+            "ResidueWittClass(config=CurveConfig(q_mod_4=3, picard_rank=4096), "
+            f"parity=0, disc_unit=0, disc_mask={high})"
+        )
+        assert repr(invariant_profile(parse_form("<1,-1>", cfg))) == (
+            "InvariantProfile(rank_parity=0, "
+            "signed_disc=Generator(unit=0, pi_exp=0, mask=0, rank=4096), "
+            "witt_inv=BrauerClass(unit=0, mask=0, rank=4096))"
+        )
+
+    def test_rank_past_the_int_string_limit_is_refused_by_bit_length(self):
+        with pytest.raises(ValueError) as exc:
+            BrauerClass(0, 1, 10**5000)
+        assert str(exc.value) == "rank must be <= 4096, got <int of 16610 bits>"

@@ -15,6 +15,7 @@ from wittcurve import (
     minus_one_class,
 )
 from wittcurve import syntax
+from wittcurve.groups import MAX_PICARD_RANK, label
 from wittcurve.syntax import FormSyntaxError, _parse_with_cursor, parse_form
 
 CONFIGS = st.builds(
@@ -103,7 +104,7 @@ def damaged_spellings(draw):
 
 
 # Terms the syntax takes (some only at the head of an entry, some only at
-# rank 16 or above the label limit) and terms one step away from it.
+# rank 16 or 4096) and terms one step away from it.
 TERMS = ["1", "s", "pi", "L1", "L2", "L16", "L01", "L" + "0" * 30 + "1", "-1",
          "- s", "-\x1cpi", "L", "L0", "L00", "L17", "L99999", "L" + "9" * 30,
          "p", "i", "p i", "", "--1", "-", "1 1", "q", "L²", "L1x", "Ls", "0",
@@ -159,6 +160,11 @@ def test_parse_form_agrees_with_cursor_parser(case):
     (0, 1, 2, 16, 4095, 4096, 4097, 10**8, pytest.param(10**5000, id="10**5000")),
 )
 def test_each_term_in_each_place_agrees_with_cursor_parser(q, rank):
+    if rank > MAX_PICARD_RANK:
+        # No text reaches either parser at this rank.
+        with pytest.raises(ValueError, match="^picard_rank must be <= 4096, got "):
+            CurveConfig(q, rank)
+        return
     cfg = CurveConfig(q, rank)
     for term in TERMS:
         for text in (f"<{term}>", f"<1,{term}>", f"< {term} *1>", f"<s* {term}>"):
@@ -181,6 +187,23 @@ def test_printed_form_parses_back(data):
     entries = data.draw(st.lists(generators(cfg.picard_rank), max_size=64), label="entries")
     form = DiagonalForm(cfg, tuple(entries))
     assert parse_form(str(form), cfg) == form
+
+
+@pytest.mark.parametrize("q", (1, 3))
+def test_printed_form_parses_back_at_the_rank_bound(q):
+    rng = random.Random(q)
+    cfg = CurveConfig(q, MAX_PICARD_RANK)
+    # L4096, random masks that reach it, and sparse bits near it.
+    top = 1 << MAX_PICARD_RANK - 1
+    masks = [top, top | 1] + [rng.getrandbits(MAX_PICARD_RANK) | top for _ in range(32)]
+    masks += [1 << rng.randrange(4000, MAX_PICARD_RANK) for _ in range(32)]
+    form = DiagonalForm(
+        cfg,
+        [Generator(rng.randint(0, 1), rng.randint(0, 1), m, MAX_PICARD_RANK) for m in masks],
+    )
+    assert "L4096" in str(form)
+    assert parse_form(str(form), cfg) == form
+    assert _parse_with_cursor(str(form), cfg) == form
 
 
 def test_long_form_parses_in_bounded_memory():
@@ -231,14 +254,18 @@ def test_long_pathological_text_is_linear(text, rank):
 
 
 def test_rank_past_the_int_string_limit():
-    # str() of a rank of more than 4300 digits raises a plain ValueError; the
-    # label digit check must not need it.
-    cfg = CurveConfig(3, 10**5000)
+    # A rank of more than 4300 digits, which str() refuses, never reaches the
+    # parser; at the largest rank a label too long for int() is refused unread.
+    with pytest.raises(
+        ValueError, match="^picard_rank must be <= 4096, got <int of 16610 bits>$"
+    ):
+        CurveConfig(3, 10**5000)
+    cfg = CurveConfig(3, MAX_PICARD_RANK)
     assert parse_form("<1>", cfg) == DiagonalForm(cfg, (Generator.one(cfg.picard_rank),))
     assert str(parse_form("<s*L3, L01>", cfg)) == "<s*L3,L1>"
     for text in ("<L" + "9" * 4400 + ">", "<L" + "9" * 5001 + ">", "<L5000>", "<L0>"):
         for parse in (parse_form, _parse_with_cursor):
-            with pytest.raises(FormSyntaxError):
+            with pytest.raises(FormSyntaxError, match="^unknown bundle label L"):
                 parse(text, cfg)
 
 
@@ -248,12 +275,21 @@ def test_rank_past_the_int_string_limit():
      10**4299, 10**4300 - 1],
 )
 def test_label_digit_bound_is_the_rank_digit_count(rank):
-    # So every message below ranks of 10**4300 reads as when the bound was
-    # len(str(rank)).
-    assert syntax._max_label_digits(rank) == len(str(rank))
-    long_label = "<L" + "7" * (len(str(rank)) + 1) + ">"
-    with pytest.raises(FormSyntaxError, match=r"digits\)"):
-        parse_form(long_label, CurveConfig(1, rank))
+    if rank > MAX_PICARD_RANK:
+        with pytest.raises(ValueError, match="^picard_rank must be <= 4096, got "):
+            CurveConfig(1, rank)
+        return
+    # A label of as many significant digits as the rank is read; one more
+    # digit is refused unread.
+    digits = len(str(rank))
+    cfg = CurveConfig(1, rank)
+    for parse in (parse_form, _parse_with_cursor):
+        try:
+            parse("<L" + "9" * digits + ">", cfg)
+        except FormSyntaxError as err:
+            assert str(err) == f"unknown bundle label L{'9' * digits} at position 1"
+        with pytest.raises(FormSyntaxError, match=rf"\({digits + 1} digits\) at"):
+            parse("<L" + "7" * (digits + 1) + ">", cfg)
 
 
 # -- the per-call term tables ------------------------------------------------------
@@ -378,9 +414,12 @@ def test_long_form_prints_in_bounded_memory():
 
 
 def test_high_sparse_bits_print_in_linear_time():
-    rank = 200_001
-    form = DiagonalForm(CurveConfig(3, rank), (Generator(0, 0, 1 << 200_000, rank),) * 1000)
+    rank = MAX_PICARD_RANK
+    form = DiagonalForm(CurveConfig(3, rank), (Generator(0, 0, 1 << rank - 1, rank),) * 1000)
     start = time.perf_counter()
     text = str(form)
+    # label takes a class of any height: one step per non-zero byte.
+    high = [label(1 << 200_002) for _ in range(1000)]
     assert time.perf_counter() - start < 2.0
-    assert text == "<" + ",".join(["L200001"] * 1000) + ">"
+    assert text == "<" + ",".join(["L4096"] * 1000) + ">"
+    assert high == ["L200001"] * 1000
