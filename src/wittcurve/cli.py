@@ -12,8 +12,7 @@ import io
 import json
 import os
 import sys
-from pathlib import Path
-from typing import Callable, Sequence
+from collections.abc import Callable, Sequence
 
 from .engine import canonical_form, enumerate_classes, equals, invariant_profile
 from .groups import CurveConfig
@@ -196,7 +195,8 @@ def run_command(argv: Sequence[str] | None = None) -> int:
         return 2
     try:
         if args.out:
-            Path(args.out).write_text(output + "\n", encoding="utf-8")
+            with open(args.out, "w", encoding="utf-8") as out:
+                out.write(output + "\n")
         elif sys.stdout is None:  # started with stdout closed
             raise OSError(errno.EBADF, os.strerror(errno.EBADF))
         else:

@@ -9,11 +9,10 @@ on the difference, never by rewriting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 from .forms import DiagonalForm, Summary
-from .groups import BrauerClass, CurveConfig, Generator, minus_one_class
+from .groups import BrauerClass, CurveConfig, Generator, _Frozen, _set, minus_one_class
 from .group_ring import packed_coordinates, packed_representative
 from .symbols import symbol_sum, witt_invariant
 
@@ -43,17 +42,21 @@ def equals(e: DiagonalForm, f: DiagonalForm) -> bool:
     return summary_is_trivial(e.summary.plus(f.summary.negated(m)), m)
 
 
-@dataclass(frozen=True, slots=True)
-class InvariantProfile:
+class InvariantProfile(_Frozen):
     """Rank parity, signed discriminant, and (when defined) the Clifford class.
 
     witt_inv is present exactly when the class has even rank and trivial
     signed discriminant.
     """
 
-    rank_parity: int
-    signed_disc: Generator
-    witt_inv: BrauerClass | None
+    __slots__ = ("rank_parity", "signed_disc", "witt_inv")
+
+    def __init__(
+        self, rank_parity: int, signed_disc: Generator, witt_inv: BrauerClass | None
+    ) -> None:
+        _set(self, "rank_parity", rank_parity)
+        _set(self, "signed_disc", signed_disc)
+        _set(self, "witt_inv", witt_inv)
 
 
 def invariant_profile(form: DiagonalForm) -> InvariantProfile:
@@ -99,12 +102,14 @@ _SHAPE_BY_TYPES = {tuple(s.name.lower().split("_")): s for s in NONTRIVIAL_SHAPE
 _SHAPE_BY_TYPES["zero", "zero"] = Shape.ZERO
 
 
-@dataclass(frozen=True, slots=True)
-class CanonicalShape:
+class CanonicalShape(_Frozen):
     """A shape tag together with the concrete minimal representative."""
 
-    tag: Shape
-    payload: DiagonalForm
+    __slots__ = ("tag", "payload")
+
+    def __init__(self, tag: Shape, payload: DiagonalForm) -> None:
+        _set(self, "tag", tag)
+        _set(self, "payload", payload)
 
     @property
     def is_zero(self) -> bool:
@@ -128,13 +133,11 @@ def canonical_form(form: DiagonalForm) -> CanonicalShape:
     )
 
 
-@dataclass(frozen=True)
-class CensusReport:
-    """Distinct Witt classes of a configuration, counted per canonical shape."""
+class CensusReport(_Frozen):
+    """Distinct Witt classes of a configuration, counted per canonical shape:
+    config, total and shape_counts, a tuple of (Shape, int) pairs."""
 
-    config: CurveConfig
-    total: int
-    shape_counts: tuple[tuple[Shape, int], ...]
+    __slots__ = ("config", "total", "shape_counts")
 
     @property
     def nontrivial_total(self) -> int:

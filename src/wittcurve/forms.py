@@ -11,15 +11,23 @@ Summary that the invariant engine decides with.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
+from collections.abc import Iterable
 from functools import reduce
 from operator import xor
-from typing import Iterable, NamedTuple
 
-from .groups import CurveConfig, Generator, check_bit, check_mask, label, minus_one_class
+from .groups import (
+    CurveConfig,
+    Generator,
+    _Frozen,
+    _set,
+    check_bit,
+    check_mask,
+    label,
+    minus_one_class,
+)
 
-_set = object.__setattr__
-# Builds a Summary from a tuple without the Python-level NamedTuple __new__,
+# Builds a Summary from a tuple without the Python-level namedtuple __new__,
 # which costs about as much as the arithmetic of plus.
 _new = tuple.__new__
 
@@ -32,7 +40,7 @@ def sign_exponent(rank: int) -> int:
     return (rank * (rank + 1) // 2) & 1
 
 
-class Summary(NamedTuple):
+class Summary(namedtuple("Summary", "rank ramified disc ramified_disc")):
     """Additive summary of a form: enough to decide its Witt class.
 
     rank and ramified count the entries and the entries with a pi; disc and
@@ -41,10 +49,7 @@ class Summary(NamedTuple):
     An orthogonal sum adds the counts and XORs the discriminants.
     """
 
-    rank: int
-    ramified: int
-    disc: int
-    ramified_disc: int
+    __slots__ = ()
 
     def plus(self, other: "Summary") -> "Summary":
         """Summary of the orthogonal sum."""
@@ -100,17 +105,16 @@ def summarize(packed: tuple[int, ...]) -> Summary:
     )
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class DiagonalForm:
+class DiagonalForm(_Frozen):
     """Ordered orthogonal sum of generators; rank is the number of entries.
 
     entries builds the Generator views of the packed entries on each access;
-    summary is computed once, on first use.
+    summary is computed once, on first use.  The cache _summary takes no part
+    in ==, hash or repr.
     """
 
-    config: CurveConfig
-    packed: tuple[int, ...]
-    _summary: Summary | None = field(default=None, compare=False, repr=False)
+    __slots__ = ("config", "packed", "_summary")
+    _fields = ("config", "packed")
 
     def __init__(self, config: CurveConfig, entries: Iterable[Generator]) -> None:
         rank = config.picard_rank
@@ -158,6 +162,9 @@ class DiagonalForm:
 
     def __repr__(self) -> str:
         return f"DiagonalForm(config={self.config!r}, entries={self.entries!r})"
+
+    def __reduce__(self) -> tuple:
+        return DiagonalForm._from_packed, (self.config, self.packed)
 
     def _require_same_config(self, other: "DiagonalForm") -> None:
         if self.config != other.config:

@@ -16,13 +16,21 @@ classes are views of these.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable
 from functools import reduce
 from operator import xor
-from typing import Iterable
 
 from .forms import DiagonalForm, sign_exponent
-from .groups import CurveConfig, Generator, check_bit, check_mask, label, minus_one_class
+from .groups import (
+    CurveConfig,
+    Generator,
+    _Frozen,
+    _set,
+    check_bit,
+    check_mask,
+    label,
+    minus_one_class,
+)
 
 
 def residue_add(m: int, a: int, b: int) -> int:
@@ -159,27 +167,27 @@ class _PackedView:
         return self.from_packed(cfg, self._mul(minus_one_class(cfg), self.packed, other.packed))
 
 
-@dataclass(frozen=True, slots=True)
-class ResidueWittClass(_PackedView):
+class ResidueWittClass(_PackedView, _Frozen):
     """Witt class over the reduction: rank parity plus signed discriminant.
 
     The discriminant has no pi coordinate; there are exactly 4n classes.
     """
 
-    config: CurveConfig
-    parity: int
-    disc_unit: int
-    disc_mask: int
+    __slots__ = ("config", "parity", "disc_unit", "disc_mask")
 
     _zero = 0
     _add = staticmethod(residue_add)
     _neg = staticmethod(residue_neg)
     _mul = staticmethod(residue_mul)
 
-    def __post_init__(self) -> None:
-        check_bit(self.parity, "parity")
-        check_bit(self.disc_unit, "unit square class bit")
-        check_mask(self.disc_mask, self.config.picard_rank)
+    def __init__(self, config: CurveConfig, parity: int, disc_unit: int, disc_mask: int) -> None:
+        check_bit(parity, "parity")
+        check_bit(disc_unit, "unit square class bit")
+        check_mask(disc_mask, config.picard_rank)
+        _set(self, "config", config)
+        _set(self, "parity", parity)
+        _set(self, "disc_unit", disc_unit)
+        _set(self, "disc_mask", disc_mask)
 
     @classmethod
     def from_packed(cls, cfg: CurveConfig, packed: int) -> "ResidueWittClass":
@@ -210,21 +218,21 @@ class ResidueWittClass(_PackedView):
         return f"(parity {self.parity}, disc {disc})"
 
 
-@dataclass(frozen=True, slots=True)
-class GroupRingElement(_PackedView):
+class GroupRingElement(_PackedView, _Frozen):
     """Element a + <pi>*b of the group ring over the residue Witt ring."""
 
-    a: ResidueWittClass
-    b: ResidueWittClass
+    __slots__ = ("a", "b")
 
     _zero = (0, 0)
     _add = staticmethod(element_add)
     _neg = staticmethod(element_neg)
     _mul = staticmethod(element_mul)
 
-    def __post_init__(self) -> None:
-        if self.a.config != self.b.config:
+    def __init__(self, a: ResidueWittClass, b: ResidueWittClass) -> None:
+        if a.config != b.config:
             raise ValueError("config mismatch: mixed group ring components")
+        _set(self, "a", a)
+        _set(self, "b", b)
 
     @classmethod
     def from_packed(cls, cfg: CurveConfig, x: tuple[int, int]) -> "GroupRingElement":

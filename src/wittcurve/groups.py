@@ -16,7 +16,7 @@ are the views the public API hands out.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import attrgetter
 
 # The largest Picard rank a configuration or a class takes.  A bundle label
 # L<k> builds a k-bit mask, so without a bound a form text alone could ask
@@ -35,8 +35,64 @@ def int_text(value: object) -> str:
         return f"<{'negative ' if value < 0 else ''}int of {value.bit_length()} bits>"
 
 
-@dataclass(frozen=True, slots=True)
-class CurveConfig:
+_set = object.__setattr__
+
+
+class _Frozen:
+    """Base of the immutable value classes.
+
+    A subclass adds its fields, at least two, in __slots__, or names them all
+    in _fields when a slot is a cache, and sets them with object.__setattr__.
+    ==, hash, repr and pickling read the fields in that order, and assigning
+    or deleting an attribute raises AttributeError ("cannot assign to field
+    'x'").  The __init__ here takes the fields by position or keyword; a class
+    built on a hot path defines its own, which validates inline.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        if "_fields" not in cls.__dict__:
+            cls._fields += cls.__dict__.get("__slots__", ())
+        # attrgetter is not a descriptor: self._key(x) is the tuple of x's fields.
+        cls._key = attrgetter(*cls._fields)
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        fields = self._fields
+        values = dict(zip(fields, args), **kwargs)
+        if len(args) + len(kwargs) != len(fields) or values.keys() != set(fields):
+            raise TypeError(f"{type(self).__name__}() takes the fields {', '.join(fields)}")
+        for name in fields:
+            _set(self, name, values[name])
+
+    def __eq__(self, other: object) -> bool:
+        # Operands mostly share one config object, which each operation compares.
+        if other is self:
+            return True
+        if other.__class__ is self.__class__:
+            key = self._key
+            return key(self) == key(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._key(self)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class CurveConfig(_Frozen):
     """The two parameters that determine the whole calculation.
 
     q_mod_4 is the residue field cardinality mod 4 (1 or 3; even residue
@@ -44,20 +100,21 @@ class CurveConfig:
     Picard group, so that group has order n = 2**r.
     """
 
-    q_mod_4: int
-    picard_rank: int
+    __slots__ = ("q_mod_4", "picard_rank")
 
-    def __post_init__(self) -> None:
-        if type(self.q_mod_4) is not int or self.q_mod_4 not in (1, 3):
+    def __init__(self, q_mod_4: int, picard_rank: int) -> None:
+        if type(q_mod_4) is not int or q_mod_4 not in (1, 3):
             raise ValueError(
                 "dyadic or invalid residue class: "
-                f"q_mod_4 must be 1 or 3, got {int_text(self.q_mod_4)}"
+                f"q_mod_4 must be 1 or 3, got {int_text(q_mod_4)}"
             )
-        if type(self.picard_rank) is not int:
-            raise ValueError(f"picard_rank must be an int, got {int_text(self.picard_rank)}")
-        if not 0 <= self.picard_rank <= MAX_PICARD_RANK:
-            bound = ">= 0" if self.picard_rank < 0 else f"<= {MAX_PICARD_RANK}"
-            raise ValueError(f"picard_rank must be {bound}, got {int_text(self.picard_rank)}")
+        if type(picard_rank) is not int:
+            raise ValueError(f"picard_rank must be an int, got {int_text(picard_rank)}")
+        if not 0 <= picard_rank <= MAX_PICARD_RANK:
+            bound = ">= 0" if picard_rank < 0 else f"<= {MAX_PICARD_RANK}"
+            raise ValueError(f"picard_rank must be {bound}, got {int_text(picard_rank)}")
+        _set(self, "q_mod_4", q_mod_4)
+        _set(self, "picard_rank", picard_rank)
 
     @property
     def pic_order(self) -> int:
@@ -153,8 +210,7 @@ def line_label(mask: int) -> str:
     return label(mask << 2) if mask else "O"
 
 
-@dataclass(frozen=True, slots=True)
-class Generator:
+class Generator(_Frozen):
     """Square class u * pi^e * L over the curve, equally the rank-1 form <u*pi^e*L>.
 
     Discriminants live here.  A group of order 4n under multiplication, which
@@ -162,15 +218,16 @@ class Generator:
     a mask over L1..L<rank>.
     """
 
-    unit: int
-    pi_exp: int
-    mask: int
-    rank: int
+    __slots__ = ("unit", "pi_exp", "mask", "rank")
 
-    def __post_init__(self) -> None:
-        check_bit(self.unit, "unit square class bit")
-        check_bit(self.pi_exp, "pi exponent")
-        check_mask(self.mask, self.rank)
+    def __init__(self, unit: int, pi_exp: int, mask: int, rank: int) -> None:
+        check_bit(unit, "unit square class bit")
+        check_bit(pi_exp, "pi exponent")
+        check_mask(mask, rank)
+        _set(self, "unit", unit)
+        _set(self, "pi_exp", pi_exp)
+        _set(self, "mask", mask)
+        _set(self, "rank", rank)
 
     @classmethod
     def one(cls, rank: int) -> "Generator":
@@ -210,21 +267,21 @@ class Generator:
         return label(self.packed)
 
 
-@dataclass(frozen=True, slots=True)
-class BrauerClass:
+class BrauerClass(_Frozen):
     """2-torsion Brauer class, encoded as the quaternion pair (u*L, pi).
 
     A group of order 2n under coordinatewise addition; the identity is the
     class of the trivial (matrix) algebra.
     """
 
-    unit: int
-    mask: int
-    rank: int
+    __slots__ = ("unit", "mask", "rank")
 
-    def __post_init__(self) -> None:
-        check_bit(self.unit, "unit square class bit")
-        check_mask(self.mask, self.rank)
+    def __init__(self, unit: int, mask: int, rank: int) -> None:
+        check_bit(unit, "unit square class bit")
+        check_mask(mask, rank)
+        _set(self, "unit", unit)
+        _set(self, "mask", mask)
+        _set(self, "rank", rank)
 
     def __add__(self, other: "BrauerClass") -> "BrauerClass":
         if self.rank != other.rank:

@@ -8,16 +8,16 @@ lives above both.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator
 from itertools import combinations, product, repeat, starmap
 from operator import add, and_
-from typing import Iterable, Iterator
 
 from .engine import equals, is_trivial, summary_is_trivial
 from .forms import DiagonalForm, Summary, quaternion_norm_form, summarize
 from .groups import (
     BrauerClass,
     CurveConfig,
+    _Frozen,
     enumerate_generators,
     label,
     line_label,
@@ -104,15 +104,10 @@ class _Decisions(dict):
         return result
 
 
-@dataclass(frozen=True)
-class QuaternionDistinctnessReport:
+class QuaternionDistinctnessReport(_Frozen):
     """Distinctness of the 2n quaternion norm forms."""
 
-    config: CurveConfig
-    class_count: int
-    pairwise_distinct: bool
-    trivial_symbols: tuple[str, ...]
-    passed: bool
+    __slots__ = ("config", "class_count", "pairwise_distinct", "trivial_symbols", "passed")
 
 
 def verify_quaternion_distinctness(cfg: CurveConfig) -> QuaternionDistinctnessReport:
@@ -135,17 +130,19 @@ def verify_quaternion_distinctness(cfg: CurveConfig) -> QuaternionDistinctnessRe
     )
 
 
-@dataclass(frozen=True)
-class RankOneStructureReport:
-    """Group structure of the rank-1 classes under tensor product."""
+class RankOneStructureReport(_Frozen):
+    """Group structure of the rank-1 classes under tensor product; witness
+    pairs each generator's text with its (base field class, line bundle)."""
 
-    config: CurveConfig
-    order: int
-    classes_distinct: bool
-    exponent_two: bool
-    homomorphism_ok: bool
-    witness: tuple[tuple[str, tuple[str, str]], ...]
-    passed: bool
+    __slots__ = (
+        "config",
+        "order",
+        "classes_distinct",
+        "exponent_two",
+        "homomorphism_ok",
+        "witness",
+        "passed",
+    )
 
 
 def rank_one_group_structure(cfg: CurveConfig) -> RankOneStructureReport:
@@ -193,14 +190,10 @@ def rank_one_group_structure(cfg: CurveConfig) -> RankOneStructureReport:
     )
 
 
-@dataclass(frozen=True)
-class RelationSuiteReport:
+class RelationSuiteReport(_Frozen):
     """Exhaustive check of the two rank-2 generator relations."""
 
-    config: CurveConfig
-    checked: int
-    failures: tuple[str, ...]
-    passed: bool
+    __slots__ = ("config", "checked", "failures", "passed")
 
 
 def verify_generator_relations(cfg: CurveConfig) -> RelationSuiteReport:
@@ -232,18 +225,19 @@ def verify_generator_relations(cfg: CurveConfig) -> RelationSuiteReport:
     )
 
 
-@dataclass(frozen=True)
-class RingIsoReport:
+class RingIsoReport(_Frozen):
     """Outcome of the exhaustive comparison of the two ring models."""
 
-    config: CurveConfig
-    element_count: int
-    addition_pairs_checked: int
-    multiplication_pairs_checked: int
-    roundtrip_ok: bool
-    injective: bool
-    mismatches: tuple[str, ...]
-    passed: bool
+    __slots__ = (
+        "config",
+        "element_count",
+        "addition_pairs_checked",
+        "multiplication_pairs_checked",
+        "roundtrip_ok",
+        "injective",
+        "mismatches",
+        "passed",
+    )
 
 
 def check_ring_iso(cfg: CurveConfig) -> RingIsoReport:

@@ -5,7 +5,6 @@ import operator
 import pickle
 import random
 from collections import Counter
-from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, settings
@@ -314,9 +313,9 @@ class TestSummaryTimes:
 
 def test_forms_are_immutable(q3r1):
     form = parse_form("<1,s*L1>", q3r1)
-    with pytest.raises(FrozenInstanceError):
+    with pytest.raises(AttributeError, match="^cannot assign to field 'packed'$"):
         form.packed = ()
-    with pytest.raises(FrozenInstanceError):
+    with pytest.raises(AttributeError, match="^cannot delete field 'config'$"):
         del form.config
     assert pickle.loads(pickle.dumps(form)) == form
 

@@ -1,6 +1,5 @@
 """Tests for the residue Witt classes, the group ring, and the splitting map."""
 
-import dataclasses
 import itertools
 import operator
 import pickle
@@ -367,8 +366,8 @@ def _shift_ramified(offset):
 
 
 def _assert_same_report(report, expected):
-    for field in dataclasses.fields(report):
-        assert getattr(report, field.name) == getattr(expected, field.name), field.name
+    for name in type(report)._fields:
+        assert getattr(report, name) == getattr(expected, name), name
 
 
 def _times_fault_on_long_right_factor():

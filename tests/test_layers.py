@@ -9,6 +9,8 @@ cross-check.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -87,6 +89,42 @@ def test_engines_stay_independent():
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
             read.update(alias.asname or alias.name for alias in node.names)
     assert not read & SUMMARY_NAMES, f"group_ring reads {sorted(read & SUMMARY_NAMES)}"
+
+
+def _imported_modules(module: str) -> set[str]:
+    """Top-level names of the outside modules a module imports."""
+    found = set()
+    for node in ast.walk(_tree(module)):
+        if isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+        elif isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+    return found
+
+
+# Each of these costs milliseconds at every start of the command line tool,
+# and the package needs none: dataclasses alone pulls in inspect, ast, dis and
+# tokenize.
+SLOW_IMPORTS = {"dataclasses", "inspect", "pathlib", "typing"}
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_slow_standard_module(module):
+    slow = _imported_modules(module) & SLOW_IMPORTS
+    assert not slow, f"{module} imports {sorted(slow)}"
+
+
+def test_cli_import_loads_no_slow_standard_module():
+    # -S: no site hook, which here pre-loads pathlib and typing itself.
+    code = (
+        f"import sys; sys.path.insert(0, {str(PACKAGE.parent)!r}); import wittcurve.cli; "
+        f"print(sorted(sys.modules.keys() & {sorted(SLOW_IMPORTS)!r}))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
 
 
 @pytest.mark.parametrize("module", MODULES)
