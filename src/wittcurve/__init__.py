@@ -40,18 +40,38 @@ from .groups import (
 )
 from .symbols import hasse_invariant, symbol, witt_invariant
 from .syntax import FormSyntaxError, parse_form
-from .verify import (
-    QuaternionDistinctnessReport,
-    RankOneStructureReport,
-    RelationSuiteReport,
-    RingIsoReport,
-    check_ring_iso,
-    rank_one_group_structure,
-    verify_generator_relations,
-    verify_quaternion_distinctness,
-)
 
 __version__ = "0.1.0"
+
+# The names of wittcurve.verify, loaded on first use: only `wittcurve verify`
+# runs the suites, and verify is the largest module to compile.
+_VERIFY_NAMES = frozenset(
+    {
+        "QuaternionDistinctnessReport",
+        "RankOneStructureReport",
+        "RelationSuiteReport",
+        "RingIsoReport",
+        "check_ring_iso",
+        "rank_one_group_structure",
+        "verify_generator_relations",
+        "verify_quaternion_distinctness",
+    }
+)
+
+
+def __getattr__(name: str):
+    """Import wittcurve.verify when one of its names is first read (PEP 562),
+    and bind the name here, so that later reads do not come back."""
+    if name not in _VERIFY_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import verify
+
+    value = globals()[name] = getattr(verify, name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(globals().keys() | _VERIFY_NAMES)
 
 __all__ = [
     "BrauerClass",

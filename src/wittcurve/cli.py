@@ -6,10 +6,8 @@ Forms are written in the concrete syntax of wittcurve.syntax.
 from __future__ import annotations
 
 import argparse
-import csv
 import errno
 import io
-import json
 import os
 import sys
 from collections.abc import Callable, Sequence
@@ -17,12 +15,15 @@ from collections.abc import Callable, Sequence
 from .engine import canonical_form, enumerate_classes, equals, invariant_profile
 from .groups import CurveConfig
 from .syntax import parse_form
-from .verify import (
-    check_ring_iso,
-    rank_one_group_structure,
-    verify_generator_relations,
-    verify_quaternion_distinctness,
-)
+
+# verify, json and csv are imported in the one command or format that uses
+# each, so that no other command pays for loading them.
+
+
+def _json(value: object) -> str:
+    import json
+
+    return json.dumps(value, indent=2)
 
 
 def _table(header: tuple, rows: list[tuple], fmt: str) -> str:
@@ -30,6 +31,8 @@ def _table(header: tuple, rows: list[tuple], fmt: str) -> str:
     cell; or (label, value) rows, the total row last, as text with the labels
     aligned and bools as PASS/FAIL."""
     if fmt == "csv":
+        import csv
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         for row in (header, *rows):
@@ -45,7 +48,7 @@ def _render(record: dict, fmt: str) -> str:
     """One record in the output format; a None field is left out (an empty
     cell in CSV), and a one-field text record prints its value alone."""
     if fmt == "json":
-        return json.dumps({k: v for k, v in record.items() if v is not None}, indent=2)
+        return _json({k: v for k, v in record.items() if v is not None})
     if fmt == "csv":
         return _table(tuple(record), [tuple(record.values())], fmt)
     cells = {k: str(v).lower() if isinstance(v, bool) else v for k, v in record.items()}
@@ -78,21 +81,27 @@ def _cmd_invariants(cfg: CurveConfig, args: argparse.Namespace) -> tuple[int, di
 def _cmd_enumerate(cfg: CurveConfig, args: argparse.Namespace) -> tuple[int, str]:
     census = enumerate_classes(cfg)
     if args.format == "json":
-        return 0, json.dumps(
+        return 0, _json(
             {
                 "total": census.total,
                 "shapes": [
                     {"shape": shape.value, "count": count}
                     for shape, count in census.shape_counts
                 ],
-            },
-            indent=2,
+            }
         )
     rows = [(shape.value, count) for shape, count in census.shape_counts]
     return 0, _table(("shape", "count"), rows + [("total", census.total)], args.format)
 
 
 def _cmd_verify(cfg: CurveConfig, args: argparse.Namespace) -> tuple[int, str]:
+    from .verify import (
+        check_ring_iso,
+        rank_one_group_structure,
+        verify_generator_relations,
+        verify_quaternion_distinctness,
+    )
+
     # First, so that a rank beyond its bound fails before the other suites,
     # whose cost grows fourfold per rank, have run.
     ring_iso = check_ring_iso(cfg).passed
@@ -105,12 +114,11 @@ def _cmd_verify(cfg: CurveConfig, args: argparse.Namespace) -> tuple[int, str]:
     all_passed = all(passed for _, passed in checks)
     code = 0 if all_passed else 1
     if args.format == "json":
-        return code, json.dumps(
+        return code, _json(
             {
                 "checks": [{"name": name, "passed": passed} for name, passed in checks],
                 "passed": all_passed,
-            },
-            indent=2,
+            }
         )
     return code, _table(("check", "passed"), checks + [("overall", all_passed)], args.format)
 
