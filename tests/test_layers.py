@@ -174,26 +174,29 @@ FUNCTION_LEVEL_IMPORTS = {
 }
 
 
-def _function_level_imports() -> dict[tuple[str, str], set[str]]:
+def _function_level_imports(module: str) -> dict[tuple[str, str], set[str]]:
     """Per (module, function), the modules imported inside the function."""
     found: dict[tuple[str, str], set[str]] = {}
-    for module in MODULES:
-        for node in ast.walk(_tree(module)):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+    for node in ast.walk(_tree(module)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for child in ast.walk(node):
+            if isinstance(child, ast.Import):
+                names = {alias.name for alias in child.names}
+            elif isinstance(child, ast.ImportFrom):
+                names = {child.module} if child.module else {a.name for a in child.names}
+            else:
                 continue
-            for child in ast.walk(node):
-                if isinstance(child, ast.Import):
-                    names = {alias.name for alias in child.names}
-                elif isinstance(child, ast.ImportFrom):
-                    names = {child.module} if child.module else {a.name for a in child.names}
-                else:
-                    continue
-                found.setdefault((module, node.name), set()).update(names)
+            found.setdefault((module, node.name), set()).update(names)
     return found
 
 
-def test_function_level_imports_are_the_listed_ones():
-    assert _function_level_imports() == FUNCTION_LEVEL_IMPORTS
+@pytest.mark.parametrize("module", MODULES)
+def test_no_import_inside_a_function(module):
+    """No function imports, except the ones FUNCTION_LEVEL_IMPORTS lists: a new
+    one fails, and so does a listed one that is gone."""
+    listed = {key: names for key, names in FUNCTION_LEVEL_IMPORTS.items() if key[0] == module}
+    assert _function_level_imports(module) == listed
 
 
 def _module_names(tree: ast.Module) -> set[str]:
