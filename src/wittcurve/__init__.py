@@ -6,7 +6,6 @@ the classifying invariants (rank parity, signed discriminant, Clifford class)
 and one based on the group-ring model over the residue Witt classes.
 """
 
-from .cli import run_command
 from .engine import (
     CanonicalShape,
     CensusReport,
@@ -43,8 +42,9 @@ from .syntax import FormSyntaxError, parse_form
 
 __version__ = "0.1.0"
 
-# The names of wittcurve.verify, loaded on first use: only `wittcurve verify`
-# runs the suites, and verify is the largest module to compile.
+# Names loaded on first use.  Only `wittcurve verify` runs the suites, and
+# verify is the largest module to compile; run_command needs cli, which
+# imports argparse, and a library user does not.
 _VERIFY_NAMES = frozenset(
     {
         "QuaternionDistinctnessReport",
@@ -60,18 +60,21 @@ _VERIFY_NAMES = frozenset(
 
 
 def __getattr__(name: str):
-    """Import wittcurve.verify when one of its names is first read (PEP 562),
-    and bind the name here, so that later reads do not come back."""
-    if name not in _VERIFY_NAMES:
+    """Import the module of run_command or of a verify name when the name is
+    first read (PEP 562), and bind the name here, so that later reads do not
+    come back."""
+    if name == "run_command":
+        from . import cli as module
+    elif name in _VERIFY_NAMES:
+        from . import verify as module
+    else:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import verify
-
-    value = globals()[name] = getattr(verify, name)
+    value = globals()[name] = getattr(module, name)
     return value
 
 
 def __dir__() -> list[str]:
-    return sorted(globals().keys() | _VERIFY_NAMES)
+    return sorted(globals().keys() | _VERIFY_NAMES | {"run_command"})
 
 __all__ = [
     "BrauerClass",

@@ -174,11 +174,15 @@ class DiagonalForm(_Frozen):
 
     def __add__(self, other: "DiagonalForm") -> "DiagonalForm":
         """Orthogonal sum: concatenation of entries."""
+        if other.__class__ is not self.__class__:
+            return NotImplemented
         self._require_same_config(other)
         return DiagonalForm._from_packed(self.config, self.packed + other.packed)
 
     def __mul__(self, other: "DiagonalForm") -> "DiagonalForm":
         """Tensor product: all pairwise generator products."""
+        if other.__class__ is not self.__class__:
+            return NotImplemented
         self._require_same_config(other)
         return DiagonalForm._from_packed(
             self.config, tuple(a ^ b for a in self.packed for b in other.packed)

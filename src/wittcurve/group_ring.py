@@ -25,11 +25,13 @@ from .groups import (
     CurveConfig,
     Generator,
     _Frozen,
+    _new,
     _set,
     check_bit,
     check_mask,
     label,
     minus_one_class,
+    packed_error,
 )
 
 
@@ -136,7 +138,7 @@ def packed_group_ring_elements(cfg: CurveConfig) -> list[tuple[int, int]]:
 class _PackedView:
     """Operators shared by the two views: a subclass names its packed zero and
     the packed add, neg and mul it computes with, each taking the unit bit of
-    -1 first."""
+    -1 first.  An operand of another class gets NotImplemented."""
 
     __slots__ = ()
 
@@ -153,6 +155,8 @@ class _PackedView:
             raise ValueError(f"config mismatch: {self.config} != {other.config}")
 
     def __add__(self, other: _PackedView) -> _PackedView:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
         self._require_same_config(other)
         cfg = self.config
         return self.from_packed(cfg, self._add(minus_one_class(cfg), self.packed, other.packed))
@@ -162,6 +166,8 @@ class _PackedView:
         return self.from_packed(cfg, self._neg(minus_one_class(cfg), self.packed))
 
     def __mul__(self, other: _PackedView) -> _PackedView:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
         self._require_same_config(other)
         cfg = self.config
         return self.from_packed(cfg, self._mul(minus_one_class(cfg), self.packed, other.packed))
@@ -191,8 +197,17 @@ class ResidueWittClass(_PackedView, _Frozen):
 
     @classmethod
     def from_packed(cls, cfg: CurveConfig, packed: int) -> "ResidueWittClass":
-        """The class of parity | unit << 1 | mask << 2."""
-        return cls(cfg, packed & 1, packed >> 1 & 1, packed >> 2)
+        """The class of parity | unit << 1 | mask << 2, checked with one test
+        as groups.Generator.from_packed does."""
+        rank = cfg.picard_rank
+        if type(packed) is not int or packed >> rank + 2:
+            raise packed_error("residue class", packed, rank)
+        x = _new(cls)
+        _set(x, "config", cfg)
+        _set(x, "parity", packed & 1)
+        _set(x, "disc_unit", packed >> 1 & 1)
+        _set(x, "disc_mask", packed >> 2)
+        return x
 
     @property
     def packed(self) -> int:
@@ -236,7 +251,15 @@ class GroupRingElement(_PackedView, _Frozen):
 
     @classmethod
     def from_packed(cls, cfg: CurveConfig, x: tuple[int, int]) -> "GroupRingElement":
-        return cls(ResidueWittClass.from_packed(cfg, x[0]), ResidueWittClass.from_packed(cfg, x[1]))
+        """The element of the pair x of packed residue classes; both
+        components take the one cfg."""
+        if type(x) is not tuple or len(x) != 2:
+            got = f"a tuple of {len(x)}" if type(x) is tuple else type(x).__name__
+            raise ValueError(f"a packed group ring element is a pair of ints, got {got}")
+        element = _new(cls)
+        _set(element, "a", ResidueWittClass.from_packed(cfg, x[0]))
+        _set(element, "b", ResidueWittClass.from_packed(cfg, x[1]))
+        return element
 
     @property
     def packed(self) -> tuple[int, int]:
@@ -299,5 +322,4 @@ def enumerate_residue_classes(cfg: CurveConfig) -> list[ResidueWittClass]:
 
 def enumerate_group_ring_elements(cfg: CurveConfig) -> list[GroupRingElement]:
     """All 16n^2 elements a + <pi>*b."""
-    classes = enumerate_residue_classes(cfg)
-    return [GroupRingElement(a, b) for a in classes for b in classes]
+    return [GroupRingElement.from_packed(cfg, x) for x in packed_group_ring_elements(cfg)]

@@ -36,6 +36,7 @@ def int_text(value: object) -> str:
 
 
 _set = object.__setattr__
+_new = object.__new__
 
 
 class _Frozen:
@@ -46,7 +47,9 @@ class _Frozen:
     ==, hash, repr and pickling read the fields in that order, and assigning
     or deleting an attribute raises AttributeError ("cannot assign to field
     'x'").  The __init__ here takes the fields by position or keyword; a class
-    built on a hot path defines its own, which validates inline.
+    built on a hot path defines its own, which validates inline.  A view of
+    a packed int also defines from_packed, which checks the int with one
+    test and sets the fields directly.
     """
 
     __slots__ = ()
@@ -132,15 +135,20 @@ def minus_one_class(cfg: CurveConfig) -> int:
     return 1 if cfg.q_mod_4 == 3 else 0
 
 
-def check_mask(mask: int, rank: int) -> None:
-    """Reject a rank that is not an int in 0..MAX_PICARD_RANK, or a line
-    bundle mask that is not a bit vector over L1..L<rank> (bit i-1 is the L_i
-    coordinate)."""
+def check_rank(rank: int) -> None:
+    """Reject a rank that is not an int in 0..MAX_PICARD_RANK."""
     if type(rank) is not int:
         raise ValueError(f"rank must be an int, got {int_text(rank)}")
     if not 0 <= rank <= MAX_PICARD_RANK:
         bound = ">= 0" if rank < 0 else f"<= {MAX_PICARD_RANK}"
         raise ValueError(f"rank must be {bound}, got {int_text(rank)}")
+
+
+def check_mask(mask: int, rank: int) -> None:
+    """Reject a rank that is not an int in 0..MAX_PICARD_RANK, or a line
+    bundle mask that is not a bit vector over L1..L<rank> (bit i-1 is the L_i
+    coordinate)."""
+    check_rank(rank)
     if type(mask) is not int:
         raise ValueError(f"line bundle mask must be an int, got {int_text(mask)}")
     # A shift, not a comparison with 1 << rank: that would allocate rank bits
@@ -149,6 +157,12 @@ def check_mask(mask: int, rank: int) -> None:
         raise ValueError(
             f"line bundle mask {int_text(mask)} out of range for rank {rank}"
         )
+
+
+def packed_error(what: str, packed: object, rank: int) -> ValueError:
+    """The one error of a from_packed constructor: packed is not an int in
+    0..2**(rank + 2) - 1 (for a Brauer class, also with bit 1 clear)."""
+    return ValueError(f"not a packed {what} of rank {rank}: {int_text(packed)}")
 
 
 def check_bit(bit: int, what: str) -> None:
@@ -240,19 +254,35 @@ class Generator(_Frozen):
         return cls(0, 1, 0, rank)
 
     def __mul__(self, other: "Generator") -> "Generator":
-        if self.rank != other.rank:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        rank = self.rank
+        if rank != other.rank:
             raise ValueError("config mismatch: line bundle classes of different rank")
-        return Generator(
-            self.unit ^ other.unit,
-            self.pi_exp ^ other.pi_exp,
-            self.mask ^ other.mask,
-            self.rank,
+        return self.from_packed(
+            rank,
+            (self.unit ^ other.unit)
+            | (self.pi_exp ^ other.pi_exp) << 1
+            | (self.mask ^ other.mask) << 2,
         )
 
     @classmethod
     def from_packed(cls, rank: int, packed: int) -> "Generator":
-        """The generator of the packed int unit | pi_exp << 1 | mask << 2."""
-        return cls(packed & 1, packed >> 1 & 1, packed >> 2, rank)
+        """The generator of the packed int unit | pi_exp << 1 | mask << 2.
+
+        Checks rank, then packed with one test: an int in 0..2**(rank + 2) - 1,
+        which holds exactly when each coordinate the constructor checks is
+        valid.  A negative int shifts to -1, so the shift refuses it too.
+        """
+        check_rank(rank)
+        if type(packed) is not int or packed >> rank + 2:
+            raise packed_error("generator", packed, rank)
+        g = _new(cls)
+        _set(g, "unit", packed & 1)
+        _set(g, "pi_exp", packed >> 1 & 1)
+        _set(g, "mask", packed >> 2)
+        _set(g, "rank", rank)
+        return g
 
     @property
     def packed(self) -> int:
@@ -284,9 +314,28 @@ class BrauerClass(_Frozen):
         _set(self, "rank", rank)
 
     def __add__(self, other: "BrauerClass") -> "BrauerClass":
+        if other.__class__ is not self.__class__:
+            return NotImplemented
         if self.rank != other.rank:
             raise ValueError("config mismatch: line bundle classes of different rank")
-        return BrauerClass(self.unit ^ other.unit, self.mask ^ other.mask, self.rank)
+        return self.from_packed(
+            self.rank, (self.unit ^ other.unit) | (self.mask ^ other.mask) << 2
+        )
+
+    @classmethod
+    def from_packed(cls, rank: int, packed: int) -> "BrauerClass":
+        """The class (uL, pi) of the packed int u | mask << 2, bit 1 clear.
+
+        Checks rank, then packed with one test, as Generator.from_packed does.
+        """
+        check_rank(rank)
+        if type(packed) is not int or packed >> rank + 2 or packed & 2:
+            raise packed_error("Brauer class", packed, rank)
+        c = _new(cls)
+        _set(c, "unit", packed & 1)
+        _set(c, "mask", packed >> 2)
+        _set(c, "rank", rank)
+        return c
 
     @classmethod
     def identity(cls, rank: int) -> "BrauerClass":
@@ -304,7 +353,12 @@ def enumerate_generators(cfg: CurveConfig) -> list[Generator]:
     """All 4n generators, units before non-units, pi-free before ramified."""
     rank = cfg.picard_rank
     pic = range(cfg.pic_order)
-    return [Generator(u, e, mask, rank) for e in (0, 1) for u in (0, 1) for mask in pic]
+    return [
+        Generator.from_packed(rank, u | e << 1 | mask << 2)
+        for e in (0, 1)
+        for u in (0, 1)
+        for mask in pic
+    ]
 
 
 def enumerate_groups(
@@ -318,7 +372,10 @@ def enumerate_groups(
     rank = cfg.picard_rank
     pic = list(range(cfg.pic_order))
     square_classes = [
-        Generator(u, e, mask, rank) for u in (0, 1) for e in (0, 1) for mask in pic
+        Generator.from_packed(rank, u | e << 1 | mask << 2)
+        for u in (0, 1)
+        for e in (0, 1)
+        for mask in pic
     ]
-    brauer = [BrauerClass(u, mask, rank) for u in (0, 1) for mask in pic]
+    brauer = [BrauerClass.from_packed(rank, u | mask << 2) for u in (0, 1) for mask in pic]
     return pic, square_classes, brauer

@@ -28,7 +28,7 @@ def symbol(cfg: CurveConfig, a: Generator, b: Generator) -> BrauerClass:
     f = b.pi_exp
     unit = (f & a.unit) ^ (e & b.unit) ^ (e & f & m)
     mask = (a.mask if f else 0) ^ (b.mask if e else 0)
-    return BrauerClass(unit, mask, rank)
+    return BrauerClass.from_packed(rank, unit | mask << 2)
 
 
 def symbol_sum(summary: Summary, minus_one: int) -> int:
@@ -61,7 +61,7 @@ def hasse_invariant(form: DiagonalForm) -> BrauerClass:
     """
     cfg = form.config
     packed = symbol_sum(form.summary, minus_one_class(cfg))
-    return BrauerClass(packed & 1, packed >> 2, cfg.picard_rank)
+    return BrauerClass.from_packed(cfg.picard_rank, packed)
 
 
 def witt_invariant(form: DiagonalForm) -> BrauerClass:

@@ -117,7 +117,9 @@ def verify_quaternion_distinctness(cfg: CurveConfig) -> QuaternionDistinctnessRe
     """
     _check_rank(cfg, SUITE_RANK_BOUND, "quaternion distinctness suite")
     rank = cfg.picard_rank
-    classes = [BrauerClass(u, mask, rank) for u in (0, 1) for mask in range(cfg.pic_order)]
+    classes = [
+        BrauerClass.from_packed(rank, u | mask << 2) for u in (0, 1) for mask in range(cfg.pic_order)
+    ]
     forms = [quaternion_norm_form(cfg, c.unit, c.mask) for c in classes]
     distinct = not any(starmap(equals, combinations(forms, 2)))
     trivial = tuple(str(c) for c, form in zip(classes, forms) if is_trivial(form))

@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import pickle
 import random
 from collections import Counter
 
@@ -65,6 +66,23 @@ def random_ideal_square_form(rng: random.Random, cfg: CurveConfig) -> DiagonalFo
     if rng.random() < 0.5:
         form = form + hyperbolic_pair(cfg, random_generator(rng, cfg))
     return form
+
+
+def revalidated(view):
+    """The view rebuilt from its coordinates by the validating constructor,
+    which refuses any coordinate that is not an int in range."""
+    if type(view) is GroupRingElement:
+        return GroupRingElement(revalidated(view.a), revalidated(view.b))
+    return type(view)(*(getattr(view, name) for name in view._fields))
+
+
+def assert_same_view(view, expected) -> None:
+    """The two views agree in type, ==, hash, str, repr and pickle."""
+    assert type(view) is type(expected)
+    assert view == expected and hash(view) == hash(expected)
+    assert str(view) == str(expected) and repr(view) == repr(expected)
+    assert pickle.dumps(view) == pickle.dumps(expected)
+    assert pickle.loads(pickle.dumps(view)) == expected
 
 
 def set_bit_label(unit: int, pi_exp: int, mask: int) -> str:

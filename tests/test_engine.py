@@ -1,5 +1,6 @@
 """Tests for the decision engine: triviality, equality, canonical shapes, census."""
 
+import importlib
 import itertools
 import random
 import time
@@ -25,18 +26,22 @@ from wittcurve import (
     parse_form,
     quaternion_norm_form,
     rank_one_group_structure,
+    splitting_map,
+    symbol,
     to_group_ring,
     verify_generator_relations,
     verify_quaternion_distinctness,
 )
 
 from helpers import (
+    assert_same_view,
     enumerated_census,
     generator_alphabet,
     hyperbolic_pair,
     pairwise_hasse_sum,
     random_form,
     random_generator,
+    revalidated,
     scan_hasse_sum,
 )
 
@@ -336,12 +341,9 @@ def test_generator_relations(cfg):
     assert report.failures == ()
 
 
-@settings(max_examples=300, deadline=None)
-@given(data=st.data())
-def test_engines_agree_property(data):
-    # The invariant engine (equals) against the group-ring engine, on random
-    # pairs, on Witt-equal pairs e and a shuffled e + <g,-g>, and on near
-    # misses that also change one entry of e.
+def _draw_strategies(data):
+    """A configuration, at q = 1 or 3 and rank 0, 1, 2 or 16, with strategies
+    for its generators and for forms of up to 32 of them."""
     cfg = CurveConfig(
         data.draw(st.sampled_from((1, 3)), label="q_mod_4"),
         data.draw(st.sampled_from((0, 1, 2, 16)), label="picard_rank"),
@@ -355,6 +357,16 @@ def test_engines_agree_property(data):
         st.one_of(st.integers(0, min(3, (1 << rank) - 1)), st.integers(0, (1 << rank) - 1)),
     )
     forms = st.lists(generator, max_size=32).map(lambda gs: DiagonalForm(cfg, tuple(gs)))
+    return cfg, generator, forms
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_engines_agree_property(data):
+    # The invariant engine (equals) against the group-ring engine, on random
+    # pairs, on Witt-equal pairs e and a shuffled e + <g,-g>, and on near
+    # misses that also change one entry of e.
+    cfg, generator, forms = _draw_strategies(data)
     e = data.draw(forms, label="e")
     kind = data.draw(st.sampled_from(("random", "hyperbolic", "near miss")), label="kind")
     if kind == "random":
@@ -371,6 +383,71 @@ def test_engines_agree_property(data):
     assert same == (canonical_form(e) == canonical_form(f))
     if kind == "hyperbolic":
         assert same
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_views_equal_the_validated_ones(data):
+    # Every view an engine builds from packed ints equals, in ==, hash, str,
+    # repr and pickle, the view the validating constructor builds from the
+    # same coordinates; that constructor refuses a coordinate out of range.
+    cfg, generator, forms = _draw_strategies(data)
+    e = data.draw(forms, label="e")
+    f = data.draw(forms, label="f")
+    g = data.draw(generator, label="g")
+    h = data.draw(generator, label="h")
+    profile = invariant_profile(e)
+    x, y = to_group_ring(e), to_group_ring(f)
+    u, v = splitting_map(e), splitting_map(f)
+    views = [
+        *e.entries,
+        e.discriminant(),
+        e.signed_discriminant(),
+        profile.signed_disc,
+        symbol(cfg, g, h),
+        hasse_invariant(e),
+        hasse_invariant(e) + hasse_invariant(f),
+        g * h,
+        x, x + y, -x, x * y,
+        u, u + v, -u, u * v,
+    ]
+    if profile.witt_inv is not None:
+        views.append(profile.witt_inv)
+    for view in views:
+        assert_same_view(view, revalidated(view))
+
+
+# Every module of the package that might bind a coordinate check.
+MODULES = ["groups", "forms", "symbols", "group_ring", "syntax", "engine", "verify", "cli"]
+
+
+def test_hot_paths_do_not_revalidate(monkeypatch):
+    # Views built from packed ints are checked once in from_packed; the
+    # coordinate checks stay off the hot path.
+    calls = []
+    for name in MODULES:
+        module = importlib.import_module(f"wittcurve.{name}")
+        for check in ("check_bit", "check_mask"):
+            if hasattr(module, check):
+
+                def counted(*args, _check=getattr(module, check), _name=check):
+                    calls.append(_name)
+                    return _check(*args)
+
+                monkeypatch.setattr(module, check, counted)
+    cfg = CurveConfig(3, 2)
+    form = parse_form("<1,s*L1,pi*L2,s*pi,L1*L2,pi,-1,-s>", cfg)
+    g, h = form.entries[:2]
+    to_group_ring(form)
+    splitting_map(form)
+    invariant_profile(form)
+    invariant_profile(parse_form("<1,-1>", cfg))
+    form.entries
+    g * h
+    assert calls == []
+    # The counters count: the coordinate constructor checks each coordinate.
+    Generator(0, 1, 2, 2)
+    assert calls == ["check_bit", "check_bit", "check_mask"]
 
 
 def _reference_is_trivial(form: DiagonalForm, hasse_sum) -> bool:

@@ -14,6 +14,7 @@ from wittcurve import (
     CurveConfig,
     DiagonalForm,
     Generator,
+    GroupRingElement,
     ResidueWittClass,
     enumerate_groups,
     invariant_profile,
@@ -21,11 +22,12 @@ from wittcurve import (
     minus_one_class,
     parse_form,
     quaternion_norm_form,
+    to_group_ring,
 )
 from wittcurve import groups
 from wittcurve.groups import label, line_label
 
-from helpers import set_bit_label
+from helpers import assert_same_view, set_bit_label
 
 
 class TestConfig:
@@ -245,6 +247,126 @@ def test_packed_round_trip(q, rank, data):
     assert x == ResidueWittClass(cfg, unit, bit, mask)
     assert str(x) == str(ResidueWittClass(cfg, unit, bit, mask))
     assert str(x) == f"(parity {unit}, disc {set_bit_label(bit, 0, mask)})"
+    # Each from_packed view agrees in ==, hash, str, repr and pickle with the
+    # coordinate constructor's.
+    assert_same_view(g, Generator(unit, bit, mask, rank))
+    assert_same_view(x, ResidueWittClass(cfg, unit, bit, mask))
+    b = BrauerClass.from_packed(rank, p & ~2)
+    assert_same_view(b, BrauerClass(unit, mask, rank))
+    assert str(b) == f"({set_bit_label(unit, 0, mask)}, pi)"
+    r = data.draw(st.integers(0, (4 << rank) - 1))
+    y = GroupRingElement.from_packed(cfg, (p, r))
+    assert y.packed == (p, r)
+    assert_same_view(
+        y,
+        GroupRingElement(
+            ResidueWittClass(cfg, unit, bit, mask),
+            ResidueWittClass(cfg, r & 1, r >> 1 & 1, r >> 2),
+        ),
+    )
+
+
+class TestFromPacked:
+    """A from_packed constructor checks its packed int with one test and
+    refuses anything but an int in 0..2**(rank + 2) - 1 (bit 1 clear for a
+    Brauer class) with one ValueError."""
+
+    BUILDERS = {
+        "generator": Generator.from_packed,
+        "Brauer class": BrauerClass.from_packed,
+        "residue class": lambda rank, packed: ResidueWittClass.from_packed(
+            CurveConfig(3, rank), packed
+        ),
+    }
+
+    @pytest.mark.parametrize("what", BUILDERS)
+    @pytest.mark.parametrize(
+        "packed, text",
+        [
+            pytest.param(1.0, "1.0", id="float"),
+            pytest.param(True, "True", id="bool"),
+            pytest.param(False, "False", id="false"),
+            pytest.param("1", "'1'", id="str"),
+            pytest.param(None, "None", id="none"),
+            pytest.param(-1, "-1", id="negative"),
+            pytest.param(16, "16", id="out-of-range"),
+            pytest.param(10**5000, "<int of 16610 bits>", id="huge"),
+            pytest.param(-(10**5000), "<negative int of 16610 bits>", id="huge-negative"),
+        ],
+    )
+    def test_bad_packed_value(self, what, packed, text):
+        with pytest.raises(ValueError) as exc:
+            self.BUILDERS[what](2, packed)
+        assert str(exc.value) == f"not a packed {what} of rank 2: {text}"
+
+    def test_brauer_class_refuses_a_pi_bit(self):
+        with pytest.raises(ValueError, match=r"^not a packed Brauer class of rank 2: 2$"):
+            BrauerClass.from_packed(2, 2)
+
+    def test_largest_packed_value_in_range(self):
+        assert Generator.from_packed(2, 15) == Generator(1, 1, 3, 2)
+        assert BrauerClass.from_packed(2, 13) == BrauerClass(1, 3, 2)
+
+    @pytest.mark.parametrize("holder", [Generator, BrauerClass])
+    @pytest.mark.parametrize(
+        "rank, message",
+        [
+            (True, "rank must be an int, got True"),
+            (2.0, "rank must be an int, got 2.0"),
+            (-1, "rank must be >= 0, got -1"),
+            (4097, "rank must be <= 4096, got 4097"),
+            (10**5000, "rank must be <= 4096, got <int of 16610 bits>"),
+        ],
+        ids=["bool", "float", "negative", "past-bound", "huge"],
+    )
+    def test_bad_rank(self, holder, rank, message):
+        with pytest.raises(ValueError) as exc:
+            holder.from_packed(rank, 0)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "x, got",
+        [
+            ((0, 0, 5), "a tuple of 3"),
+            ((0,), "a tuple of 1"),
+            ((), "a tuple of 0"),
+            ([0, 0], "list"),
+            (0, "int"),
+        ],
+    )
+    def test_group_ring_element_needs_a_pair(self, x, got):
+        with pytest.raises(ValueError) as exc:
+            GroupRingElement.from_packed(CurveConfig(3, 1), x)
+        assert str(exc.value) == f"a packed group ring element is a pair of ints, got {got}"
+
+    @pytest.mark.parametrize("x", [(0, 1.0), (True, 0), (0, 8), (-1, 0)])
+    def test_group_ring_element_checks_each_component(self, x):
+        with pytest.raises(ValueError, match=r"^not a packed residue class of rank 1: "):
+            GroupRingElement.from_packed(CurveConfig(3, 1), x)
+
+
+# One operand of each binary operator of a value class; an int as the other
+# operand gets NotImplemented, so Python raises TypeError.
+FOREIGN_OPERAND_CASES = [
+    pytest.param(lambda cfg: parse_form("<1,s>", cfg), operator.add, id="form+"),
+    pytest.param(lambda cfg: parse_form("<1,s>", cfg), operator.mul, id="form*"),
+    pytest.param(lambda cfg: Generator(1, 0, 1, 1), operator.mul, id="generator*"),
+    pytest.param(lambda cfg: BrauerClass(1, 1, 1), operator.add, id="brauer+"),
+    pytest.param(lambda cfg: ResidueWittClass.one(cfg), operator.add, id="residue+"),
+    pytest.param(lambda cfg: ResidueWittClass.one(cfg), operator.mul, id="residue*"),
+    pytest.param(lambda cfg: to_group_ring(parse_form("<1,pi>", cfg)), operator.add, id="ring+"),
+    pytest.param(lambda cfg: to_group_ring(parse_form("<1,pi>", cfg)), operator.mul, id="ring*"),
+]
+
+
+@pytest.mark.parametrize("build, op", FOREIGN_OPERAND_CASES)
+def test_a_foreign_operand_gets_not_implemented(build, op):
+    value = build(CurveConfig(3, 1))
+    assert getattr(value, f"__{op.__name__}__")(1) is NotImplemented
+    with pytest.raises(TypeError, match="unsupported operand type"):
+        op(value, 1)
+    with pytest.raises(TypeError, match="unsupported operand type"):
+        op(1, value)
 
 
 # Bundle labels on each side of a byte boundary of the packed int (bit i of

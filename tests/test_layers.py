@@ -137,6 +137,9 @@ def test_cli_import_loads_no_slow_standard_module():
     for module in ("wittcurve", "wittcurve.cli"):
         loaded = _modules_in_child(f"import {module}", SLOW_IMPORTS | LAZY_MODULES)
         assert loaded == [], f"import {module} loads {loaded}"
+    # A library user does not load the command line.
+    loaded = _modules_in_child("import wittcurve", {"wittcurve.cli", "argparse"})
+    assert loaded == [], f"import wittcurve loads {loaded}"
 
 
 @pytest.mark.parametrize(
@@ -169,8 +172,10 @@ FUNCTION_LEVEL_IMPORTS = {
     # Only `wittcurve verify` runs the suites, and verify is the largest
     # module to compile.
     ("cli", "_cmd_verify"): {"verify"},
-    # The package's verify names, loaded on first use (PEP 562).
-    ("__init__", "__getattr__"): {"verify"},
+    # The package's verify names and run_command, loaded on first use
+    # (PEP 562): a library user needs neither the suites nor cli, which
+    # imports argparse.
+    ("__init__", "__getattr__"): {"verify", "cli"},
 }
 
 

@@ -1,5 +1,6 @@
 """The package namespace: every exported name resolves, and the names of
-wittcurve.verify, loaded on first use, behave like eagerly imported ones."""
+wittcurve.verify and run_command, loaded on first use, behave like eagerly
+imported ones."""
 
 import pickle
 import subprocess
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import wittcurve
+import wittcurve.cli
 import wittcurve.verify
 from wittcurve import CurveConfig
 
@@ -42,6 +44,26 @@ def test_a_verify_name_is_bound_on_first_use(name, monkeypatch):
     monkeypatch.delitem(vars(wittcurve), name, raising=False)
     assert getattr(wittcurve, name) is getattr(wittcurve.verify, name)
     assert vars(wittcurve)[name] is getattr(wittcurve.verify, name)
+
+
+def test_run_command_is_bound_on_first_use(monkeypatch):
+    monkeypatch.delitem(vars(wittcurve), "run_command", raising=False)
+    assert wittcurve.run_command is wittcurve.cli.run_command
+    assert vars(wittcurve)["run_command"] is wittcurve.cli.run_command
+
+
+def test_run_command_loads_cli_on_first_use():
+    code = (
+        f"import sys; sys.path.insert(0, {str(SRC)!r}); import wittcurve; "
+        "before = 'wittcurve.cli' in sys.modules; "
+        "code = wittcurve.run_command(['equal', '<1,-1>', '<>']); "
+        "print(before, 'wittcurve.cli' in sys.modules, code)"
+    )
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "False True 0"
 
 
 def test_dir_lists_every_exported_name():
