@@ -6,115 +6,78 @@ the classifying invariants (rank parity, signed discriminant, Clifford class)
 and one based on the group-ring model over the residue Witt classes.
 """
 
-from .engine import (
-    CanonicalShape,
-    CensusReport,
-    InvariantProfile,
-    Shape,
-    canonical_form,
-    enumerate_classes,
-    equals,
-    invariant_profile,
-    is_trivial,
-)
-from .forms import DiagonalForm, quaternion_norm_form
-from .group_ring import (
-    GroupRingElement,
-    ResidueWittClass,
-    enumerate_group_ring_elements,
-    enumerate_residue_classes,
-    from_group_ring,
-    inclusion,
-    splitting_map,
-    to_group_ring,
-)
-from .groups import (
-    BrauerClass,
-    CurveConfig,
-    Generator,
-    enumerate_generators,
-    enumerate_groups,
-    make_config,
-    minus_one_class,
-)
-from .symbols import hasse_invariant, symbol, witt_invariant
-from .syntax import FormSyntaxError, parse_form
+import sys
 
 __version__ = "0.1.0"
 
-# Names loaded on first use.  Only `wittcurve verify` runs the suites, and
-# verify is the largest module to compile; run_command needs cli, which
-# imports argparse, and a library user does not.
-_VERIFY_NAMES = frozenset(
-    {
-        "QuaternionDistinctnessReport",
-        "RankOneStructureReport",
-        "RelationSuiteReport",
-        "RingIsoReport",
-        "check_ring_iso",
-        "rank_one_group_structure",
-        "verify_generator_relations",
-        "verify_quaternion_distinctness",
-    }
-)
+# Each exported name and the submodule that defines it.  A submodule is
+# imported when one of its names, or its own name, is first read (PEP 562), so
+# `import wittcurve` compiles only this file and a caller loads only the
+# modules it uses.
+_MODULE_OF = {
+    "BrauerClass": "groups",
+    "CanonicalShape": "engine",
+    "CensusReport": "engine",
+    "CurveConfig": "groups",
+    "DiagonalForm": "forms",
+    "FormSyntaxError": "syntax",
+    "Generator": "groups",
+    "GroupRingElement": "group_ring",
+    "InvariantProfile": "engine",
+    "QuaternionDistinctnessReport": "verify",
+    "RankOneStructureReport": "verify",
+    "RelationSuiteReport": "verify",
+    "ResidueWittClass": "group_ring",
+    "RingIsoReport": "verify",
+    "Shape": "engine",
+    "canonical_form": "engine",
+    "check_ring_iso": "verify",
+    "enumerate_classes": "engine",
+    "enumerate_generators": "groups",
+    "enumerate_group_ring_elements": "group_ring",
+    "enumerate_groups": "groups",
+    "enumerate_residue_classes": "group_ring",
+    "equals": "engine",
+    "from_group_ring": "group_ring",
+    "hasse_invariant": "symbols",
+    "inclusion": "group_ring",
+    "invariant_profile": "engine",
+    "is_trivial": "engine",
+    "make_config": "groups",
+    "minus_one_class": "groups",
+    "parse_form": "syntax",
+    "quaternion_norm_form": "forms",
+    "rank_one_group_structure": "verify",
+    "run_command": "cli",
+    "splitting_map": "group_ring",
+    "symbol": "symbols",
+    "to_group_ring": "group_ring",
+    "verify_generator_relations": "verify",
+    "verify_quaternion_distinctness": "verify",
+    "witt_invariant": "symbols",
+}
+_SUBMODULES = frozenset(_MODULE_OF.values())
+
+__all__ = sorted(_MODULE_OF)
 
 
 def __getattr__(name: str):
-    """Import the module of run_command or of a verify name when the name is
-    first read (PEP 562), and bind the name here, so that later reads do not
+    """Import the submodule of an exported name, or the named submodule, when
+    the name is first read, and bind the name here, so that later reads do not
     come back."""
-    if name == "run_command":
-        from . import cli as module
-    elif name in _VERIFY_NAMES:
-        from . import verify as module
-    else:
+    module = _MODULE_OF.get(name, name)
+    if module not in _SUBMODULES:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = globals()[name] = getattr(module, name)
+    # Not `from . import ...`, which would look the submodule up through this
+    # function again, nor importlib, which `python -S` has not loaded and
+    # which would load warnings with it.
+    __import__(f"{__name__}.{module}")
+    value = sys.modules[f"{__name__}.{module}"]
+    if name != module:
+        value = getattr(value, name)
+    globals()[name] = value
     return value
 
 
 def __dir__() -> list[str]:
-    return sorted(globals().keys() | _VERIFY_NAMES | {"run_command"})
-
-__all__ = [
-    "BrauerClass",
-    "CanonicalShape",
-    "CensusReport",
-    "CurveConfig",
-    "DiagonalForm",
-    "FormSyntaxError",
-    "Generator",
-    "GroupRingElement",
-    "InvariantProfile",
-    "QuaternionDistinctnessReport",
-    "RankOneStructureReport",
-    "RelationSuiteReport",
-    "ResidueWittClass",
-    "RingIsoReport",
-    "Shape",
-    "canonical_form",
-    "check_ring_iso",
-    "enumerate_classes",
-    "enumerate_generators",
-    "enumerate_group_ring_elements",
-    "enumerate_groups",
-    "enumerate_residue_classes",
-    "equals",
-    "from_group_ring",
-    "hasse_invariant",
-    "inclusion",
-    "invariant_profile",
-    "is_trivial",
-    "make_config",
-    "minus_one_class",
-    "parse_form",
-    "quaternion_norm_form",
-    "rank_one_group_structure",
-    "run_command",
-    "splitting_map",
-    "symbol",
-    "to_group_ring",
-    "verify_generator_relations",
-    "verify_quaternion_distinctness",
-    "witt_invariant",
-]
+    return sorted(globals().keys() | _MODULE_OF.keys() | _SUBMODULES)

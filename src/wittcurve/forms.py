@@ -117,9 +117,13 @@ class DiagonalForm(_Frozen):
     _fields = ("config", "packed")
 
     def __init__(self, config: CurveConfig, entries: Iterable[Generator]) -> None:
+        if not isinstance(config, CurveConfig):
+            raise TypeError(f"DiagonalForm config must be CurveConfig, got {type(config).__name__}")
         rank = config.picard_rank
         packed = []
         for g in entries:
+            if not isinstance(g, Generator):
+                raise TypeError(f"DiagonalForm entries must be Generator, got {type(g).__name__}")
             if g.rank != rank:
                 raise ValueError(
                     f"config mismatch: entry line bundle rank {g.rank} != picard_rank {rank}"

@@ -18,6 +18,13 @@ def symbol(cfg: CurveConfig, a: Generator, b: Generator) -> BrauerClass:
     Brauer group is trivial), (x, pi) is the quaternion class of x, and
     (pi, pi) = (-1, pi).
     """
+    if not (
+        isinstance(cfg, CurveConfig) and isinstance(a, Generator) and isinstance(b, Generator)
+    ):
+        raise TypeError(
+            "symbol() takes a CurveConfig and two Generator, got "
+            f"{type(cfg).__name__}, {type(a).__name__} and {type(b).__name__}"
+        )
     rank = cfg.picard_rank
     if a.rank != rank or b.rank != rank:
         raise ValueError(

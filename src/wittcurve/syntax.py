@@ -212,6 +212,11 @@ def parse_form(text: str, cfg: CurveConfig) -> DiagonalForm:
 
     Raises FormSyntaxError with the position of the first malformed character.
     """
+    if not isinstance(text, str) or not isinstance(cfg, CurveConfig):
+        raise TypeError(
+            "parse_form() takes a str and a CurveConfig, "
+            f"got {type(text).__name__} and {type(cfg).__name__}"
+        )
     body = text.replace("⟨", "<").replace("⟩", ">").strip()
     if body[:1] == "<" and body[-1:] == ">":
         inside = body[1:-1]

@@ -320,6 +320,13 @@ def test_forms_are_immutable(q3r1):
     assert pickle.loads(pickle.dumps(form)) == form
 
 
+def test_foreign_argument_is_a_type_error(q3r1):
+    with pytest.raises(TypeError, match="^DiagonalForm entries must be Generator, got int$"):
+        DiagonalForm(q3r1, [Generator.one(1), 1])
+    with pytest.raises(TypeError, match="^DiagonalForm config must be CurveConfig, got int$"):
+        DiagonalForm(1, [])
+
+
 def test_repr_names_config_and_entries(q3r1):
     form = DiagonalForm(q3r1, [Generator(1, 0, 1, 1), Generator(0, 1, 0, 1)])
     assert repr(form) == (

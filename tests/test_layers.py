@@ -159,11 +159,13 @@ def test_a_command_loads_only_what_it_uses(argv, expected):
     assert _modules_in_child(statements, LAZY_MODULES) == expected
 
 
-# The only imports inside a function, each at the boundary of the one command
-# or format that needs the module.  A function-level relative import costs
-# 1.4-1.9 us per call (timeit), which is nothing once per command and a third
-# of a canonical_form call on a short form; so engine keeps its module-level
-# import of group_ring, although only some commands use it.
+# The only imports inside a function, each at the boundary where a module is
+# first needed: the one command or format that uses it, or the first read of a
+# package name, which the package's __getattr__ then binds so that it runs
+# once per name.  A function-level relative import costs 1.4-1.9 us per call
+# (timeit), which is nothing once per command and a third of a canonical_form
+# call on a short form; so engine keeps its module-level import of group_ring,
+# although only some commands use it.
 FUNCTION_LEVEL_IMPORTS = {
     # Only --format csv writes CSV.
     ("cli", "_table"): {"csv"},
@@ -172,15 +174,17 @@ FUNCTION_LEVEL_IMPORTS = {
     # Only `wittcurve verify` runs the suites, and verify is the largest
     # module to compile.
     ("cli", "_cmd_verify"): {"verify"},
-    # The package's verify names and run_command, loaded on first use
-    # (PEP 562): a library user needs neither the suites nor cli, which
-    # imports argparse.
-    ("__init__", "__getattr__"): {"verify", "cli"},
+    # Every exported name and submodule of the package, loaded on first use
+    # (PEP 562) through the __import__ builtin, which takes the submodule's
+    # name as a string: `import wittcurve` compiles no submodule, and a caller
+    # loads only the modules whose names it reads.
+    ("__init__", "__getattr__"): {"__import__"},
 }
 
 
 def _function_level_imports(module: str) -> dict[tuple[str, str], set[str]]:
-    """Per (module, function), the modules imported inside the function."""
+    """Per (module, function), the modules imported inside the function; a
+    call of the __import__ builtin counts as an import of "__import__"."""
     found: dict[tuple[str, str], set[str]] = {}
     for node in ast.walk(_tree(module)):
         if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -190,6 +194,12 @@ def _function_level_imports(module: str) -> dict[tuple[str, str], set[str]]:
                 names = {alias.name for alias in child.names}
             elif isinstance(child, ast.ImportFrom):
                 names = {child.module} if child.module else {a.name for a in child.names}
+            elif (
+                isinstance(child, ast.Call)
+                and isinstance(child.func, ast.Name)
+                and child.func.id == "__import__"
+            ):
+                names = {"__import__"}
             else:
                 continue
             found.setdefault((module, node.name), set()).update(names)

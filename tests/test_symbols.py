@@ -84,6 +84,18 @@ class TestSymbolLaws:
         with pytest.raises(ValueError, match="config mismatch"):
             symbol(q3r1, Generator.one(1), Generator.one(2))
 
+    def test_foreign_argument_is_a_type_error(self, q3r1):
+        one = Generator.one(1)
+        for args, got in [
+            ((q3r1, 1, one), "CurveConfig, int and Generator"),
+            ((q3r1, one, "pi"), "CurveConfig, Generator and str"),
+            ((1, one, one), "int, Generator and Generator"),
+        ]:
+            with pytest.raises(
+                TypeError, match=f"^symbol\\(\\) takes a CurveConfig and two Generator, got {got}$"
+            ):
+                symbol(*args)
+
 
 class TestHasseInvariant:
     def test_norm_form_six_symbol_expansion(self, cfg):

@@ -253,6 +253,21 @@ def test_long_pathological_text_is_linear(text, rank):
     assert time.perf_counter() - start < 2.0
 
 
+@pytest.mark.parametrize(
+    "text, cfg, got",
+    [
+        (1, CurveConfig(3, 1), "int and CurveConfig"),
+        (b"<1>", CurveConfig(3, 1), "bytes and CurveConfig"),
+        ("<1>", None, "str and NoneType"),
+    ],
+)
+def test_foreign_argument_is_a_type_error(text, cfg, got):
+    with pytest.raises(
+        TypeError, match=rf"^parse_form\(\) takes a str and a CurveConfig, got {got}$"
+    ):
+        parse_form(text, cfg)
+
+
 def test_rank_past_the_int_string_limit():
     # A rank of more than 4300 digits, which str() refuses, never reaches the
     # parser; at the largest rank a label too long for int() is refused unread.
