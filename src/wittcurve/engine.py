@@ -14,20 +14,27 @@ from enum import Enum
 from .forms import DiagonalForm, Summary
 from .groups import BrauerClass, CurveConfig, Generator, _Frozen, _set, minus_one_class
 from .group_ring import packed_coordinates, packed_representative
-from .symbols import symbol_sum, witt_invariant
+from .symbols import symbol_sum
 
 
 def summary_is_trivial(summary: Summary, minus_one: int) -> bool:
-    """True iff a form with this summary represents the zero Witt class."""
+    """True iff a form with this summary represents the zero Witt class.
+
+    At even rank the sign twist of Summary.signed_disc is odd exactly when
+    rank & 2 is set.
+    """
+    rank, _, disc, _ = summary
     return not (
-        summary.rank % 2
-        or summary.signed_disc(minus_one)
+        rank & 1
+        or disc ^ (minus_one if rank & 2 else 0)
         or symbol_sum(summary, minus_one)
     )
 
 
 def is_trivial(form: DiagonalForm) -> bool:
     """True iff the form represents the zero Witt class."""
+    if not isinstance(form, DiagonalForm):
+        raise TypeError(f"is_trivial() takes a DiagonalForm, got {type(form).__name__}")
     return summary_is_trivial(form.summary, minus_one_class(form.config))
 
 
@@ -37,6 +44,11 @@ def equals(e: DiagonalForm, f: DiagonalForm) -> bool:
     The summary of the difference combines the two summaries, so no form is
     built.
     """
+    if not (isinstance(e, DiagonalForm) and isinstance(f, DiagonalForm)):
+        raise TypeError(
+            "equals() takes two DiagonalForm, "
+            f"got {type(e).__name__} and {type(f).__name__}"
+        )
     e._require_same_config(f)
     m = minus_one_class(e.config)
     return summary_is_trivial(e.summary.plus(f.summary.negated(m)), m)
@@ -60,12 +72,23 @@ class InvariantProfile(_Frozen):
 
 
 def invariant_profile(form: DiagonalForm) -> InvariantProfile:
-    parity = form.rank % 2
-    signed = form.signed_discriminant()
+    """The profile of the form, read off its summary.
+
+    On I^2, where witt_inv is defined, the Clifford class is the pairwise
+    symbol sum (see symbols.witt_invariant).
+    """
+    if not isinstance(form, DiagonalForm):
+        raise TypeError(f"invariant_profile() takes a DiagonalForm, got {type(form).__name__}")
+    cfg = form.config
+    rank = cfg.picard_rank
+    m = minus_one_class(cfg)
+    summary = form.summary
+    parity = summary.rank & 1
+    signed = summary.signed_disc(m)
     witt = None
-    if parity == 0 and signed.is_trivial:
-        witt = witt_invariant(form)
-    return InvariantProfile(parity, signed, witt)
+    if not (parity or signed):
+        witt = BrauerClass.from_packed(rank, symbol_sum(summary, m))
+    return InvariantProfile(parity, Generator.from_packed(rank, signed), witt)
 
 
 class Shape(Enum):
@@ -90,12 +113,8 @@ class Shape(Enum):
 NONTRIVIAL_SHAPES: tuple[Shape, ...] = tuple(s for s in Shape if s is not Shape.ZERO)
 
 
-def _component_type(a: int) -> str:
-    """Type of a packed residue class."""
-    if a & 1:
-        return "odd"
-    return "even" if a else "zero"
-
+# The type of a packed residue class a, indexed by (a > 0) + (a & 1).
+_COMPONENT_TYPES = ("zero", "even", "odd")
 
 # The shape of each pair of component types, read from the member names.
 _SHAPE_BY_TYPES = {tuple(s.name.lower().split("_")): s for s in NONTRIVIAL_SHAPES}
@@ -124,13 +143,14 @@ def canonical_form(form: DiagonalForm) -> CanonicalShape:
     forms get identical results exactly when they are Witt-equal, and the
     payload itself maps back to the same result.
     """
+    if not isinstance(form, DiagonalForm):
+        raise TypeError(f"canonical_form() takes a DiagonalForm, got {type(form).__name__}")
     cfg = form.config
     m = minus_one_class(cfg)
-    a, b = packed_coordinates(m, form.packed)
-    tag = _SHAPE_BY_TYPES[(_component_type(a), _component_type(b))]
-    return CanonicalShape(
-        tag, DiagonalForm._from_packed(cfg, packed_representative(m, (a, b)))
-    )
+    x = packed_coordinates(m, form.packed)
+    a, b = x
+    tag = _SHAPE_BY_TYPES[_COMPONENT_TYPES[(a > 0) + (a & 1)], _COMPONENT_TYPES[(b > 0) + (b & 1)]]
+    return CanonicalShape(tag, DiagonalForm._from_packed(cfg, packed_representative(m, x)))
 
 
 class CensusReport(_Frozen):

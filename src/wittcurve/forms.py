@@ -14,6 +14,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterable
 from functools import reduce
+from itertools import product, starmap
 from operator import xor
 
 from .groups import (
@@ -30,14 +31,6 @@ from .groups import (
 # Builds a Summary from a tuple without the Python-level namedtuple __new__,
 # which costs about as much as the arithmetic of plus.
 _new = tuple.__new__
-
-
-def sign_exponent(rank: int) -> int:
-    """Parity of the sign twist rank*(rank+1)/2 in the signed discriminant.
-
-    Equal to 1 exactly when rank = 1 or 2 mod 4.
-    """
-    return (rank * (rank + 1) // 2) & 1
 
 
 class Summary(namedtuple("Summary", "rank ramified disc ramified_disc")):
@@ -93,16 +86,20 @@ class Summary(namedtuple("Summary", "rank ramified disc ramified_disc")):
         return _new(Summary, (n, r, d ^ (n & minus_one), rd ^ (r & minus_one)))
 
     def signed_disc(self, minus_one: int) -> int:
-        """Packed discriminant twisted by (-1)^(rank*(rank+1)/2)."""
-        return self.disc ^ (sign_exponent(self.rank) & minus_one)
+        """Packed discriminant twisted by (-1)^(rank*(rank+1)/2).
+
+        The twist is odd exactly when rank = 1 or 2 mod 4, that is when
+        (rank + 1) >> 1 is odd.
+        """
+        return self.disc ^ ((self.rank + 1) >> 1 & minus_one)
 
 
 def summarize(packed: tuple[int, ...]) -> Summary:
     """Summary of packed entries, in one pass of C-level scans."""
     ramified = tuple(filter((2).__and__, packed))
-    return Summary(
+    return _new(Summary, (
         len(packed), len(ramified), reduce(xor, packed, 0), reduce(xor, ramified, 0)
-    )
+    ))
 
 
 class DiagonalForm(_Frozen):
@@ -171,7 +168,8 @@ class DiagonalForm(_Frozen):
         return DiagonalForm._from_packed, (self.config, self.packed)
 
     def _require_same_config(self, other: "DiagonalForm") -> None:
-        if self.config != other.config:
+        # Identity first: != on two configs runs the Python-level _Frozen.__eq__.
+        if self.config is not other.config and self.config != other.config:
             raise ValueError(
                 f"config mismatch: {self.config} != {other.config}"
             )
@@ -189,7 +187,7 @@ class DiagonalForm(_Frozen):
             return NotImplemented
         self._require_same_config(other)
         return DiagonalForm._from_packed(
-            self.config, tuple(a ^ b for a in self.packed for b in other.packed)
+            self.config, tuple(starmap(xor, product(self.packed, other.packed)))
         )
 
     def __neg__(self) -> "DiagonalForm":

@@ -20,7 +20,7 @@ from collections.abc import Iterable
 from functools import reduce
 from operator import xor
 
-from .forms import DiagonalForm, sign_exponent
+from .forms import DiagonalForm
 from .groups import (
     CurveConfig,
     Generator,
@@ -74,31 +74,44 @@ def element_neg(m: int, x: tuple[int, int]) -> tuple[int, int]:
 
 
 def element_mul(m: int, x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
-    # <pi> squares to 1, so the ramified components multiply back into the
-    # residue component.
+    """(a + <pi>b)(c + <pi>d) = (ac + bd) + <pi>(ad + bc): <pi> squares to 1,
+    so the ramified components multiply back into the residue component.
+
+    The four residue_mul and two residue_add calls are written out, so that a
+    table row of check_ring_iso costs one call per entry.  residue_mul is
+    u*v = [v odd]u + [u odd]v, plus parity 1 and [-1] when both are odd.
+    """
     a, b = x
     c, d = y
-    return (
-        residue_add(m, residue_mul(m, a, c), residue_mul(m, b, d)),
-        residue_add(m, residue_mul(m, a, d), residue_mul(m, b, c)),
-    )
-
-
-def _residue_of(m: int, count: int, disc: int) -> int:
-    """Packed residue class of count pi-free entries whose packed product is disc."""
-    unit = (disc & 1) ^ (sign_exponent(count) & m)
-    return count & 1 | unit << 1 | disc & ~3
+    both_odd = m << 1 | 1
+    ac = (a if c & 1 else 0) ^ (c if a & 1 else 0) ^ (both_odd if a & c & 1 else 0)
+    bd = (b if d & 1 else 0) ^ (d if b & 1 else 0) ^ (both_odd if b & d & 1 else 0)
+    ad = (a if d & 1 else 0) ^ (d if a & 1 else 0) ^ (both_odd if a & d & 1 else 0)
+    bc = (b if c & 1 else 0) ^ (c if b & 1 else 0) ^ (both_odd if b & c & 1 else 0)
+    return ac ^ bd ^ ((ac & bd & m) << 1), ad ^ bc ^ ((ad & bc & m) << 1)
 
 
 def packed_coordinates(m: int, packed: Iterable[int]) -> tuple[int, int]:
-    """Packed group ring element of packed form entries: split by pi exponent."""
+    """Packed group ring element of packed form entries: split by pi exponent.
+
+    Each component is the residue class of its count entries, whose packed
+    product is disc: parity count & 1, and the unit of disc twisted by the
+    sign exponent count*(count+1)/2, which is odd exactly when (count + 1) >> 1
+    is.
+    """
     packed = tuple(packed)
     ramified = tuple(filter((2).__and__, packed))
+    ramified_count = len(ramified)
+    residue_count = len(packed) - ramified_count
     ramified_disc = reduce(xor, ramified, 0)
     residue_disc = reduce(xor, packed, 0) ^ ramified_disc
     return (
-        _residue_of(m, len(packed) - len(ramified), residue_disc),
-        _residue_of(m, len(ramified), ramified_disc),
+        residue_count & 1
+        | ((residue_disc & 1) ^ ((residue_count + 1) >> 1 & m)) << 1
+        | residue_disc & ~3,
+        ramified_count & 1
+        | ((ramified_disc & 1) ^ ((ramified_count + 1) >> 1 & m)) << 1
+        | ramified_disc & ~3,
     )
 
 
@@ -116,7 +129,7 @@ def _template(m: int, a: int) -> tuple[int, ...]:
 
 def packed_representative(m: int, x: tuple[int, int]) -> tuple[int, ...]:
     """Packed entries of rep(a) + pi * rep(b), the minimal representative."""
-    return _template(m, x[0]) + tuple(p | 2 for p in _template(m, x[1]))
+    return _template(m, x[0]) + tuple(map((2).__or__, _template(m, x[1])))
 
 
 def packed_residue_classes(cfg: CurveConfig) -> list[int]:
@@ -151,7 +164,8 @@ class _PackedView:
         return self.packed == self._zero
 
     def _require_same_config(self, other: _PackedView) -> None:
-        if self.config != other.config:
+        # Identity first: != on two configs runs the Python-level _Frozen.__eq__.
+        if self.config is not other.config and self.config != other.config:
             raise ValueError(f"config mismatch: {self.config} != {other.config}")
 
     def __add__(self, other: _PackedView) -> _PackedView:
@@ -279,6 +293,8 @@ class GroupRingElement(_PackedView, _Frozen):
 
 def to_group_ring(form: DiagonalForm) -> GroupRingElement:
     """Split a form by pi exponent into (residue, ramified) residue classes."""
+    if not isinstance(form, DiagonalForm):
+        raise TypeError(f"to_group_ring() takes a DiagonalForm, got {type(form).__name__}")
     cfg = form.config
     return GroupRingElement.from_packed(
         cfg, packed_coordinates(minus_one_class(cfg), form.packed)
@@ -309,6 +325,8 @@ def splitting_map(form: DiagonalForm) -> ResidueWittClass:
     Sends <pi> to <1>; the kernel is the ideal generated by <1, -pi>, and the
     composite with inclusion is the identity.
     """
+    if not isinstance(form, DiagonalForm):
+        raise TypeError(f"splitting_map() takes a DiagonalForm, got {type(form).__name__}")
     cfg = form.config
     m = minus_one_class(cfg)
     a, b = packed_coordinates(m, form.packed)

@@ -273,8 +273,10 @@ class Generator(_Frozen):
         Checks rank, then packed with one test: an int in 0..2**(rank + 2) - 1,
         which holds exactly when each coordinate the constructor checks is
         valid.  A negative int shifts to -1, so the shift refuses it too.
+        check_rank is called only to raise its message.
         """
-        check_rank(rank)
+        if type(rank) is not int or not 0 <= rank <= MAX_PICARD_RANK:
+            check_rank(rank)
         if type(packed) is not int or packed >> rank + 2:
             raise packed_error("generator", packed, rank)
         g = _new(cls)
@@ -328,7 +330,8 @@ class BrauerClass(_Frozen):
 
         Checks rank, then packed with one test, as Generator.from_packed does.
         """
-        check_rank(rank)
+        if type(rank) is not int or not 0 <= rank <= MAX_PICARD_RANK:
+            check_rank(rank)
         if type(packed) is not int or packed >> rank + 2 or packed & 2:
             raise packed_error("Brauer class", packed, rank)
         c = _new(cls)

@@ -251,19 +251,20 @@ def check_ring_iso(cfg: CurveConfig) -> RingIsoReport:
     distinct elements give non-equal forms and that to_group_ring inverts
     from_group_ring.
 
-    The group-ring engine fills the addition and multiplication tables, as
-    element indices, one row at a time; the invariant engine decides each
-    entry on spread summaries, so a table entry costs two int additions and
-    one lookup of the decision.  A sum entry is S[x] + S[y] - S[x+y], with
-    S the summaries of the representatives.  The representative of y = (c, d)
-    is the sum of those of (c, 0) and (0, d), checked for every y, so by
-    bilinearity of Summary.times a product entry is S[x]*S[(c, 0)] +
-    S[x]*S[(0, d)] - S[x*y], and a row needs 2*4n products of summaries, not
-    16n^2.  Only a row that fails is rescanned entry by entry, with
-    Summary.plus and Summary.times, to name the pairs.  A sample of pairs
-    that meets every row and every column builds the real sum and tensor
-    product and checks that their summaries are the ones the tables were
-    decided on.
+    The group-ring engine fills the addition and multiplication tables one
+    row at a time; the invariant engine decides each entry on spread
+    summaries, so a table entry costs one lookup of the negated spread of
+    its element, two int additions and one lookup of the decision.  A sum
+    entry is S[x] + S[y] - S[x+y], with S the summaries of the
+    representatives.  The representative of y = (c, d) is the sum of those
+    of (c, 0) and (0, d), checked for every y, so by bilinearity of
+    Summary.times a product entry is S[x]*S[(c, 0)] + S[x]*S[(0, d)] -
+    S[x*y], and a row needs 2*4n products of summaries, not 16n^2.  Only a
+    row that fails is rescanned entry by entry, looking its entries up by
+    element index, with Summary.plus and Summary.times, to name the pairs.
+    A sample of pairs that meets every row and every column builds the real
+    sum and tensor product and checks that their summaries are the ones the
+    tables were decided on.
     """
     _check_rank(cfg, RING_ISO_RANK_BOUND, "exhaustive ring comparison")
     m = minus_one_class(cfg)
@@ -290,6 +291,7 @@ def check_ring_iso(cfg: CurveConfig) -> RingIsoReport:
     keep = _keep(bits, table)
     spread = [_spread(summary, bits, table) for summary in summaries]
     spread_negated = [_spread(summary, bits, table) for summary in negated]
+    spread_negated_of = dict(zip(elements, spread_negated))
     trivial = _Decisions(m, bits)
 
     def decided(totals: Iterable[int]) -> Iterator[bool]:
@@ -331,23 +333,25 @@ def check_ring_iso(cfg: CurveConfig) -> RingIsoReport:
 
     for i, x in enumerate(elements):
         summary = summaries[i]
-        add_row = list(map(index.__getitem__, map(element_add, repeat(m), repeat(x), elements)))
-        mul_row = list(map(index.__getitem__, map(element_mul, repeat(m), repeat(x), elements)))
-        sums = map(add, map(spread[i].__add__, spread), map(spread_negated.__getitem__, add_row))
+        add_row = list(map(element_add, repeat(m), repeat(x), elements))
+        mul_row = list(map(element_mul, repeat(m), repeat(x), elements))
+        sums = map(
+            add, map(spread[i].__add__, spread), map(spread_negated_of.__getitem__, add_row)
+        )
         by_left = [_spread(summary.times(a), bits, table) for a in left]
         by_right = [_spread(summary.times(b), bits, table) for b in right]
         products = map(
             add,
             [l + r for l in by_left for r in by_right],
-            map(spread_negated.__getitem__, mul_row),
+            map(spread_negated_of.__getitem__, mul_row),
         )
         found = len(mismatches)
         if found == MAX_MISMATCHES or (all(decided(sums)) and all(decided(products))):
             continue
         for j, other in enumerate(summaries):
-            if not summary_is_trivial(summary.plus(other).plus(negated[add_row[j]]), m):
+            if not summary_is_trivial(summary.plus(other).plus(negated[index[add_row[j]]]), m):
                 mismatch(f"addition mismatch at {element(i)}, {element(j)}")
-            if not summary_is_trivial(summary.times(other).plus(negated[mul_row[j]]), m):
+            if not summary_is_trivial(summary.times(other).plus(negated[index[mul_row[j]]]), m):
                 mismatch(f"multiplication mismatch at {element(i)}, {element(j)}")
         if len(mismatches) == found:
             mismatch(f"table row of {element(i)} fails on spread summaries only")

@@ -3,6 +3,7 @@
 import importlib
 import itertools
 import random
+import sys
 import time
 
 import pytest
@@ -14,6 +15,8 @@ from wittcurve import (
     CurveConfig,
     DiagonalForm,
     Generator,
+    GroupRingElement,
+    ResidueWittClass,
     Shape,
     canonical_form,
     enumerate_classes,
@@ -32,6 +35,8 @@ from wittcurve import (
     verify_generator_relations,
     verify_quaternion_distinctness,
 )
+from wittcurve.engine import summary_is_trivial
+from wittcurve.group_ring import packed_coordinates
 
 from helpers import (
     assert_same_view,
@@ -41,6 +46,7 @@ from helpers import (
     pairwise_hasse_sum,
     random_form,
     random_generator,
+    residue_class_of,
     revalidated,
     scan_hasse_sum,
 )
@@ -341,11 +347,11 @@ def test_generator_relations(cfg):
     assert report.failures == ()
 
 
-def _draw_strategies(data):
-    """A configuration, at q = 1 or 3 and rank 0, 1, 2 or 16, with strategies
-    for its generators and for forms of up to 32 of them."""
+def _draw_strategies(data, q_values=(1, 3)):
+    """A configuration, at q in q_values and rank 0, 1, 2 or 16, with
+    strategies for its generators and for forms of up to 32 of them."""
     cfg = CurveConfig(
-        data.draw(st.sampled_from((1, 3)), label="q_mod_4"),
+        data.draw(st.sampled_from(q_values), label="q_mod_4"),
         data.draw(st.sampled_from((0, 1, 2, 16)), label="picard_rank"),
     )
     rank = cfg.picard_rank
@@ -450,15 +456,21 @@ def test_hot_paths_do_not_revalidate(monkeypatch):
     assert calls == ["check_bit", "check_bit", "check_mask"]
 
 
-def _reference_is_trivial(form: DiagonalForm, hasse_sum) -> bool:
-    """Even rank, trivial signed discriminant and trivial Hasse sum, each
-    computed entry by entry on Generator objects."""
+def _reference_signed_discriminant(form: DiagonalForm) -> Generator:
+    """The product of the entries on Generator objects, twisted by
+    (-1)^(rank*(rank+1)/2)."""
     cfg = form.config
     disc = Generator.one(cfg.picard_rank)
     for g in form.entries:
         disc = disc * g
     twist = (form.rank * (form.rank + 1) // 2) & 1 & minus_one_class(cfg)
-    signed = Generator(disc.unit ^ twist, disc.pi_exp, disc.mask, disc.rank)
+    return Generator(disc.unit ^ twist, disc.pi_exp, disc.mask, disc.rank)
+
+
+def _reference_is_trivial(form: DiagonalForm, hasse_sum) -> bool:
+    """Even rank, trivial signed discriminant and trivial Hasse sum, each
+    computed entry by entry on Generator objects."""
+    signed = _reference_signed_discriminant(form)
     return form.rank % 2 == 0 and signed.is_trivial and hasse_sum(form).is_trivial
 
 
@@ -496,3 +508,126 @@ def test_summary_decision_agrees_with_symbol_oracles(data):
     if kind != "random":
         assert expected
     assert hasse_invariant(form) == pairwise_hasse_sum(form) == scan_hasse_sum(form)
+
+
+# The sign twist (-1)^(k*(k+1)/2) of k entries depends on k mod 4, so each
+# case takes c pi-free and d ramified entries, c + d <= 12, with (c, d)
+# congruent mod 4 to the case.
+@pytest.mark.parametrize("counts_mod_4", list(itertools.product(range(4), repeat=2)), ids=str)
+@pytest.mark.parametrize("q", (1, 3))
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_sign_twist_at_every_count_mod_4(data, q, counts_mod_4):
+    cfg, generator, _ = _draw_strategies(data, (q,))
+    c_mod, d_mod = counts_mod_4
+    c = data.draw(st.sampled_from(range(c_mod, 13 - d_mod, 4)), label="pi-free count")
+    d = data.draw(st.sampled_from(range(d_mod, 13 - c, 4)), label="ramified count")
+    rank = cfg.picard_rank
+
+    def draw_entries(pi_exp, count, label):
+        with_pi_exp = generator.map(lambda g: Generator(g.unit, pi_exp, g.mask, rank))
+        return data.draw(st.lists(with_pi_exp, min_size=count, max_size=count), label=label)
+
+    pi_free = draw_entries(0, c, "pi-free")
+    ramified = draw_entries(1, d, "ramified")
+    entries = data.draw(st.permutations(pi_free + ramified), label="order")
+    m = minus_one_class(cfg)
+
+    # The group-ring coordinates against residue classes built entry by entry.
+    unramified = [Generator(g.unit, 0, g.mask, rank) for g in ramified]
+    expected = residue_class_of(cfg, pi_free).packed, residue_class_of(cfg, unramified).packed
+    assert packed_coordinates(m, [g.packed for g in entries]) == expected
+
+    # The summary decision against the reference, also after the last entry
+    # takes on the signed discriminant: that keeps both counts and, when d is
+    # even, leaves the Hasse sum to decide.
+    form = DiagonalForm(cfg, entries)
+    forms = [form]
+    signed = _reference_signed_discriminant(form)
+    if entries and not signed.pi_exp:
+        forms.append(DiagonalForm(cfg, entries[:-1] + [entries[-1] * signed]))
+    for f in forms:
+        assert summary_is_trivial(f.summary, m) == _reference_is_trivial(f, pairwise_hasse_sum)
+
+
+# Anything but a form, among them the group-ring views, which have a config
+# and a packed value as a form does.
+NOT_FORMS = [
+    1,
+    None,
+    GroupRingElement.one(CurveConfig(3, 1)),
+    ResidueWittClass.one(CurveConfig(3, 1)),
+]
+
+
+@pytest.mark.parametrize("value", NOT_FORMS, ids=lambda v: type(v).__name__)
+@pytest.mark.parametrize(
+    "function",
+    [is_trivial, canonical_form, invariant_profile, to_group_ring, splitting_map],
+    ids=lambda f: f.__name__,
+)
+def test_form_functions_refuse_anything_but_a_form(function, value):
+    with pytest.raises(TypeError) as exc:
+        function(value)
+    name = type(value).__name__
+    assert str(exc.value) == f"{function.__name__}() takes a DiagonalForm, got {name}"
+
+
+@pytest.mark.parametrize("value", NOT_FORMS, ids=lambda v: type(v).__name__)
+def test_equals_refuses_anything_but_two_forms(value):
+    form = parse_form("<1,pi>", CurveConfig(3, 1))
+    for e, f in ((form, value), (value, form)):
+        with pytest.raises(TypeError) as exc:
+            equals(e, f)
+        assert str(exc.value) == (
+            f"equals() takes two DiagonalForm, got {type(e).__name__} and {type(f).__name__}"
+        )
+
+
+def _python_frames(call) -> list[str]:
+    """Names of the Python functions that call() enters, call itself not
+    counted: the "call" events of sys.setprofile, which also count each
+    resume of a generator."""
+    names = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            names.append(frame.f_code.co_name)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        call()
+    finally:
+        sys.setprofile(previous)
+    return names[1:]
+
+
+# The Python frames of each library call on a warm 8-entry form, the called
+# function included.  A helper added on one of these paths fails here.
+HOT_PATH_FRAMES = {
+    "equals": 9,
+    "canonical_form": 8,
+    "invariant_profile": 8,
+    "splitting_map": 5,
+    "to_group_ring(e * f)": 9,
+}
+
+
+def test_hot_paths_open_few_frames():
+    cfg = CurveConfig(3, 2)
+    # In I^2 with a nontrivial Clifford class, and both group-ring components
+    # even and nonzero: every branch of the calls below runs.
+    form = parse_form("<s*pi*L1,pi*L1,s,s*pi*L2,s*L1,s*pi*L2,s*pi*L1*L2,pi*L2>", cfg)
+    assert not invariant_profile(form).witt_inv.is_trivial
+    assert canonical_form(form).tag is Shape.EVEN_EVEN
+    calls = {
+        "equals": lambda: equals(form, form),
+        "canonical_form": lambda: canonical_form(form),
+        "invariant_profile": lambda: invariant_profile(form),
+        "splitting_map": lambda: splitting_map(form),
+        "to_group_ring(e * f)": lambda: to_group_ring(form * form),
+    }
+    for name, call in calls.items():
+        frames = _python_frames(call)
+        assert len(frames) == HOT_PATH_FRAMES[name], (name, frames)

@@ -77,6 +77,15 @@ SUMMARY_NAMES = {"Summary", "summarize", "summary", "_summary"}
 
 def test_engines_stay_independent():
     assert not _package_imports("group_ring") & {"engine", "symbols"}
+    # Of the layer below, only the form type: group_ring computes its own
+    # sign twist and scans the entries itself.
+    from_forms = {
+        alias.name
+        for node in ast.walk(_tree("group_ring"))
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "forms"
+        for alias in node.names
+    }
+    assert from_forms == {"DiagonalForm"}
     # group_ring scans the packed entries itself; reading the summary would
     # make the cross-check in verify.check_ring_iso compare the engine with
     # itself.
