@@ -16,8 +16,8 @@ __version__ = "0.1.0"
 # modules it uses.
 _MODULE_OF = {
     "BrauerClass": "groups",
-    "CanonicalShape": "engine",
-    "CensusReport": "engine",
+    "CanonicalShape": "group_ring",
+    "CensusReport": "group_ring",
     "CurveConfig": "groups",
     "DiagonalForm": "forms",
     "FormSyntaxError": "syntax",
@@ -29,32 +29,31 @@ _MODULE_OF = {
     "RelationSuiteReport": "verify",
     "ResidueWittClass": "group_ring",
     "RingIsoReport": "verify",
-    "Shape": "engine",
-    "canonical_form": "engine",
+    "Shape": "group_ring",
+    "canonical_form": "group_ring",
     "check_ring_iso": "verify",
-    "enumerate_classes": "engine",
+    "enumerate_classes": "group_ring",
     "enumerate_generators": "groups",
     "enumerate_group_ring_elements": "group_ring",
     "enumerate_groups": "groups",
     "enumerate_residue_classes": "group_ring",
     "equals": "engine",
     "from_group_ring": "group_ring",
-    "hasse_invariant": "symbols",
+    "hasse_invariant": "engine",
     "inclusion": "group_ring",
     "invariant_profile": "engine",
     "is_trivial": "engine",
     "make_config": "groups",
-    "minus_one_class": "groups",
     "parse_form": "syntax",
     "quaternion_norm_form": "forms",
     "rank_one_group_structure": "verify",
     "run_command": "cli",
     "splitting_map": "group_ring",
-    "symbol": "symbols",
+    "symbol": "engine",
     "to_group_ring": "group_ring",
     "verify_generator_relations": "verify",
     "verify_quaternion_distinctness": "verify",
-    "witt_invariant": "symbols",
+    "witt_invariant": "engine",
 }
 _SUBMODULES = frozenset(_MODULE_OF.values())
 

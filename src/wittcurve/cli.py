@@ -12,7 +12,8 @@ import os
 import sys
 from collections.abc import Callable, Sequence
 
-from .engine import canonical_form, enumerate_classes, equals, invariant_profile
+from .engine import equals, invariant_profile
+from .group_ring import canonical_form, enumerate_classes
 from .groups import CurveConfig
 from .syntax import parse_form
 

@@ -1,5 +1,6 @@
-"""Witt-class decisions: triviality, equality, invariant profiles, canonical
-shapes, and the class census.
+"""The invariant engine: the symbol calculus in the 2-torsion Brauer group of
+the curve, and the Witt-class decisions it gives (triviality, equality and
+invariant profiles).
 
 A class is zero exactly when its rank is even and its signed discriminant and
 Clifford class both vanish; all higher filtration steps are trivial for these
@@ -9,12 +10,91 @@ on the difference, never by rewriting.
 
 from __future__ import annotations
 
-from enum import Enum
-
 from .forms import DiagonalForm, Summary
-from .groups import BrauerClass, CurveConfig, Generator, _Frozen, _set, minus_one_class
-from .group_ring import packed_coordinates, packed_representative
-from .symbols import symbol_sum
+from .groups import BrauerClass, CurveConfig, Generator, _Frozen, _set, require_same_config
+
+
+def symbol(cfg: CurveConfig, a: Generator, b: Generator) -> BrauerClass:
+    """Brauer class of the quaternion pair of two rank-1 forms.
+
+    With a = (u, e, L) and b = (v, f, M) the class is
+
+        (f*u + e*v + e*f*[-1],  f*L + e*M).
+
+    This is the unique biadditive extension of the three base cases: symbols
+    of two pi-free generators vanish (they extend over the reduction, whose
+    Brauer group is trivial), (x, pi) is the quaternion class of x, and
+    (pi, pi) = (-1, pi).
+    """
+    if not (
+        isinstance(cfg, CurveConfig) and isinstance(a, Generator) and isinstance(b, Generator)
+    ):
+        raise TypeError(
+            "symbol() takes a CurveConfig and two Generator, got "
+            f"{type(cfg).__name__}, {type(a).__name__} and {type(b).__name__}"
+        )
+    rank = cfg.picard_rank
+    if a.rank != rank or b.rank != rank:
+        raise ValueError(
+            "config mismatch: generator line rank does not match picard_rank"
+        )
+    e = a.pi_exp
+    f = b.pi_exp
+    unit = (f & a.unit) ^ (e & b.unit) ^ (e & f & cfg.minus_one)
+    mask = (a.mask if f else 0) ^ (b.mask if e else 0)
+    return BrauerClass.from_packed(rank, unit | mask << 2)
+
+
+def symbol_sum(summary: Summary, minus_one: int) -> int:
+    """Sum of the pairwise symbols of a form's entries, from its summary.
+
+    Returns the class (uL, pi) packed as u | mask << 2.  With E ramified
+    entries, U and L the XOR of the unit bits and masks of all entries, and
+    Ur and Lr the same over the ramified ones:
+
+        u    = E*U + Ur + C(E, 2)*[-1]
+        mask = E*L + Lr
+
+    Summing symbol over all pairs i < j, which is biadditive: a pair with one
+    ramified entry gives the class of the other, so each unramified entry
+    counts E times; a pair of ramified entries gives both, plus (pi, pi) =
+    ([-1], pi), so each ramified entry counts E - 1 times.
+    """
+    ram = summary.ramified
+    # The pi bits cancel: both discriminants carry E mod 2 there.
+    mixed = summary.ramified_disc ^ (summary.disc if ram & 1 else 0)
+    return mixed ^ ((ram * (ram - 1) >> 1) & minus_one)
+
+
+def hasse_invariant(form: DiagonalForm) -> BrauerClass:
+    """Sum of the pairwise symbols of a diagonalization, read off its summary.
+
+    Empty and rank-1 forms give the trivial class.  Well defined on Witt
+    classes only inside the second power of the fundamental ideal; see
+    witt_invariant.
+    """
+    if not isinstance(form, DiagonalForm):
+        raise TypeError(f"hasse_invariant() takes a DiagonalForm, got {type(form).__name__}")
+    cfg = form.config
+    return BrauerClass.from_packed(cfg.picard_rank, symbol_sum(form.summary, cfg.minus_one))
+
+
+def witt_invariant(form: DiagonalForm) -> BrauerClass:
+    """Clifford algebra class of a form with even rank and trivial signed discriminant.
+
+    On that domain the Clifford class coincides with the pairwise symbol sum:
+    the usual rank-dependent corrections between the two are built from
+    symbols of pi-free generators, which all vanish here.
+    """
+    if not isinstance(form, DiagonalForm):
+        raise TypeError(f"witt_invariant() takes a DiagonalForm, got {type(form).__name__}")
+    summary = form.summary
+    if summary.rank % 2 or summary.signed_disc(form.config.minus_one):
+        raise ValueError(
+            "not in I-squared: need even rank and trivial signed discriminant, "
+            f"got rank {form.rank}"
+        )
+    return hasse_invariant(form)
 
 
 def summary_is_trivial(summary: Summary, minus_one: int) -> bool:
@@ -35,7 +115,7 @@ def is_trivial(form: DiagonalForm) -> bool:
     """True iff the form represents the zero Witt class."""
     if not isinstance(form, DiagonalForm):
         raise TypeError(f"is_trivial() takes a DiagonalForm, got {type(form).__name__}")
-    return summary_is_trivial(form.summary, minus_one_class(form.config))
+    return summary_is_trivial(form.summary, form.config.minus_one)
 
 
 def equals(e: DiagonalForm, f: DiagonalForm) -> bool:
@@ -49,8 +129,8 @@ def equals(e: DiagonalForm, f: DiagonalForm) -> bool:
             "equals() takes two DiagonalForm, "
             f"got {type(e).__name__} and {type(f).__name__}"
         )
-    e._require_same_config(f)
-    m = minus_one_class(e.config)
+    require_same_config(e.config, f.config)
+    m = e.config.minus_one
     return summary_is_trivial(e.summary.plus(f.summary.negated(m)), m)
 
 
@@ -75,13 +155,13 @@ def invariant_profile(form: DiagonalForm) -> InvariantProfile:
     """The profile of the form, read off its summary.
 
     On I^2, where witt_inv is defined, the Clifford class is the pairwise
-    symbol sum (see symbols.witt_invariant).
+    symbol sum (see witt_invariant).
     """
     if not isinstance(form, DiagonalForm):
         raise TypeError(f"invariant_profile() takes a DiagonalForm, got {type(form).__name__}")
     cfg = form.config
     rank = cfg.picard_rank
-    m = minus_one_class(cfg)
+    m = cfg.minus_one
     summary = form.summary
     parity = summary.rank & 1
     signed = summary.signed_disc(m)
@@ -89,94 +169,3 @@ def invariant_profile(form: DiagonalForm) -> InvariantProfile:
     if not (parity or signed):
         witt = BrauerClass.from_packed(rank, symbol_sum(summary, m))
     return InvariantProfile(parity, Generator.from_packed(rank, signed), witt)
-
-
-class Shape(Enum):
-    """The canonical representative shapes, in their fixed listing order.
-
-    Members are named <residue part>_<ramified part> by the Witt-class type
-    (zero, odd rank, even nonzero) of each group-ring component; values are
-    the shape templates with s*L the residue slot and t*pi*M the ramified one.
-    """
-
-    ODD_ZERO = "<s*L>"
-    ZERO_ODD = "<t*pi*M>"
-    EVEN_ZERO = "<1,s*L>"
-    ODD_ODD = "<s*L,t*pi*M>"
-    ZERO_EVEN = "<pi,t*pi*M>"
-    EVEN_ODD = "<1,s*L,t*pi*M>"
-    ODD_EVEN = "<s*L,pi,t*pi*M>"
-    EVEN_EVEN = "<1,s*L,pi,t*pi*M>"
-    ZERO = "ZERO"
-
-
-NONTRIVIAL_SHAPES: tuple[Shape, ...] = tuple(s for s in Shape if s is not Shape.ZERO)
-
-
-# The type of a packed residue class a, indexed by (a > 0) + (a & 1).
-_COMPONENT_TYPES = ("zero", "even", "odd")
-
-# The shape of each pair of component types, read from the member names.
-_SHAPE_BY_TYPES = {tuple(s.name.lower().split("_")): s for s in NONTRIVIAL_SHAPES}
-_SHAPE_BY_TYPES["zero", "zero"] = Shape.ZERO
-
-
-class CanonicalShape(_Frozen):
-    """A shape tag together with the concrete minimal representative."""
-
-    __slots__ = ("tag", "payload")
-
-    def __init__(self, tag: Shape, payload: DiagonalForm) -> None:
-        _set(self, "tag", tag)
-        _set(self, "payload", payload)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.tag is Shape.ZERO
-
-
-def canonical_form(form: DiagonalForm) -> CanonicalShape:
-    """Canonical representative of the Witt class of a form.
-
-    Round-trips through the group-ring coordinates, whose component types
-    pick the shape and whose minimal representatives fill the template.  Two
-    forms get identical results exactly when they are Witt-equal, and the
-    payload itself maps back to the same result.
-    """
-    if not isinstance(form, DiagonalForm):
-        raise TypeError(f"canonical_form() takes a DiagonalForm, got {type(form).__name__}")
-    cfg = form.config
-    m = minus_one_class(cfg)
-    x = packed_coordinates(m, form.packed)
-    a, b = x
-    tag = _SHAPE_BY_TYPES[_COMPONENT_TYPES[(a > 0) + (a & 1)], _COMPONENT_TYPES[(b > 0) + (b & 1)]]
-    return CanonicalShape(tag, DiagonalForm._from_packed(cfg, packed_representative(m, x)))
-
-
-class CensusReport(_Frozen):
-    """Distinct Witt classes of a configuration, counted per canonical shape:
-    config, total and shape_counts, a tuple of (Shape, int) pairs."""
-
-    __slots__ = ("config", "total", "shape_counts")
-
-    @property
-    def nontrivial_total(self) -> int:
-        return sum(count for _, count in self.shape_counts)
-
-
-def enumerate_classes(cfg: CurveConfig) -> CensusReport:
-    """Census of all 16n^2 classes, grouped by canonical shape, in closed form.
-
-    Shape rows cover the nontrivial classes; the total includes the zero
-    class.
-    """
-    # Of the 4n residue classes one is zero, 2n - 1 are even and nonzero, and
-    # 2n are odd; a shape takes one class of its type in each component.
-    n = cfg.pic_order
-    sizes = {"zero": 1, "even": 2 * n - 1, "odd": 2 * n}
-    counts = {shape: sizes[a] * sizes[b] for (a, b), shape in _SHAPE_BY_TYPES.items()}
-    return CensusReport(
-        config=cfg,
-        total=sum(counts.values()),
-        shape_counts=tuple((shape, counts[shape]) for shape in NONTRIVIAL_SHAPES),
-    )

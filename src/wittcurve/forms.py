@@ -25,7 +25,7 @@ from .groups import (
     check_bit,
     check_mask,
     label,
-    minus_one_class,
+    require_same_config,
 )
 
 # Builds a Summary from a tuple without the Python-level namedtuple __new__,
@@ -167,32 +167,25 @@ class DiagonalForm(_Frozen):
     def __reduce__(self) -> tuple:
         return DiagonalForm._from_packed, (self.config, self.packed)
 
-    def _require_same_config(self, other: "DiagonalForm") -> None:
-        # Identity first: != on two configs runs the Python-level _Frozen.__eq__.
-        if self.config is not other.config and self.config != other.config:
-            raise ValueError(
-                f"config mismatch: {self.config} != {other.config}"
-            )
-
     def __add__(self, other: "DiagonalForm") -> "DiagonalForm":
         """Orthogonal sum: concatenation of entries."""
         if other.__class__ is not self.__class__:
             return NotImplemented
-        self._require_same_config(other)
+        require_same_config(self.config, other.config)
         return DiagonalForm._from_packed(self.config, self.packed + other.packed)
 
     def __mul__(self, other: "DiagonalForm") -> "DiagonalForm":
         """Tensor product: all pairwise generator products."""
         if other.__class__ is not self.__class__:
             return NotImplemented
-        self._require_same_config(other)
+        require_same_config(self.config, other.config)
         return DiagonalForm._from_packed(
             self.config, tuple(starmap(xor, product(self.packed, other.packed)))
         )
 
     def __neg__(self) -> "DiagonalForm":
         """Entrywise multiplication by <-1>."""
-        m = minus_one_class(self.config)
+        m = self.config.minus_one
         if not m:
             return self
         return DiagonalForm._from_packed(self.config, tuple(map(m.__xor__, self.packed)))
@@ -205,7 +198,7 @@ class DiagonalForm(_Frozen):
         """Discriminant twisted by (-1)^(rank*(rank+1)/2)."""
         return Generator.from_packed(
             self.config.picard_rank,
-            self.summary.signed_disc(minus_one_class(self.config)),
+            self.summary.signed_disc(self.config.minus_one),
         )
 
     def __str__(self) -> str:
@@ -220,6 +213,6 @@ def quaternion_norm_form(cfg: CurveConfig, unit: int, mask: int) -> DiagonalForm
     except ValueError as exc:
         raise ValueError(f"config mismatch: {exc}") from None
     check_bit(unit, "unit square class bit")
-    m = minus_one_class(cfg)
+    m = cfg.minus_one
     u_line = unit | mask << 2
     return DiagonalForm._from_packed(cfg, (0, u_line ^ m, m | 2, u_line | 2))

@@ -6,7 +6,9 @@ is no Clifford term).  The full ring is then the group ring over those residue
 classes on the two-element group generated by <pi>: an element is a pair
 (a, b) standing for a + <pi>*b.  This gives a decision procedure for the
 curve's Witt ring that is independent of the invariant engine: it scans the
-packed entries of a form itself and never reads their summary.
+packed entries of a form itself and never reads their summary.  The canonical
+shapes and the class census are its answers: a class's minimal representative
+and its shape follow from the types of its two components.
 
 The arithmetic runs on packed ints.  A residue class is parity | unit << 1 |
 mask << 2, its signed discriminant being the square class unit * (L-mask);
@@ -17,6 +19,7 @@ classes are views of these.
 from __future__ import annotations
 
 from collections.abc import Iterable
+from enum import Enum
 from functools import reduce
 from operator import xor
 
@@ -30,8 +33,8 @@ from .groups import (
     check_bit,
     check_mask,
     label,
-    minus_one_class,
     packed_error,
+    require_same_config,
 )
 
 
@@ -132,6 +135,39 @@ def packed_representative(m: int, x: tuple[int, int]) -> tuple[int, ...]:
     return _template(m, x[0]) + tuple(map((2).__or__, _template(m, x[1])))
 
 
+class Shape(Enum):
+    """The canonical representative shapes, in their fixed listing order.
+
+    Members are named <residue part>_<ramified part> by the Witt-class type
+    (zero, odd rank, even nonzero) of each group-ring component; values are
+    the shape templates with s*L the residue slot and t*pi*M the ramified one.
+    """
+
+    ODD_ZERO = "<s*L>"
+    ZERO_ODD = "<t*pi*M>"
+    EVEN_ZERO = "<1,s*L>"
+    ODD_ODD = "<s*L,t*pi*M>"
+    ZERO_EVEN = "<pi,t*pi*M>"
+    EVEN_ODD = "<1,s*L,t*pi*M>"
+    ODD_EVEN = "<s*L,pi,t*pi*M>"
+    EVEN_EVEN = "<1,s*L,pi,t*pi*M>"
+    ZERO = "ZERO"
+
+
+NONTRIVIAL_SHAPES: tuple[Shape, ...] = tuple(s for s in Shape if s is not Shape.ZERO)
+
+
+# The shape of each minimal representative, keyed by the pi bit (entry & 2)
+# of each of its entries and read from the member values, whose ramified
+# entries are those with a pi.  A component has no entry if it is zero, one
+# if it is odd and two if it is even (_template), so the key is its type.
+_SHAPE_BY_PI_BITS = {
+    tuple(2 if "pi" in entry else 0 for entry in s.value[1:-1].split(",")): s
+    for s in NONTRIVIAL_SHAPES
+}
+_SHAPE_BY_PI_BITS[()] = Shape.ZERO
+
+
 def packed_residue_classes(cfg: CurveConfig) -> list[int]:
     """All 4n packed residue classes, even before odd, in discriminant order."""
     return [
@@ -163,28 +199,23 @@ class _PackedView:
     def is_zero(self) -> bool:
         return self.packed == self._zero
 
-    def _require_same_config(self, other: _PackedView) -> None:
-        # Identity first: != on two configs runs the Python-level _Frozen.__eq__.
-        if self.config is not other.config and self.config != other.config:
-            raise ValueError(f"config mismatch: {self.config} != {other.config}")
-
     def __add__(self, other: _PackedView) -> _PackedView:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        self._require_same_config(other)
         cfg = self.config
-        return self.from_packed(cfg, self._add(minus_one_class(cfg), self.packed, other.packed))
+        require_same_config(cfg, other.config)
+        return self.from_packed(cfg, self._add(cfg.minus_one, self.packed, other.packed))
 
     def __neg__(self) -> _PackedView:
         cfg = self.config
-        return self.from_packed(cfg, self._neg(minus_one_class(cfg), self.packed))
+        return self.from_packed(cfg, self._neg(cfg.minus_one, self.packed))
 
     def __mul__(self, other: _PackedView) -> _PackedView:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        self._require_same_config(other)
         cfg = self.config
-        return self.from_packed(cfg, self._mul(minus_one_class(cfg), self.packed, other.packed))
+        require_same_config(cfg, other.config)
+        return self.from_packed(cfg, self._mul(cfg.minus_one, self.packed, other.packed))
 
 
 class ResidueWittClass(_PackedView, _Frozen):
@@ -201,6 +232,8 @@ class ResidueWittClass(_PackedView, _Frozen):
     _mul = staticmethod(residue_mul)
 
     def __init__(self, config: CurveConfig, parity: int, disc_unit: int, disc_mask: int) -> None:
+        if not isinstance(config, CurveConfig):
+            raise TypeError(f"ResidueWittClass() takes a CurveConfig, got {type(config).__name__}")
         check_bit(parity, "parity")
         check_bit(disc_unit, "unit square class bit")
         check_mask(disc_mask, config.picard_rank)
@@ -230,7 +263,7 @@ class ResidueWittClass(_PackedView, _Frozen):
     @classmethod
     def one(cls, cfg: CurveConfig) -> "ResidueWittClass":
         """Class of <1>; its signed discriminant is the class of -1."""
-        return cls.from_packed(cfg, 1 | minus_one_class(cfg) << 1)
+        return cls.from_packed(cfg, 1 | cfg.minus_one << 1)
 
     @classmethod
     def from_generators(
@@ -240,7 +273,7 @@ class ResidueWittClass(_PackedView, _Frozen):
         packed = DiagonalForm(cfg, gens).packed
         if any(p & 2 for p in packed):
             raise ValueError("residue classes come from pi-free generators")
-        return cls.from_packed(cfg, packed_coordinates(minus_one_class(cfg), packed)[0])
+        return cls.from_packed(cfg, packed_coordinates(cfg.minus_one, packed)[0])
 
     def __str__(self) -> str:
         disc = label(self.disc_unit | self.disc_mask << 2)
@@ -258,6 +291,9 @@ class GroupRingElement(_PackedView, _Frozen):
     _mul = staticmethod(element_mul)
 
     def __init__(self, a: ResidueWittClass, b: ResidueWittClass) -> None:
+        if not (isinstance(a, ResidueWittClass) and isinstance(b, ResidueWittClass)):
+            got = f"{type(a).__name__} and {type(b).__name__}"
+            raise TypeError(f"GroupRingElement() takes two ResidueWittClass, got {got}")
         if a.config != b.config:
             raise ValueError("config mismatch: mixed group ring components")
         _set(self, "a", a)
@@ -296,9 +332,7 @@ def to_group_ring(form: DiagonalForm) -> GroupRingElement:
     if not isinstance(form, DiagonalForm):
         raise TypeError(f"to_group_ring() takes a DiagonalForm, got {type(form).__name__}")
     cfg = form.config
-    return GroupRingElement.from_packed(
-        cfg, packed_coordinates(minus_one_class(cfg), form.packed)
-    )
+    return GroupRingElement.from_packed(cfg, packed_coordinates(cfg.minus_one, form.packed))
 
 
 def from_group_ring(x: GroupRingElement) -> DiagonalForm:
@@ -307,16 +341,18 @@ def from_group_ring(x: GroupRingElement) -> DiagonalForm:
     The output is empty for zero and otherwise instantiates one of the eight
     canonical shape templates.
     """
+    if not isinstance(x, GroupRingElement):
+        raise TypeError(f"from_group_ring() takes a GroupRingElement, got {type(x).__name__}")
     cfg = x.config
-    return DiagonalForm._from_packed(
-        cfg, packed_representative(minus_one_class(cfg), x.packed)
-    )
+    return DiagonalForm._from_packed(cfg, packed_representative(cfg.minus_one, x.packed))
 
 
 def inclusion(cls: ResidueWittClass) -> DiagonalForm:
     """Embed a residue class into the curve's ring as a pi-free form."""
+    if not isinstance(cls, ResidueWittClass):
+        raise TypeError(f"inclusion() takes a ResidueWittClass, got {type(cls).__name__}")
     cfg = cls.config
-    return DiagonalForm._from_packed(cfg, _template(minus_one_class(cfg), cls.packed))
+    return DiagonalForm._from_packed(cfg, _template(cfg.minus_one, cls.packed))
 
 
 def splitting_map(form: DiagonalForm) -> ResidueWittClass:
@@ -328,7 +364,7 @@ def splitting_map(form: DiagonalForm) -> ResidueWittClass:
     if not isinstance(form, DiagonalForm):
         raise TypeError(f"splitting_map() takes a DiagonalForm, got {type(form).__name__}")
     cfg = form.config
-    m = minus_one_class(cfg)
+    m = cfg.minus_one
     a, b = packed_coordinates(m, form.packed)
     return ResidueWittClass.from_packed(cfg, residue_add(m, a, b))
 
@@ -341,3 +377,64 @@ def enumerate_residue_classes(cfg: CurveConfig) -> list[ResidueWittClass]:
 def enumerate_group_ring_elements(cfg: CurveConfig) -> list[GroupRingElement]:
     """All 16n^2 elements a + <pi>*b."""
     return [GroupRingElement.from_packed(cfg, x) for x in packed_group_ring_elements(cfg)]
+
+
+class CanonicalShape(_Frozen):
+    """A shape tag together with the concrete minimal representative."""
+
+    __slots__ = ("tag", "payload")
+
+    def __init__(self, tag: Shape, payload: DiagonalForm) -> None:
+        _set(self, "tag", tag)
+        _set(self, "payload", payload)
+
+    @property
+    def is_zero(self) -> bool:
+        return self.tag is Shape.ZERO
+
+
+def canonical_form(form: DiagonalForm) -> CanonicalShape:
+    """Canonical representative of the Witt class of a form.
+
+    Round-trips through the group-ring coordinates, whose minimal
+    representative is the payload and picks the shape.  Two forms get
+    identical results exactly when they are Witt-equal, and the payload itself
+    maps back to the same result.
+    """
+    if not isinstance(form, DiagonalForm):
+        raise TypeError(f"canonical_form() takes a DiagonalForm, got {type(form).__name__}")
+    cfg = form.config
+    m = cfg.minus_one
+    payload = packed_representative(m, packed_coordinates(m, form.packed))
+    tag = _SHAPE_BY_PI_BITS[tuple(map((2).__and__, payload))]
+    return CanonicalShape(tag, DiagonalForm._from_packed(cfg, payload))
+
+
+class CensusReport(_Frozen):
+    """Distinct Witt classes of a configuration, counted per canonical shape:
+    config, total and shape_counts, a tuple of (Shape, int) pairs."""
+
+    __slots__ = ("config", "total", "shape_counts")
+
+    @property
+    def nontrivial_total(self) -> int:
+        return sum(count for _, count in self.shape_counts)
+
+
+def enumerate_classes(cfg: CurveConfig) -> CensusReport:
+    """Census of all 16n^2 classes, grouped by canonical shape, in closed form.
+
+    Shape rows cover the nontrivial classes; the total includes the zero
+    class.
+    """
+    # Of the 4n residue classes one is zero, 2n are odd and 2n - 1 are even and
+    # nonzero, so that sizes[k] classes have a minimal representative of k
+    # entries; a shape takes one of them in each component.
+    n = cfg.pic_order
+    sizes = (1, 2 * n, 2 * n - 1)
+    counts = {s: sizes[k.count(0)] * sizes[k.count(2)] for k, s in _SHAPE_BY_PI_BITS.items()}
+    return CensusReport(
+        config=cfg,
+        total=sum(counts.values()),
+        shape_counts=tuple((shape, counts[shape]) for shape in NONTRIVIAL_SHAPES),
+    )

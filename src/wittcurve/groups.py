@@ -100,10 +100,13 @@ class CurveConfig(_Frozen):
 
     q_mod_4 is the residue field cardinality mod 4 (1 or 3; even residue
     characteristic is rejected).  picard_rank is the rank r of the 2-torsion
-    Picard group, so that group has order n = 2**r.
+    Picard group, so that group has order n = 2**r.  minus_one, which follows
+    from q_mod_4 and takes no part in ==, hash or repr, is the unit bit of -1:
+    0 (a square) iff q = 1 mod 4 (Euler criterion).
     """
 
-    __slots__ = ("q_mod_4", "picard_rank")
+    __slots__ = ("q_mod_4", "picard_rank", "minus_one")
+    _fields = ("q_mod_4", "picard_rank")
 
     def __init__(self, q_mod_4: int, picard_rank: int) -> None:
         if type(q_mod_4) is not int or q_mod_4 not in (1, 3):
@@ -118,6 +121,7 @@ class CurveConfig(_Frozen):
             raise ValueError(f"picard_rank must be {bound}, got {int_text(picard_rank)}")
         _set(self, "q_mod_4", q_mod_4)
         _set(self, "picard_rank", picard_rank)
+        _set(self, "minus_one", 1 if q_mod_4 == 3 else 0)
 
     @property
     def pic_order(self) -> int:
@@ -130,9 +134,11 @@ def make_config(q_mod_4: int, picard_rank: int) -> CurveConfig:
     return CurveConfig(q_mod_4, picard_rank)
 
 
-def minus_one_class(cfg: CurveConfig) -> int:
-    """Unit bit of -1: 0 (a square) iff q = 1 mod 4 (Euler criterion)."""
-    return 1 if cfg.q_mod_4 == 3 else 0
+def require_same_config(cfg: CurveConfig, other: CurveConfig) -> None:
+    """Reject the operands of a binary operation that carry different configs."""
+    # Identity first: != on two configs runs the Python-level _Frozen.__eq__.
+    if cfg is not other and cfg != other:
+        raise ValueError(f"config mismatch: {cfg} != {other}")
 
 
 def check_rank(rank: int) -> None:

@@ -24,7 +24,7 @@ from functools import reduce
 from operator import xor
 
 from .forms import DiagonalForm
-from .groups import CurveConfig, minus_one_class
+from .groups import CurveConfig
 
 
 class FormSyntaxError(ValueError):
@@ -118,7 +118,7 @@ def _parse_entry(cur: _Cursor, cfg: CurveConfig) -> int:
     packed = 0
     if cur.peek() == "-":
         cur.advance()
-        packed = minus_one_class(cfg)
+        packed = cfg.minus_one
         cur.skip_ws()
     packed ^= _parse_term(cur, cfg)
     cur.skip_ws()
@@ -195,7 +195,7 @@ def _packed_entries(inside: str, cfg: CurveConfig) -> tuple[int, ...]:
     if len(parts) > MAX_FORM_ENTRIES:
         raise KeyError(MAX_FORM_ENTRIES)
     term_delta = _TermDeltas(cfg.picard_rank).__getitem__
-    minus = minus_one_class(cfg)
+    minus = cfg.minus_one
     decided = dict.fromkeys(parts)
     for entry in decided:
         body = entry.lstrip()

@@ -21,7 +21,6 @@ from .groups import (
     enumerate_generators,
     label,
     line_label,
-    minus_one_class,
 )
 from .group_ring import (
     GroupRingElement,
@@ -158,7 +157,7 @@ def rank_one_group_structure(cfg: CurveConfig) -> RankOneStructureReport:
     """
     _check_rank(cfg, SUITE_RANK_BOUND, "rank-1 structure suite")
     gens = enumerate_generators(cfg)
-    m = minus_one_class(cfg)
+    m = cfg.minus_one
     # The summary of <g> and of -<g>, keyed on the packed generator.
     singles = {g.packed: summarize((g.packed,)) for g in gens}
     negated = {p: single.negated(m) for p, single in singles.items()}
@@ -205,7 +204,7 @@ def verify_generator_relations(cfg: CurveConfig) -> RelationSuiteReport:
     Each side is a pair of packed entries, decided on the summaries.
     """
     _check_rank(cfg, SUITE_RANK_BOUND, "generator relation suite")
-    m = minus_one_class(cfg)
+    m = cfg.minus_one
     pic = range(cfg.pic_order)
     checked = 0
     failures: list[str] = []
@@ -267,7 +266,7 @@ def check_ring_iso(cfg: CurveConfig) -> RingIsoReport:
     tables were decided on.
     """
     _check_rank(cfg, RING_ISO_RANK_BOUND, "exhaustive ring comparison")
-    m = minus_one_class(cfg)
+    m = cfg.minus_one
     elements = packed_group_ring_elements(cfg)
     index = {x: i for i, x in enumerate(elements)}
     reps = [packed_representative(m, x) for x in elements]

@@ -17,7 +17,6 @@ from wittcurve import (
     Shape,
     enumerate_generators,
     enumerate_group_ring_elements,
-    minus_one_class,
     quaternion_norm_form,
     symbol,
     verify,
@@ -50,7 +49,7 @@ def random_generator(rng: random.Random, cfg: CurveConfig) -> Generator:
 
 def hyperbolic_pair(cfg: CurveConfig, g: Generator) -> DiagonalForm:
     """The Witt-trivial form <g, -g>."""
-    m = minus_one_class(cfg)
+    m = cfg.minus_one
     return DiagonalForm(cfg, (g, Generator(g.unit ^ m, g.pi_exp, g.mask, g.rank)))
 
 
@@ -113,7 +112,7 @@ def scan_hasse_sum(form: DiagonalForm) -> BrauerClass:
     """Reference Hasse invariant: one scan that adds the symbol of each entry
     with the running discriminant of the entries before it."""
     cfg = form.config
-    m = minus_one_class(cfg)
+    m = cfg.minus_one
     du = de = dl = 0
     unit = 0
     mask = 0
@@ -143,12 +142,12 @@ def residue_class_of(cfg: CurveConfig, gens) -> ResidueWittClass:
     for g in gens:
         assert g.pi_exp == 0
         disc = disc * g
-    twist = (len(gens) * (len(gens) + 1) // 2) & 1 & minus_one_class(cfg)
+    twist = (len(gens) * (len(gens) + 1) // 2) & 1 & cfg.minus_one
     return ResidueWittClass(cfg, len(gens) % 2, disc.unit ^ twist, disc.mask)
 
 
 def residue_sum(x: ResidueWittClass, y: ResidueWittClass) -> ResidueWittClass:
-    cross = x.parity & y.parity & minus_one_class(x.config)
+    cross = x.parity & y.parity & x.config.minus_one
     return ResidueWittClass(
         x.config, x.parity ^ y.parity, x.disc_unit ^ y.disc_unit ^ cross,
         x.disc_mask ^ y.disc_mask,
@@ -156,14 +155,14 @@ def residue_sum(x: ResidueWittClass, y: ResidueWittClass) -> ResidueWittClass:
 
 
 def residue_negative(x: ResidueWittClass) -> ResidueWittClass:
-    twist = x.parity & minus_one_class(x.config)
+    twist = x.parity & x.config.minus_one
     return ResidueWittClass(x.config, x.parity, x.disc_unit ^ twist, x.disc_mask)
 
 
 def residue_representative(x: ResidueWittClass) -> tuple[Generator, ...]:
     """Odd classes are a single generator <-d>; even classes are <1, -d>
     (the zero class gets <1, -1>), with d the signed discriminant."""
-    m = minus_one_class(x.config)
+    m = x.config.minus_one
     partner = Generator(x.disc_unit ^ m, 0, x.disc_mask, x.config.picard_rank)
     if x.parity:
         return (partner,)
@@ -199,7 +198,7 @@ def pairwise_ring_iso(cfg: CurveConfig) -> RingIsoReport:
     The tables come from verify.element_add and verify.element_mul, looked
     up at call time, so a fault patched into verify reaches both checks.
     """
-    m = minus_one_class(cfg)
+    m = cfg.minus_one
     elements = packed_group_ring_elements(cfg)
     index = {x: i for i, x in enumerate(elements)}
     reps = [packed_representative(m, x) for x in elements]

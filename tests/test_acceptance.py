@@ -23,7 +23,6 @@ from wittcurve import (
     from_group_ring,
     inclusion,
     is_trivial,
-    minus_one_class,
     parse_form,
     rank_one_group_structure,
     splitting_map,
@@ -116,7 +115,7 @@ def test_criterion_6_proof_trace_vectors():
         units = (0, 1)
         for q in (1, 3):
             config = CurveConfig(q, 1)
-            minus_one = minus_one_class(config)
+            minus_one = config.minus_one
             pi = Generator.pi(1)
             one = Generator.one(1)
 

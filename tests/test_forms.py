@@ -16,7 +16,6 @@ from wittcurve import (
     Generator,
     enumerate_generators,
     equals,
-    minus_one_class,
     parse_form,
     quaternion_norm_form,
 )
@@ -123,7 +122,7 @@ class TestDiscriminant:
         # twice and cancels.
         if cfg.picard_rank < 1:
             pytest.skip("needs a bundle label")
-        m = minus_one_class(cfg)
+        m = cfg.minus_one
         unit = 0 ^ (1 ^ m) ^ m ^ 1
         pi_exp = 0 ^ 0 ^ 1 ^ 1
         mask = 0 ^ 1 ^ 0 ^ 1
@@ -150,7 +149,7 @@ class TestSignedDiscriminant:
     def test_one_one_gives_minus_one(self, cfg):
         # rank 2 twists by (-1)^3
         signed = parse_form("<1,1>", cfg).signed_discriminant()
-        expected = Generator(minus_one_class(cfg), 0, 0, cfg.picard_rank)
+        expected = Generator(cfg.minus_one, 0, 0, cfg.picard_rank)
         assert signed == expected
 
     def test_hyperbolic_plane_trivial(self, cfg):
@@ -168,7 +167,7 @@ class TestSignedDiscriminant:
         # signed(E + F) = signed(E) + signed(F) + (rank E * rank F) * [-1],
         # checked for every pair of forms of rank at most 2 at rank r = 1.
         cfg = CurveConfig(q, 1)
-        minus_one = Generator(minus_one_class(cfg), 0, 0, 1)
+        minus_one = Generator(cfg.minus_one, 0, 0, 1)
         gens = enumerate_generators(cfg)
         small_forms = [DiagonalForm.zero(cfg)]
         small_forms += [DiagonalForm(cfg, (g,)) for g in gens]
@@ -182,7 +181,7 @@ class TestSignedDiscriminant:
 
     def test_cross_term_law_random(self, cfg):
         rng = random.Random(14)
-        minus_one = Generator(minus_one_class(cfg), 0, 0, cfg.picard_rank)
+        minus_one = Generator(cfg.minus_one, 0, 0, cfg.picard_rank)
         for _ in range(200):
             e = random_form(rng, cfg)
             f = random_form(rng, cfg)
@@ -256,7 +255,7 @@ class TestSummary:
     @given(pair=_form_pairs())
     def test_negation_law(self, pair):
         e, _ = pair
-        assert (-e).summary == e.summary.negated(minus_one_class(e.config))
+        assert (-e).summary == e.summary.negated(e.config.minus_one)
 
     @settings(max_examples=300, deadline=None)
     @given(pair=_form_pairs())

@@ -20,7 +20,6 @@ from wittcurve import (
     equals,
     from_group_ring,
     inclusion,
-    minus_one_class,
     parse_form,
     quaternion_norm_form,
     rank_one_group_structure,
@@ -59,7 +58,7 @@ def _residue_of(cfg, text: str) -> ResidueWittClass:
 class TestResidueAddition:
     def test_one_plus_one(self, cfg):
         total = ResidueWittClass.one(cfg) + ResidueWittClass.one(cfg)
-        expected = ResidueWittClass(cfg, 0, minus_one_class(cfg), 0)
+        expected = ResidueWittClass(cfg, 0, cfg.minus_one, 0)
         assert total == expected
 
     def test_zero_identity(self, cfg):
@@ -68,7 +67,7 @@ class TestResidueAddition:
             assert x + zero == x
 
     def test_self_sum(self, cfg):
-        m = minus_one_class(cfg)
+        m = cfg.minus_one
         for x in enumerate_residue_classes(cfg):
             doubled = x + x
             assert doubled.parity == 0
@@ -184,7 +183,7 @@ def test_packed_group_ring_arithmetic_every_pair(q, rank):
 )
 def test_views_share_one_operator_path(view, packed, zero, ops, cfg, other_cfg):
     add, neg, mul = ops
-    m = minus_one_class(cfg)
+    m = cfg.minus_one
     for op in (operator.add, operator.mul):
         with pytest.raises(ValueError) as exc:
             op(view.one(cfg), view.one(other_cfg))
@@ -460,7 +459,7 @@ class TestFaultInjection:
     @pytest.mark.parametrize("rank", (0, 1))
     def test_injectivity_names_a_witt_equal_pair(self, monkeypatch, q, rank):
         cfg = CurveConfig(q, rank)
-        m = minus_one_class(cfg)
+        m = cfg.minus_one
         elements = packed_group_ring_elements(cfg)
         i, j = 1, len(elements) - 2
         # The invariant engine calls the representatives of i and j equal.
@@ -504,7 +503,7 @@ class TestFaultInjection:
     def test_roundtrip_fault_is_reported(self, monkeypatch, q, rank):
         # The group-ring engine reads the last representative as zero.
         cfg = CurveConfig(q, rank)
-        m = minus_one_class(cfg)
+        m = cfg.minus_one
         last = packed_representative(m, packed_group_ring_elements(cfg)[-1])
         coordinates = verify.packed_coordinates
         monkeypatch.setattr(
@@ -525,7 +524,7 @@ class TestFaultInjection:
         # sampled sum has the wrong summary, in sample order: (i, i), then
         # (i, N - 1 - i).
         cfg = CurveConfig(q, rank)
-        pair = (0, minus_one_class(cfg))
+        pair = (0, cfg.minus_one)
         add = DiagonalForm.__add__
         monkeypatch.setattr(
             DiagonalForm,
@@ -621,6 +620,40 @@ def test_element_rejects_components_of_two_configs():
             ResidueWittClass.zero(CurveConfig(3, 1)), ResidueWittClass.zero(CurveConfig(1, 1))
         )
     assert str(exc.value) == "config mismatch: mixed group ring components"
+
+
+def _foreign_arguments():
+    """(call, message, value): each call takes one value where it needs a
+    group-ring view or a config, the message formatted with the value's type
+    name.  The form and the other view have a config and a packed value, as
+    the view that is needed does; <1,s> used to give from_group_ring <s*pi>."""
+    cfg = CurveConfig(3, 1)
+    form = parse_form("<1,s>", cfg)
+    element = GroupRingElement.one(cfg)
+    residue = ResidueWittClass.one(cfg)
+    cases = [
+        ("from_group_ring", from_group_ring,
+         "from_group_ring() takes a GroupRingElement, got {}", [form, residue]),
+        ("inclusion", inclusion, "inclusion() takes a ResidueWittClass, got {}", [form, element]),
+        ("GroupRingElement-a", lambda v: GroupRingElement(v, residue),
+         "GroupRingElement() takes two ResidueWittClass, got {} and ResidueWittClass",
+         [form, element]),
+        ("GroupRingElement-b", lambda v: GroupRingElement(residue, v),
+         "GroupRingElement() takes two ResidueWittClass, got ResidueWittClass and {}",
+         [form, element]),
+        ("ResidueWittClass", lambda v: ResidueWittClass(v, 0, 0, 0),
+         "ResidueWittClass() takes a CurveConfig, got {}", [form, element]),
+    ]
+    for name, call, message, wrong in cases:
+        for value in [1, None, *wrong]:
+            yield pytest.param(call, message, value, id=f"{name}-{type(value).__name__}")
+
+
+@pytest.mark.parametrize("call, message, value", _foreign_arguments())
+def test_a_foreign_argument_raises_type_error(call, message, value):
+    with pytest.raises(TypeError) as exc:
+        call(value)
+    assert str(exc.value) == message.format(type(value).__name__)
 
 
 def test_residue_class_count_matches_square_root_of_total(cfg):

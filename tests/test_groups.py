@@ -2,6 +2,7 @@
 
 import itertools
 import operator
+import pickle
 import random
 import tracemalloc
 
@@ -19,7 +20,6 @@ from wittcurve import (
     enumerate_groups,
     invariant_profile,
     make_config,
-    minus_one_class,
     parse_form,
     quaternion_norm_form,
     to_group_ring,
@@ -86,19 +86,29 @@ class TestConfig:
 
 class TestMinusOne:
     def test_square_iff_q_is_one_mod_four(self):
-        assert minus_one_class(CurveConfig(1, 0)) == 0
-        assert minus_one_class(CurveConfig(3, 0)) == 1
+        assert CurveConfig(1, 0).minus_one == 0
+        assert CurveConfig(3, 0).minus_one == 1
 
     def test_double_negation(self, cfg):
-        m = minus_one_class(cfg)
+        m = cfg.minus_one
         assert m ^ m == 0
 
     @pytest.mark.parametrize("q, bit", [(1, 0), (3, 1)])
     def test_plain_int(self, q, bit):
-        m = minus_one_class(CurveConfig(q, 2))
+        m = CurveConfig(q, 2).minus_one
         assert type(m) is int
         assert m == bit
         assert repr(m) == str(bit)
+
+    def test_derived_bit_is_not_a_field(self):
+        # minus_one follows from q_mod_4: ==, hash, repr and pickles read the
+        # two fields only, and unpickling sets the bit again.
+        cfg = CurveConfig(3, 1)
+        assert repr(cfg) == "CurveConfig(q_mod_4=3, picard_rank=1)"
+        assert cfg.__reduce__() == (CurveConfig, (3, 1))
+        assert pickle.loads(pickle.dumps(cfg)).minus_one == 1
+        with pytest.raises(AttributeError, match="^cannot assign to field 'minus_one'$"):
+            cfg.minus_one = 0
 
 
 class TestEnumerations:

@@ -1,11 +1,11 @@
 """The package's modules form one-way layers, read from their import statements.
 
-groups -> forms -> {symbols, group_ring, syntax} -> engine -> verify -> cli
+groups -> forms -> {engine, group_ring, syntax} -> verify -> cli
 
-A module may import only modules on a lower layer.  The two decision engines
-stay independent: group_ring imports neither engine nor symbols and never
-reads a form's summary, so their agreement in verify.check_ring_iso is a real
-cross-check.
+A module may import only modules on a lower layer.  The two decision engines,
+engine (the invariants) and group_ring (the group-ring model), stay
+independent: neither imports the other, and group_ring never reads a form's
+summary, so their agreement in verify.check_ring_iso is a real cross-check.
 """
 
 import ast
@@ -20,14 +20,13 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "wittcurve"
 LAYER = {
     "groups": 0,
     "forms": 1,
-    "symbols": 2,
+    "engine": 2,
     "group_ring": 2,
     "syntax": 2,
-    "engine": 3,
-    "verify": 4,
-    "cli": 5,
-    "__main__": 6,
-    "__init__": 6,
+    "verify": 3,
+    "cli": 4,
+    "__main__": 5,
+    "__init__": 5,
 }
 
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py"))
@@ -76,7 +75,8 @@ SUMMARY_NAMES = {"Summary", "summarize", "summary", "_summary"}
 
 
 def test_engines_stay_independent():
-    assert not _package_imports("group_ring") & {"engine", "symbols"}
+    assert "engine" not in _package_imports("group_ring")
+    assert "group_ring" not in _package_imports("engine")
     # Of the layer below, only the form type: group_ring computes its own
     # sign twist and scans the entries itself.
     from_forms = {
@@ -173,8 +173,8 @@ def test_a_command_loads_only_what_it_uses(argv, expected):
 # package name, which the package's __getattr__ then binds so that it runs
 # once per name.  A function-level relative import costs 1.4-1.9 us per call
 # (timeit), which is nothing once per command and a third of a canonical_form
-# call on a short form; so engine keeps its module-level import of group_ring,
-# although only some commands use it.
+# call on a short form; so cli imports both engines at module level, although
+# reduce and enumerate use only group_ring, and equal and invariants only engine.
 FUNCTION_LEVEL_IMPORTS = {
     # Only --format csv writes CSV.
     ("cli", "_table"): {"csv"},

@@ -98,6 +98,23 @@ def _run_in_child(statements: str) -> str:
             ["wittcurve.forms", "wittcurve.groups", "wittcurve.syntax"],
             id="parse_form",
         ),
+        # Each decision engine loads without the other.
+        *(
+            pytest.param(
+                f"from wittcurve import {name}",
+                ["wittcurve.engine", "wittcurve.forms", "wittcurve.groups"],
+                id=name,
+            )
+            for name in ("equals", "invariant_profile", "hasse_invariant")
+        ),
+        *(
+            pytest.param(
+                f"from wittcurve import {name}",
+                ["wittcurve.forms", "wittcurve.group_ring", "wittcurve.groups"],
+                id=name,
+            )
+            for name in ("canonical_form", "enumerate_classes", "to_group_ring")
+        ),
     ],
 )
 def test_a_read_loads_only_the_modules_it_uses(statements, loaded):

@@ -13,7 +13,6 @@ from wittcurve import (
     DiagonalForm,
     Generator,
     hasse_invariant,
-    minus_one_class,
     parse_form,
     quaternion_norm_form,
     symbol,
@@ -31,7 +30,7 @@ from helpers import (
 
 
 def _negated(cfg, g: Generator) -> Generator:
-    return Generator(g.unit ^ minus_one_class(cfg), g.pi_exp, g.mask, g.rank)
+    return Generator(g.unit ^ cfg.minus_one, g.pi_exp, g.mask, g.rank)
 
 
 class TestSymbolBaseCases:
@@ -44,7 +43,7 @@ class TestSymbolBaseCases:
     def test_pi_with_pi(self, cfg):
         # (pi, pi) = (-1, pi)
         pi = Generator.pi(cfg.picard_rank)
-        expected = BrauerClass(minus_one_class(cfg), 0, cfg.picard_rank)
+        expected = BrauerClass(cfg.minus_one, 0, cfg.picard_rank)
         assert symbol(cfg, pi, pi) == expected
 
     def test_quaternion_pairing(self, q3r1, q1r1):

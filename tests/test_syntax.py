@@ -12,7 +12,6 @@ from wittcurve import (
     CurveConfig,
     DiagonalForm,
     Generator,
-    minus_one_class,
 )
 from wittcurve import syntax
 from wittcurve.groups import MAX_PICARD_RANK, label
@@ -50,7 +49,7 @@ def respell(form: DiagonalForm, rng: random.Random) -> str:
     shuffled, may gain redundant '1' terms and zero-padded labels, and every
     separator gets random whitespace on both sides.
     """
-    minus = minus_one_class(form.config)
+    minus = form.config.minus_one
     rank = form.config.picard_rank
 
     def ws() -> str:

@@ -20,7 +20,6 @@ from wittcurve.group_ring import (
     packed_representative,
     packed_residue_classes,
 )
-from wittcurve.groups import minus_one_class
 
 
 @pytest.mark.parametrize(
@@ -64,7 +63,7 @@ def test_table_totals_fit_their_counters_at_the_rank_bound(q):
     # representatives' summaries, a product total two products by component
     # summaries and one negated summary.
     cfg = CurveConfig(q, verify.RING_ISO_RANK_BOUND)
-    m = minus_one_class(cfg)
+    m = cfg.minus_one
     summaries = [summarize(packed_representative(m, x)) for x in packed_group_ring_elements(cfg)]
     classes = packed_residue_classes(cfg)
     left = [summarize(packed_representative(m, (c, 0))) for c in classes]
