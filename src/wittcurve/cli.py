@@ -12,25 +12,43 @@ import os
 import sys
 from collections.abc import Callable, Sequence
 
-from .engine import equals, invariant_profile
-from .group_ring import canonical_form, enumerate_classes
 from .groups import CurveConfig
 from .syntax import parse_form
 
-# verify, json and csv are imported in the one command or format that uses
-# each, so that no other command pays for loading them.
+# Each engine, verify, json and csv is imported in the commands or the format
+# that use it, so that no other command pays for loading it.
+
+# How text and CSV print a record where JSON prints it as is.  A text line is
+# a label, a gap and a value, with bools as words: per kind of record, the gap
+# and the words for False and True.  In a table's label column, the CSV header
+# and the summary row print these JSON keys under other names: verify's rows
+# are keyed "name" under the header "check", and its summary "passed" is
+# labelled "overall".
+_TEXT_LINE = {"flat": (" ", "false", "true"), "table": ("  ", "FAIL", "PASS")}
+_LABELS = {"name": "check", "passed": "overall"}
 
 
-def _json(value: object) -> str:
-    import json
+def _render(record: dict, fmt: str) -> str:
+    """A command's record in the output format.
 
-    return json.dumps(value, indent=2)
+    A record is flat, or a table: one list of two-field row dicts beside one
+    summary field, which prints as the last row, in text with no header.  JSON
+    leaves out a None field, CSV prints it as an empty cell and text leaves out
+    its line; a flat record of one field prints in text as its value alone.
+    """
+    if fmt == "json":
+        import json
 
-
-def _table(header: tuple, rows: list[tuple], fmt: str) -> str:
-    """Rows under a header as CSV, bools as true/false and None as an empty
-    cell; or (label, value) rows, the total row last, as text with the labels
-    aligned and bools as PASS/FAIL."""
+        return json.dumps({k: v for k, v in record.items() if v is not None}, indent=2)
+    tables = [v for v in record.values() if isinstance(v, list)]
+    if tables:
+        ((key, summary),) = [(k, v) for k, v in record.items() if not isinstance(v, list)]
+        label, value = tables[0][0]  # the two keys of a row
+        header = (_LABELS.get(label, label), value)
+        rows = [tuple(row.values()) for row in tables[0]]
+        rows.append((_LABELS.get(key, key), summary))
+    else:
+        header, rows = tuple(record), [tuple(record.values())]
     if fmt == "csv":
         import csv
 
@@ -39,38 +57,32 @@ def _table(header: tuple, rows: list[tuple], fmt: str) -> str:
         for row in (header, *rows):
             writer.writerow([str(v).lower() if isinstance(v, bool) else v for v in row])
         return buf.getvalue().rstrip("\n")
-    width = max(len(k) for k, _ in rows)
-    return "\n".join(
-        f"{k:<{width}}  {('PASS' if v else 'FAIL') if isinstance(v, bool) else v}" for k, v in rows
-    )
-
-
-def _render(record: dict, fmt: str) -> str:
-    """One record in the output format; a None field is left out (an empty
-    cell in CSV), and a one-field text record prints its value alone."""
-    if fmt == "json":
-        return _json({k: v for k, v in record.items() if v is not None})
-    if fmt == "csv":
-        return _table(tuple(record), [tuple(record.values())], fmt)
-    cells = {k: str(v).lower() if isinstance(v, bool) else v for k, v in record.items()}
-    shown = [(k, v) for k, v in cells.items() if v is not None]
-    if len(shown) == 1:
-        return str(shown[0][1])
-    width = max(len(k) for k, _ in shown)
-    return "\n".join(f"{k:<{width}} {v}" for k, v in shown)
+    gap, *words = _TEXT_LINE["table" if tables else "flat"]
+    pairs = rows if tables else [(k, v) for k, v in record.items() if v is not None]
+    lines = [(k, words[v] if isinstance(v, bool) else v) for k, v in pairs]
+    if len(lines) == 1:
+        return str(lines[0][1])
+    width = max(len(k) for k, _ in lines)
+    return "\n".join(f"{k:<{width}}{gap}{v}" for k, v in lines)
 
 
 def _cmd_reduce(cfg: CurveConfig, args: argparse.Namespace) -> tuple[int, dict]:
+    from .group_ring import canonical_form
+
     shape = canonical_form(parse_form(args.form, cfg))
     return 0, {"shape": shape.tag.value, "payload": str(shape.payload)}
 
 
 def _cmd_equal(cfg: CurveConfig, args: argparse.Namespace) -> tuple[int, dict]:
+    from .engine import equals
+
     result = equals(parse_form(args.left, cfg), parse_form(args.right, cfg))
     return (0 if result else 1), {"equal": result}
 
 
 def _cmd_invariants(cfg: CurveConfig, args: argparse.Namespace) -> tuple[int, dict]:
+    from .engine import invariant_profile
+
     profile = invariant_profile(parse_form(args.form, cfg))
     return 0, {
         "rank_parity": profile.rank_parity,
@@ -79,23 +91,15 @@ def _cmd_invariants(cfg: CurveConfig, args: argparse.Namespace) -> tuple[int, di
     }
 
 
-def _cmd_enumerate(cfg: CurveConfig, args: argparse.Namespace) -> tuple[int, str]:
+def _cmd_enumerate(cfg: CurveConfig, args: argparse.Namespace) -> tuple[int, dict]:
+    from .group_ring import enumerate_classes
+
     census = enumerate_classes(cfg)
-    if args.format == "json":
-        return 0, _json(
-            {
-                "total": census.total,
-                "shapes": [
-                    {"shape": shape.value, "count": count}
-                    for shape, count in census.shape_counts
-                ],
-            }
-        )
-    rows = [(shape.value, count) for shape, count in census.shape_counts]
-    return 0, _table(("shape", "count"), rows + [("total", census.total)], args.format)
+    shapes = [{"shape": shape.value, "count": count} for shape, count in census.shape_counts]
+    return 0, {"total": census.total, "shapes": shapes}
 
 
-def _cmd_verify(cfg: CurveConfig, args: argparse.Namespace) -> tuple[int, str]:
+def _cmd_verify(cfg: CurveConfig, args: argparse.Namespace) -> tuple[int, dict]:
     from .verify import (
         check_ring_iso,
         rank_one_group_structure,
@@ -107,25 +111,17 @@ def _cmd_verify(cfg: CurveConfig, args: argparse.Namespace) -> tuple[int, str]:
     # whose cost grows fourfold per rank, have run.
     ring_iso = check_ring_iso(cfg).passed
     checks = [
-        ("quaternion_distinctness", verify_quaternion_distinctness(cfg).passed),
-        ("rank_one_structure", rank_one_group_structure(cfg).passed),
-        ("ring_isomorphism", ring_iso),
-        ("generator_relations", verify_generator_relations(cfg).passed),
+        {"name": "quaternion_distinctness", "passed": verify_quaternion_distinctness(cfg).passed},
+        {"name": "rank_one_structure", "passed": rank_one_group_structure(cfg).passed},
+        {"name": "ring_isomorphism", "passed": ring_iso},
+        {"name": "generator_relations", "passed": verify_generator_relations(cfg).passed},
     ]
-    all_passed = all(passed for _, passed in checks)
-    code = 0 if all_passed else 1
-    if args.format == "json":
-        return code, _json(
-            {
-                "checks": [{"name": name, "passed": passed} for name, passed in checks],
-                "passed": all_passed,
-            }
-        )
-    return code, _table(("check", "passed"), checks + [("overall", all_passed)], args.format)
+    passed = all(check["passed"] for check in checks)
+    return (0 if passed else 1), {"checks": checks, "passed": passed}
 
 
-# A command returns its exit code and a record for _render or finished text.
-_COMMANDS: dict[str, Callable[..., tuple[int, dict | str]]] = {
+# A command returns its exit code and the record that _render prints.
+_COMMANDS: dict[str, Callable[[CurveConfig, argparse.Namespace], tuple[int, dict]]] = {
     "reduce": _cmd_reduce,
     "equal": _cmd_equal,
     "invariants": _cmd_invariants,
@@ -196,9 +192,8 @@ def run_command(argv: Sequence[str] | None = None) -> int:
         return 2 if exc.code is None else int(exc.code)
     try:
         cfg = CurveConfig(args.q_mod_4, args.picard_rank)
-        code, output = _COMMANDS[args.command](cfg, args)
-        if isinstance(output, dict):
-            output = _render(output, args.format)
+        code, record = _COMMANDS[args.command](cfg, args)
+        output = _render(record, args.format)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

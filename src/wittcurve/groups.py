@@ -114,11 +114,7 @@ class CurveConfig(_Frozen):
                 "dyadic or invalid residue class: "
                 f"q_mod_4 must be 1 or 3, got {int_text(q_mod_4)}"
             )
-        if type(picard_rank) is not int:
-            raise ValueError(f"picard_rank must be an int, got {int_text(picard_rank)}")
-        if not 0 <= picard_rank <= MAX_PICARD_RANK:
-            bound = ">= 0" if picard_rank < 0 else f"<= {MAX_PICARD_RANK}"
-            raise ValueError(f"picard_rank must be {bound}, got {int_text(picard_rank)}")
+        check_rank(picard_rank, "picard_rank")
         _set(self, "q_mod_4", q_mod_4)
         _set(self, "picard_rank", picard_rank)
         _set(self, "minus_one", 1 if q_mod_4 == 3 else 0)
@@ -141,13 +137,14 @@ def require_same_config(cfg: CurveConfig, other: CurveConfig) -> None:
         raise ValueError(f"config mismatch: {cfg} != {other}")
 
 
-def check_rank(rank: int) -> None:
-    """Reject a rank that is not an int in 0..MAX_PICARD_RANK."""
+def check_rank(rank: int, name: str = "rank") -> None:
+    """Reject a rank that is not an int in 0..MAX_PICARD_RANK; the message
+    calls it name."""
     if type(rank) is not int:
-        raise ValueError(f"rank must be an int, got {int_text(rank)}")
+        raise ValueError(f"{name} must be an int, got {int_text(rank)}")
     if not 0 <= rank <= MAX_PICARD_RANK:
         bound = ">= 0" if rank < 0 else f"<= {MAX_PICARD_RANK}"
-        raise ValueError(f"rank must be {bound}, got {int_text(rank)}")
+        raise ValueError(f"{name} must be {bound}, got {int_text(rank)}")
 
 
 def check_mask(mask: int, rank: int) -> None:
@@ -376,15 +373,10 @@ def enumerate_groups(
     """Complete duplicate-free enumerations of the three value groups: line
     bundle masks, square classes and Brauer classes.
 
-    Sizes are n, 4n and 2n respectively, in a fixed deterministic order.
+    Sizes are n, 4n and 2n respectively, in a fixed deterministic order; the
+    square classes are enumerate_generators(cfg).
     """
     rank = cfg.picard_rank
     pic = list(range(cfg.pic_order))
-    square_classes = [
-        Generator.from_packed(rank, u | e << 1 | mask << 2)
-        for u in (0, 1)
-        for e in (0, 1)
-        for mask in pic
-    ]
     brauer = [BrauerClass.from_packed(rank, u | mask << 2) for u in (0, 1) for mask in pic]
-    return pic, square_classes, brauer
+    return pic, enumerate_generators(cfg), brauer

@@ -1,5 +1,6 @@
 """Tests for the form expression parser and the command line interface."""
 
+import ast
 import csv
 import errno
 import io
@@ -9,6 +10,8 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -228,6 +231,24 @@ class TestRunCommand:
             "generator_relations",
         }
 
+    @pytest.mark.parametrize(
+        "fmt, lines",
+        [
+            ("text", ["generator_relations      FAIL", "overall                  FAIL"]),
+            ("csv", ["generator_relations,false", "overall,false"]),
+            ("json", ['  "passed": false']),
+        ],
+    )
+    def test_verify_reports_a_failing_suite(self, fmt, lines, capsys, monkeypatch):
+        monkeypatch.setattr(
+            "wittcurve.verify.verify_generator_relations",
+            lambda cfg: SimpleNamespace(passed=False),
+        )
+        code = run_command(["verify", "--picard-rank", "0", "--format", fmt])
+        out = capsys.readouterr().out.splitlines()
+        assert code == 1
+        assert [line for line in out if line in lines] == lines
+
     def test_verify_rejects_large_rank_before_running_suites(self, capsys):
         start = time.perf_counter()
         code = run_command(["verify", "--picard-rank", "6"])
@@ -352,6 +373,19 @@ class TestRunCommand:
     def test_help_exits_zero(self, capsys):
         assert run_command(["--help"]) == 0
         capsys.readouterr()
+
+
+def test_only_the_renderer_reads_the_format():
+    # A command returns a record, and _render alone decides how it prints.
+    tree = ast.parse(Path(wittcurve.cli.__file__).read_text(encoding="utf-8"))
+    readers = [
+        node.name
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_cmd_")
+        for child in ast.walk(node)
+        if isinstance(child, ast.Attribute) and child.attr == "format"
+    ]
+    assert readers == []
 
 
 def _closed_pipe():

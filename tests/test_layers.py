@@ -124,7 +124,7 @@ def test_no_slow_standard_module(module):
 
 
 # What only some commands use; the others must not load it.
-LAZY_MODULES = {"wittcurve.verify", "json", "csv"}
+LAZY_MODULES = {"wittcurve.engine", "wittcurve.group_ring", "wittcurve.verify", "json", "csv"}
 
 
 def _modules_in_child(statements: str, watched: set[str]) -> list[str]:
@@ -154,13 +154,23 @@ def test_cli_import_loads_no_slow_standard_module():
 @pytest.mark.parametrize(
     "argv, expected",
     [
-        pytest.param(["reduce", "<1,s*L1,pi>"], [], id="reduce"),
-        pytest.param(["equal", "<1,-1>", "<>"], [], id="equal"),
-        pytest.param(["invariants", "<1,s*L1,pi>"], [], id="invariants"),
-        pytest.param(["enumerate"], [], id="enumerate"),
-        pytest.param(["invariants", "<1,pi>", "--format", "json"], ["json"], id="invariants-json"),
-        pytest.param(["enumerate", "--format", "csv"], ["csv"], id="enumerate-csv"),
-        pytest.param(["verify", "--picard-rank", "0"], ["wittcurve.verify"], id="verify"),
+        pytest.param(["reduce", "<1,s*L1,pi>"], ["wittcurve.group_ring"], id="reduce"),
+        pytest.param(["equal", "<1,-1>", "<>"], ["wittcurve.engine"], id="equal"),
+        pytest.param(["invariants", "<1,s*L1,pi>"], ["wittcurve.engine"], id="invariants"),
+        pytest.param(["enumerate"], ["wittcurve.group_ring"], id="enumerate"),
+        pytest.param(
+            ["invariants", "<1,pi>", "--format", "json"],
+            ["json", "wittcurve.engine"],
+            id="invariants-json",
+        ),
+        pytest.param(
+            ["enumerate", "--format", "csv"], ["csv", "wittcurve.group_ring"], id="enumerate-csv"
+        ),
+        pytest.param(
+            ["verify", "--picard-rank", "0"],
+            ["wittcurve.engine", "wittcurve.group_ring", "wittcurve.verify"],
+            id="verify",
+        ),
     ],
 )
 def test_a_command_loads_only_what_it_uses(argv, expected):
@@ -169,19 +179,21 @@ def test_a_command_loads_only_what_it_uses(argv, expected):
 
 
 # The only imports inside a function, each at the boundary where a module is
-# first needed: the one command or format that uses it, or the first read of a
+# first needed: the commands or the format that use it, or the first read of a
 # package name, which the package's __getattr__ then binds so that it runs
 # once per name.  A function-level relative import costs 1.4-1.9 us per call
-# (timeit), which is nothing once per command and a third of a canonical_form
-# call on a short form; so cli imports both engines at module level, although
-# reduce and enumerate use only group_ring, and equal and invariants only engine.
+# (timeit): nothing once per command, which is how often cli runs each of these.
 FUNCTION_LEVEL_IMPORTS = {
-    # Only --format csv writes CSV.
-    ("cli", "_table"): {"csv"},
-    # Only --format json writes JSON.
-    ("cli", "_json"): {"json"},
-    # Only `wittcurve verify` runs the suites, and verify is the largest
-    # module to compile.
+    # Only --format json writes JSON, and only --format csv writes CSV.
+    ("cli", "_render"): {"csv", "json"},
+    # reduce and enumerate decide in the group-ring model alone, and equal and
+    # invariants on the invariants alone: a command loads one engine.
+    ("cli", "_cmd_reduce"): {"group_ring"},
+    ("cli", "_cmd_enumerate"): {"group_ring"},
+    ("cli", "_cmd_equal"): {"engine"},
+    ("cli", "_cmd_invariants"): {"engine"},
+    # Only `wittcurve verify` runs the suites, which load both engines, and
+    # verify is the largest module to compile.
     ("cli", "_cmd_verify"): {"verify"},
     # Every exported name and submodule of the package, loaded on first use
     # (PEP 562) through the __import__ builtin, which takes the submodule's

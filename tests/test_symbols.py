@@ -1,4 +1,5 @@
-"""Tests for the Brauer symbol, Hasse sum, and Witt invariant."""
+"""Tests for the Brauer symbol, Hasse sum, and Witt invariant, which
+wittcurve.engine computes."""
 
 import itertools
 import random
