@@ -38,11 +38,14 @@ def symbol(cfg: CurveConfig, a: Generator, b: Generator) -> BrauerClass:
         raise ValueError(
             "config mismatch: generator line rank does not match picard_rank"
         )
-    e = a.pi_exp
-    f = b.pi_exp
-    unit = (f & a.unit) ^ (e & b.unit) ^ (e & f & cfg.minus_one)
-    mask = (a.mask if f else 0) ^ (b.mask if e else 0)
-    return BrauerClass.from_packed(rank, unit | mask << 2)
+    # On the packed ints p and q, f*uL is p with its pi bit cleared if q has
+    # one, e*vM likewise, and e*f*[-1] is the unit bit of -1.
+    p = a.packed
+    q = b.packed
+    return BrauerClass.from_packed(
+        rank,
+        (p & ~2 if q & 2 else 0) ^ (q & ~2 if p & 2 else 0) ^ (cfg.minus_one if p & q & 2 else 0),
+    )
 
 
 def symbol_sum(summary: Summary, minus_one: int) -> int:

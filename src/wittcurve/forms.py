@@ -23,6 +23,7 @@ from .groups import (
     _Frozen,
     _set,
     check_bit,
+    check_config,
     check_mask,
     label,
     require_same_config,
@@ -142,6 +143,7 @@ class DiagonalForm(_Frozen):
 
     @classmethod
     def zero(cls, cfg: CurveConfig) -> "DiagonalForm":
+        check_config(cfg, "DiagonalForm.zero")
         return cls._from_packed(cfg, ())
 
     @property
@@ -208,6 +210,7 @@ class DiagonalForm(_Frozen):
 def quaternion_norm_form(cfg: CurveConfig, unit: int, mask: int) -> DiagonalForm:
     """Norm form <1, -uL, -pi, u*pi*L> of the quaternion class (uL, pi),
     with L the line bundle class of mask."""
+    check_config(cfg, "quaternion_norm_form")
     try:
         check_mask(mask, cfg.picard_rank)
     except ValueError as exc:

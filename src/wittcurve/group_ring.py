@@ -31,6 +31,7 @@ from .groups import (
     _new,
     _set,
     check_bit,
+    check_config,
     check_mask,
     label,
     packed_error,
@@ -69,11 +70,17 @@ def residue_mul(m: int, a: int, b: int) -> int:
 
 
 def element_add(m: int, x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
-    return residue_add(m, x[0], y[0]), residue_add(m, x[1], y[1])
+    """residue_add on each component, written out so that a table row of
+    check_ring_iso costs one call per entry."""
+    a, b = x
+    c, d = y
+    return a ^ c ^ ((a & c & m) << 1), b ^ d ^ ((b & d & m) << 1)
 
 
 def element_neg(m: int, x: tuple[int, int]) -> tuple[int, int]:
-    return residue_neg(m, x[0]), residue_neg(m, x[1])
+    """residue_neg on each component, written out as element_add is."""
+    a, b = x
+    return a ^ ((a & m) << 1), b ^ ((b & m) << 1)
 
 
 def element_mul(m: int, x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
@@ -221,26 +228,30 @@ class _PackedView:
 class ResidueWittClass(_PackedView, _Frozen):
     """Witt class over the reduction: rank parity plus signed discriminant.
 
-    The discriminant has no pi coordinate; there are exactly 4n classes.
+    The discriminant has no pi coordinate; there are exactly 4n classes.  The
+    class stores packed, parity | disc_unit << 1 | disc_mask << 2, and reads
+    its coordinates from it.
     """
 
-    __slots__ = ("config", "parity", "disc_unit", "disc_mask")
+    __slots__ = ("config", "packed")
+    _fields = ("config", "parity", "disc_unit", "disc_mask")
 
     _zero = 0
     _add = staticmethod(residue_add)
     _neg = staticmethod(residue_neg)
     _mul = staticmethod(residue_mul)
 
+    parity = property(lambda self: self.packed & 1, doc="The rank parity bit.")
+    disc_unit = property(lambda self: self.packed >> 1 & 1, doc="The discriminant's unit bit.")
+    disc_mask = property(lambda self: self.packed >> 2, doc="The discriminant's line bundle mask.")
+
     def __init__(self, config: CurveConfig, parity: int, disc_unit: int, disc_mask: int) -> None:
-        if not isinstance(config, CurveConfig):
-            raise TypeError(f"ResidueWittClass() takes a CurveConfig, got {type(config).__name__}")
+        check_config(config, "ResidueWittClass")
         check_bit(parity, "parity")
         check_bit(disc_unit, "unit square class bit")
         check_mask(disc_mask, config.picard_rank)
         _set(self, "config", config)
-        _set(self, "parity", parity)
-        _set(self, "disc_unit", disc_unit)
-        _set(self, "disc_mask", disc_mask)
+        _set(self, "packed", parity | disc_unit << 1 | disc_mask << 2)
 
     @classmethod
     def from_packed(cls, cfg: CurveConfig, packed: int) -> "ResidueWittClass":
@@ -251,14 +262,8 @@ class ResidueWittClass(_PackedView, _Frozen):
             raise packed_error("residue class", packed, rank)
         x = _new(cls)
         _set(x, "config", cfg)
-        _set(x, "parity", packed & 1)
-        _set(x, "disc_unit", packed >> 1 & 1)
-        _set(x, "disc_mask", packed >> 2)
+        _set(x, "packed", packed)
         return x
-
-    @property
-    def packed(self) -> int:
-        return self.parity | self.disc_unit << 1 | self.disc_mask << 2
 
     @classmethod
     def one(cls, cfg: CurveConfig) -> "ResidueWittClass":
@@ -276,8 +281,9 @@ class ResidueWittClass(_PackedView, _Frozen):
         return cls.from_packed(cfg, packed_coordinates(cfg.minus_one, packed)[0])
 
     def __str__(self) -> str:
-        disc = label(self.disc_unit | self.disc_mask << 2)
-        return f"(parity {self.parity}, disc {disc})"
+        # The discriminant's unit bit is bit 1 here and bit 0 of a label.
+        packed = self.packed
+        return f"(parity {packed & 1}, disc {label(packed >> 1 & 1 | packed & ~3)})"
 
 
 class GroupRingElement(_PackedView, _Frozen):
@@ -371,11 +377,13 @@ def splitting_map(form: DiagonalForm) -> ResidueWittClass:
 
 def enumerate_residue_classes(cfg: CurveConfig) -> list[ResidueWittClass]:
     """All 4n residue classes, even before odd, in discriminant order."""
+    check_config(cfg, "enumerate_residue_classes")
     return [ResidueWittClass.from_packed(cfg, a) for a in packed_residue_classes(cfg)]
 
 
 def enumerate_group_ring_elements(cfg: CurveConfig) -> list[GroupRingElement]:
     """All 16n^2 elements a + <pi>*b."""
+    check_config(cfg, "enumerate_group_ring_elements")
     return [GroupRingElement.from_packed(cfg, x) for x in packed_group_ring_elements(cfg)]
 
 
@@ -427,6 +435,7 @@ def enumerate_classes(cfg: CurveConfig) -> CensusReport:
     Shape rows cover the nontrivial classes; the total includes the zero
     class.
     """
+    check_config(cfg, "enumerate_classes")
     # Of the 4n residue classes one is zero, 2n are odd and 2n - 1 are even and
     # nonzero, so that sizes[k] classes have a minimal representative of k
     # entries; a shape takes one of them in each component.

@@ -6,12 +6,12 @@ unit bit (1 for the class of the fixed non-square s); the uniformizer
 exponent is a pi bit; a 2-torsion line bundle class is a plain int mask
 over L1..Lr, printed by line_label.  The two composite groups (global square
 classes, which are also the rank-1 generators, and 2-torsion Brauer classes)
-hold those coordinates.  Elements are immutable and the group law is
-coordinatewise XOR.
+pack those coordinates into one int, unit | pi_exp << 1 | mask << 2, so that
+the group law is XOR of ints.
 
-The working form of a generator is one packed int, unit | pi_exp << 1 |
-mask << 2, so that the product of generators is XOR of ints; the classes here
-are the views the public API hands out.
+The classes here are the immutable views the public API hands out: each
+stores its packed int and rank in its slots and names its coordinates in
+_fields, read-only properties derived from the packed int.
 """
 
 from __future__ import annotations
@@ -42,14 +42,16 @@ _new = object.__new__
 class _Frozen:
     """Base of the immutable value classes.
 
-    A subclass adds its fields, at least two, in __slots__, or names them all
-    in _fields when a slot is a cache, and sets them with object.__setattr__.
-    ==, hash, repr and pickling read the fields in that order, and assigning
-    or deleting an attribute raises AttributeError ("cannot assign to field
-    'x'").  The __init__ here takes the fields by position or keyword; a class
-    built on a hot path defines its own, which validates inline.  A view of
-    a packed int also defines from_packed, which checks the int with one
-    test and sets the fields directly.
+    A subclass names its fields, at least two, in _fields; without _fields
+    they are its __slots__.  ==, hash, repr and pickling read the fields in
+    that order, and assigning or deleting an attribute raises AttributeError
+    ("cannot assign to field 'x'").  The slots hold what is stored, set with
+    object.__setattr__: the fields themselves, or a cache beside them, or,
+    in a view of a packed int, that int, from which read-only properties
+    derive the coordinate fields.  The __init__ here takes the fields by
+    position or keyword; a class built on a hot path defines its own, which
+    validates inline and packs once.  A view also defines from_packed, which
+    checks the int with one test and stores it.
     """
 
     __slots__ = ()
@@ -135,6 +137,12 @@ def require_same_config(cfg: CurveConfig, other: CurveConfig) -> None:
     # Identity first: != on two configs runs the Python-level _Frozen.__eq__.
     if cfg is not other and cfg != other:
         raise ValueError(f"config mismatch: {cfg} != {other}")
+
+
+def check_config(cfg: object, caller: str) -> None:
+    """Refuse a cfg that is not a CurveConfig, naming the caller."""
+    if not isinstance(cfg, CurveConfig):
+        raise TypeError(f"{caller}() takes a CurveConfig, got {type(cfg).__name__}")
 
 
 def check_rank(rank: int, name: str = "rank") -> None:
@@ -227,7 +235,58 @@ def line_label(mask: int) -> str:
     return label(mask << 2) if mask else "O"
 
 
-class Generator(_Frozen):
+class _PackedClass(_Frozen):
+    """Base of the two composite groups: a class stored as its rank and its
+    packed int unit | pi_exp << 1 | mask << 2, whose group law is XOR.
+
+    A subclass names its coordinates in _fields, the class in the message of
+    from_packed in _what, and the bits its packed int keeps clear in _clear.
+    """
+
+    __slots__ = ("packed", "rank")
+    _clear = 0
+
+    unit = property(lambda self: self.packed & 1, doc="The unit square class bit.")
+    mask = property(lambda self: self.packed >> 2, doc="The line bundle mask over L1..L<rank>.")
+
+    @classmethod
+    def from_packed(cls, rank: int, packed: int) -> "_PackedClass":
+        """The class of the packed int unit | pi_exp << 1 | mask << 2.
+
+        Checks rank, then packed with one test: an int in 0..2**(rank + 2) - 1
+        with the bits of _clear clear, which holds exactly when each
+        coordinate the constructor checks is valid.  A negative int shifts to
+        -1, so the shift refuses it too.  check_rank is called only to raise
+        its message.
+        """
+        if type(rank) is not int or not 0 <= rank <= MAX_PICARD_RANK:
+            check_rank(rank)
+        if type(packed) is not int or packed >> rank + 2 or packed & cls._clear:
+            raise packed_error(cls._what, packed, rank)
+        view = _new(cls)
+        _set(view, "packed", packed)
+        _set(view, "rank", rank)
+        return view
+
+    def _xor(self, other: "_PackedClass") -> "_PackedClass":
+        """The group law.  XOR of two packed ints in range is in range, so the
+        result takes no second test."""
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        rank = self.rank
+        if rank != other.rank:
+            raise ValueError("config mismatch: line bundle classes of different rank")
+        view = _new(self.__class__)
+        _set(view, "packed", self.packed ^ other.packed)
+        _set(view, "rank", rank)
+        return view
+
+    @property
+    def is_trivial(self) -> bool:
+        return not self.packed
+
+
+class Generator(_PackedClass):
     """Square class u * pi^e * L over the curve, equally the rank-1 form <u*pi^e*L>.
 
     Discriminants live here.  A group of order 4n under multiplication, which
@@ -235,15 +294,18 @@ class Generator(_Frozen):
     a mask over L1..L<rank>.
     """
 
-    __slots__ = ("unit", "pi_exp", "mask", "rank")
+    __slots__ = ()
+    _fields = ("unit", "pi_exp", "mask", "rank")
+    _what = "generator"
+
+    pi_exp = property(lambda self: self.packed >> 1 & 1, doc="The pi exponent bit.")
+    __mul__ = _PackedClass._xor
 
     def __init__(self, unit: int, pi_exp: int, mask: int, rank: int) -> None:
         check_bit(unit, "unit square class bit")
         check_bit(pi_exp, "pi exponent")
         check_mask(mask, rank)
-        _set(self, "unit", unit)
-        _set(self, "pi_exp", pi_exp)
-        _set(self, "mask", mask)
+        _set(self, "packed", unit | pi_exp << 1 | mask << 2)
         _set(self, "rank", rank)
 
     @classmethod
@@ -256,107 +318,41 @@ class Generator(_Frozen):
         """The generator <pi>."""
         return cls(0, 1, 0, rank)
 
-    def __mul__(self, other: "Generator") -> "Generator":
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        rank = self.rank
-        if rank != other.rank:
-            raise ValueError("config mismatch: line bundle classes of different rank")
-        return self.from_packed(
-            rank,
-            (self.unit ^ other.unit)
-            | (self.pi_exp ^ other.pi_exp) << 1
-            | (self.mask ^ other.mask) << 2,
-        )
-
-    @classmethod
-    def from_packed(cls, rank: int, packed: int) -> "Generator":
-        """The generator of the packed int unit | pi_exp << 1 | mask << 2.
-
-        Checks rank, then packed with one test: an int in 0..2**(rank + 2) - 1,
-        which holds exactly when each coordinate the constructor checks is
-        valid.  A negative int shifts to -1, so the shift refuses it too.
-        check_rank is called only to raise its message.
-        """
-        if type(rank) is not int or not 0 <= rank <= MAX_PICARD_RANK:
-            check_rank(rank)
-        if type(packed) is not int or packed >> rank + 2:
-            raise packed_error("generator", packed, rank)
-        g = _new(cls)
-        _set(g, "unit", packed & 1)
-        _set(g, "pi_exp", packed >> 1 & 1)
-        _set(g, "mask", packed >> 2)
-        _set(g, "rank", rank)
-        return g
-
-    @property
-    def packed(self) -> int:
-        """unit | pi_exp << 1 | mask << 2: the product of generators is XOR."""
-        return self.unit | self.pi_exp << 1 | self.mask << 2
-
-    @property
-    def is_trivial(self) -> bool:
-        return self.unit == 0 and self.pi_exp == 0 and self.mask == 0
-
     def __str__(self) -> str:
         return label(self.packed)
 
 
-class BrauerClass(_Frozen):
+class BrauerClass(_PackedClass):
     """2-torsion Brauer class, encoded as the quaternion pair (u*L, pi).
 
     A group of order 2n under coordinatewise addition; the identity is the
-    class of the trivial (matrix) algebra.
+    class of the trivial (matrix) algebra.  Its packed int has no pi bit.
     """
 
-    __slots__ = ("unit", "mask", "rank")
+    __slots__ = ()
+    _fields = ("unit", "mask", "rank")
+    _what = "Brauer class"
+    _clear = 2
+
+    __add__ = _PackedClass._xor
 
     def __init__(self, unit: int, mask: int, rank: int) -> None:
         check_bit(unit, "unit square class bit")
         check_mask(mask, rank)
-        _set(self, "unit", unit)
-        _set(self, "mask", mask)
+        _set(self, "packed", unit | mask << 2)
         _set(self, "rank", rank)
-
-    def __add__(self, other: "BrauerClass") -> "BrauerClass":
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        if self.rank != other.rank:
-            raise ValueError("config mismatch: line bundle classes of different rank")
-        return self.from_packed(
-            self.rank, (self.unit ^ other.unit) | (self.mask ^ other.mask) << 2
-        )
-
-    @classmethod
-    def from_packed(cls, rank: int, packed: int) -> "BrauerClass":
-        """The class (uL, pi) of the packed int u | mask << 2, bit 1 clear.
-
-        Checks rank, then packed with one test, as Generator.from_packed does.
-        """
-        if type(rank) is not int or not 0 <= rank <= MAX_PICARD_RANK:
-            check_rank(rank)
-        if type(packed) is not int or packed >> rank + 2 or packed & 2:
-            raise packed_error("Brauer class", packed, rank)
-        c = _new(cls)
-        _set(c, "unit", packed & 1)
-        _set(c, "mask", packed >> 2)
-        _set(c, "rank", rank)
-        return c
 
     @classmethod
     def identity(cls, rank: int) -> "BrauerClass":
         return cls(0, 0, rank)
 
-    @property
-    def is_trivial(self) -> bool:
-        return self.unit == 0 and self.mask == 0
-
     def __str__(self) -> str:
-        return f"({label(self.unit | self.mask << 2)}, pi)"
+        return f"({label(self.packed)}, pi)"
 
 
 def enumerate_generators(cfg: CurveConfig) -> list[Generator]:
     """All 4n generators, units before non-units, pi-free before ramified."""
+    check_config(cfg, "enumerate_generators")
     rank = cfg.picard_rank
     pic = range(cfg.pic_order)
     return [
@@ -376,6 +372,7 @@ def enumerate_groups(
     Sizes are n, 4n and 2n respectively, in a fixed deterministic order; the
     square classes are enumerate_generators(cfg).
     """
+    check_config(cfg, "enumerate_groups")
     rank = cfg.picard_rank
     pic = list(range(cfg.pic_order))
     brauer = [BrauerClass.from_packed(rank, u | mask << 2) for u in (0, 1) for mask in pic]

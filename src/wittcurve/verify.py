@@ -18,6 +18,7 @@ from .groups import (
     BrauerClass,
     CurveConfig,
     _Frozen,
+    check_config,
     enumerate_generators,
     label,
     line_label,
@@ -114,12 +115,13 @@ def verify_quaternion_distinctness(cfg: CurveConfig) -> QuaternionDistinctnessRe
 
     Exactly one of them, the one with trivial symbol, may be Witt-trivial.
     """
+    check_config(cfg, "verify_quaternion_distinctness")
     _check_rank(cfg, SUITE_RANK_BOUND, "quaternion distinctness suite")
     rank = cfg.picard_rank
     classes = [
         BrauerClass.from_packed(rank, u | mask << 2) for u in (0, 1) for mask in range(cfg.pic_order)
     ]
-    forms = [quaternion_norm_form(cfg, c.unit, c.mask) for c in classes]
+    forms = [quaternion_norm_form(cfg, c.packed & 1, c.packed >> 2) for c in classes]
     distinct = not any(starmap(equals, combinations(forms, 2)))
     trivial = tuple(str(c) for c, form in zip(classes, forms) if is_trivial(form))
     return QuaternionDistinctnessReport(
@@ -155,6 +157,7 @@ def rank_one_group_structure(cfg: CurveConfig) -> RankOneStructureReport:
     The invariant engine decides each claim on summaries: a tensor product
     of forms is the product of their summaries.
     """
+    check_config(cfg, "rank_one_group_structure")
     _check_rank(cfg, SUITE_RANK_BOUND, "rank-1 structure suite")
     gens = enumerate_generators(cfg)
     m = cfg.minus_one
@@ -179,7 +182,7 @@ def rank_one_group_structure(cfg: CurveConfig) -> RankOneStructureReport:
                     exponent_two = False
 
     # The base field class of g is its unit and pi bits.
-    witness = tuple((str(g), (label(g.packed & 3), line_label(g.mask))) for g in gens)
+    witness = tuple((str(g), (label(g.packed & 3), line_label(g.packed >> 2))) for g in gens)
     return RankOneStructureReport(
         config=cfg,
         order=len(gens),
@@ -203,6 +206,7 @@ def verify_generator_relations(cfg: CurveConfig) -> RelationSuiteReport:
 
     Each side is a pair of packed entries, decided on the summaries.
     """
+    check_config(cfg, "verify_generator_relations")
     _check_rank(cfg, SUITE_RANK_BOUND, "generator relation suite")
     m = cfg.minus_one
     pic = range(cfg.pic_order)
@@ -265,6 +269,7 @@ def check_ring_iso(cfg: CurveConfig) -> RingIsoReport:
     sum and tensor product and checks that their summaries are the ones the
     tables were decided on.
     """
+    check_config(cfg, "check_ring_iso")
     _check_rank(cfg, RING_ISO_RANK_BOUND, "exhaustive ring comparison")
     m = cfg.minus_one
     elements = packed_group_ring_elements(cfg)

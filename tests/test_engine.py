@@ -617,14 +617,22 @@ def _python_frames(call) -> list[str]:
     return names[1:]
 
 
-# The Python frames of each library call on a warm 8-entry form, the called
-# function included.  A helper added on one of these paths fails here.
+# The Python frames of each library call on a warm 8-entry form, and of each
+# view operator on views of it, the called function included.  A helper added
+# on one of these paths fails here.
 HOT_PATH_FRAMES = {
     "equals": 8,
     "canonical_form": 7,
     "invariant_profile": 7,
     "splitting_map": 4,
     "to_group_ring(e * f)": 8,
+    "x * y": 10,
+    "x + y": 10,
+    "-x": 7,
+    "a * b": 4,
+    "g * h": 1,
+    "b + c": 1,
+    "symbol": 2,
 }
 
 
@@ -635,12 +643,23 @@ def test_hot_paths_open_few_frames():
     form = parse_form("<s*pi*L1,pi*L1,s,s*pi*L2,s*L1,s*pi*L2,s*pi*L1*L2,pi*L2>", cfg)
     assert not invariant_profile(form).witt_inv.is_trivial
     assert canonical_form(form).tag is Shape.EVEN_EVEN
+    x = to_group_ring(form)
+    y = GroupRingElement.one(cfg)
+    g, h = form.entries[:2]
+    c = invariant_profile(form).witt_inv
     calls = {
         "equals": lambda: equals(form, form),
         "canonical_form": lambda: canonical_form(form),
         "invariant_profile": lambda: invariant_profile(form),
         "splitting_map": lambda: splitting_map(form),
         "to_group_ring(e * f)": lambda: to_group_ring(form * form),
+        "x * y": lambda: x * y,
+        "x + y": lambda: x + y,
+        "-x": lambda: -x,
+        "a * b": lambda: x.a * x.b,
+        "g * h": lambda: g * h,
+        "b + c": lambda: c + c,
+        "symbol": lambda: symbol(cfg, g, h),
     }
     for name, call in calls.items():
         frames = _python_frames(call)

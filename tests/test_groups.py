@@ -17,17 +17,49 @@ from wittcurve import (
     Generator,
     GroupRingElement,
     ResidueWittClass,
+    check_ring_iso,
+    enumerate_classes,
+    enumerate_generators,
+    enumerate_group_ring_elements,
     enumerate_groups,
+    enumerate_residue_classes,
     invariant_profile,
     make_config,
     parse_form,
     quaternion_norm_form,
+    rank_one_group_structure,
     to_group_ring,
+    verify_generator_relations,
+    verify_quaternion_distinctness,
 )
 from wittcurve import groups
 from wittcurve.groups import label, line_label
 
 from helpers import assert_same_view, set_bit_label
+
+
+# Each public function that takes a config first, called with cfg.
+CONFIG_FUNCTIONS = {
+    "enumerate_generators": enumerate_generators,
+    "enumerate_groups": enumerate_groups,
+    "enumerate_residue_classes": enumerate_residue_classes,
+    "enumerate_group_ring_elements": enumerate_group_ring_elements,
+    "enumerate_classes": enumerate_classes,
+    "DiagonalForm.zero": DiagonalForm.zero,
+    "quaternion_norm_form": lambda cfg: quaternion_norm_form(cfg, 0, 0),
+    "verify_quaternion_distinctness": verify_quaternion_distinctness,
+    "rank_one_group_structure": rank_one_group_structure,
+    "verify_generator_relations": verify_generator_relations,
+    "check_ring_iso": check_ring_iso,
+}
+
+
+@pytest.mark.parametrize("value", [None, 3, (3, 1)], ids=lambda v: type(v).__name__)
+@pytest.mark.parametrize("name", CONFIG_FUNCTIONS)
+def test_config_functions_refuse_anything_but_a_config(name, value):
+    with pytest.raises(TypeError) as exc:
+        CONFIG_FUNCTIONS[name](value)
+    assert str(exc.value) == f"{name}() takes a CurveConfig, got {type(value).__name__}"
 
 
 class TestConfig:
@@ -249,11 +281,14 @@ def test_packed_round_trip(q, rank, data):
     unit, bit, mask = p & 1, p >> 1 & 1, p >> 2
     g = Generator.from_packed(rank, p)
     assert g.packed == p
+    # Every coordinate property reads back from packed.
+    assert (g.unit, g.pi_exp, g.mask, g.rank) == (unit, bit, mask, rank)
     assert g == Generator(unit, bit, mask, rank)
     assert str(g) == str(Generator(unit, bit, mask, rank)) == label(p)
     assert label(p) == set_bit_label(unit, bit, mask)
     x = ResidueWittClass.from_packed(cfg, p)
     assert x.packed == p
+    assert (x.config, x.parity, x.disc_unit, x.disc_mask) == (cfg, unit, bit, mask)
     assert x == ResidueWittClass(cfg, unit, bit, mask)
     assert str(x) == str(ResidueWittClass(cfg, unit, bit, mask))
     assert str(x) == f"(parity {unit}, disc {set_bit_label(bit, 0, mask)})"
@@ -262,11 +297,12 @@ def test_packed_round_trip(q, rank, data):
     assert_same_view(g, Generator(unit, bit, mask, rank))
     assert_same_view(x, ResidueWittClass(cfg, unit, bit, mask))
     b = BrauerClass.from_packed(rank, p & ~2)
+    assert (b.packed, b.unit, b.mask, b.rank) == (p & ~2, unit, mask, rank)
     assert_same_view(b, BrauerClass(unit, mask, rank))
     assert str(b) == f"({set_bit_label(unit, 0, mask)}, pi)"
     r = data.draw(st.integers(0, (4 << rank) - 1))
     y = GroupRingElement.from_packed(cfg, (p, r))
-    assert y.packed == (p, r)
+    assert y.packed == (p, r) and (y.a.packed, y.b.packed) == (p, r)
     assert_same_view(
         y,
         GroupRingElement(
@@ -274,6 +310,47 @@ def test_packed_round_trip(q, rank, data):
             ResidueWittClass(cfg, r & 1, r >> 1 & 1, r >> 2),
         ),
     )
+
+
+CFG31 = CurveConfig(3, 1)
+RESIDUE_A = ResidueWittClass(CFG31, 1, 0, 1)
+RESIDUE_B = ResidueWittClass(CFG31, 0, 1, 0)
+
+# pickle.dumps(view, protocol=4) of one view of each class, made when each view
+# stored its coordinates in its slots.  A view that stores its packed int
+# pickles as its coordinate fields, so these still load, and to the same bytes.
+OLD_PICKLES = [
+    (
+        Generator(1, 0, 1, 1),
+        b"\x80\x04\x95/\x00\x00\x00\x00\x00\x00\x00\x8c\x10wittcurve.groups\x94"
+        b"\x8c\tGenerator\x94\x93\x94(K\x01K\x00K\x01K\x01t\x94R\x94.",
+    ),
+    (
+        BrauerClass(1, 1, 1),
+        b"\x80\x04\x95.\x00\x00\x00\x00\x00\x00\x00\x8c\x10wittcurve.groups\x94"
+        b"\x8c\x0bBrauerClass\x94\x93\x94K\x01K\x01K\x01\x87\x94R\x94.",
+    ),
+    (
+        RESIDUE_A,
+        b"\x80\x04\x95c\x00\x00\x00\x00\x00\x00\x00\x8c\x14wittcurve.group_ring\x94"
+        b"\x8c\x10ResidueWittClass\x94\x93\x94(\x8c\x10wittcurve.groups\x94"
+        b"\x8c\x0bCurveConfig\x94\x93\x94K\x03K\x01\x86\x94R\x94K\x01K\x00K\x01t\x94R\x94.",
+    ),
+    (
+        GroupRingElement(RESIDUE_A, RESIDUE_B),
+        b"\x80\x04\x95\x8d\x00\x00\x00\x00\x00\x00\x00\x8c\x14wittcurve.group_ring\x94"
+        b"\x8c\x10GroupRingElement\x94\x93\x94h\x00\x8c\x10ResidueWittClass\x94\x93\x94("
+        b"\x8c\x10wittcurve.groups\x94\x8c\x0bCurveConfig\x94\x93\x94K\x03K\x01\x86\x94R\x94"
+        b"K\x01K\x00K\x01t\x94R\x94h\x04(h\tK\x00K\x01K\x00t\x94R\x94\x86\x94R\x94.",
+    ),
+]
+
+
+@pytest.mark.parametrize("view, data", OLD_PICKLES, ids=[type(v).__name__ for v, _ in OLD_PICKLES])
+def test_old_pickles_load_to_the_same_view_and_bytes(view, data):
+    loaded = pickle.loads(data)
+    assert_same_view(loaded, view)
+    assert pickle.dumps(view, protocol=4) == data
 
 
 class TestFromPacked:
