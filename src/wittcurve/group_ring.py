@@ -235,6 +235,7 @@ class ResidueWittClass(_PackedView, _Frozen):
 
     __slots__ = ("config", "packed")
     _fields = ("config", "parity", "disc_unit", "disc_mask")
+    _stored = __slots__
 
     _zero = 0
     _add = staticmethod(residue_add)

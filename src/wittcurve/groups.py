@@ -43,25 +43,31 @@ class _Frozen:
     """Base of the immutable value classes.
 
     A subclass names its fields, at least two, in _fields; without _fields
-    they are its __slots__.  ==, hash, repr and pickling read the fields in
-    that order, and assigning or deleting an attribute raises AttributeError
-    ("cannot assign to field 'x'").  The slots hold what is stored, set with
-    object.__setattr__: the fields themselves, or a cache beside them, or,
-    in a view of a packed int, that int, from which read-only properties
-    derive the coordinate fields.  The __init__ here takes the fields by
-    position or keyword; a class built on a hot path defines its own, which
-    validates inline and packs once.  A view also defines from_packed, which
-    checks the int with one test and stores it.
+    they are its __slots__.  repr and pickling read the fields in that
+    order, and so do == and hash unless the class names in _stored the slots
+    that determine the fields; assigning or deleting an attribute raises
+    AttributeError ("cannot assign to field 'x'").  The slots hold what is
+    stored, set with object.__setattr__: the fields themselves, or a cache
+    beside them, or, in a view of a packed int, that int, from which
+    read-only properties derive the coordinate fields.  A view names its
+    slots in _stored, so == and hash read them without a Python frame.  The
+    __init__ here takes the fields by position or keyword; a class built on
+    a hot path defines its own, which validates inline and packs once.  A
+    view also defines from_packed, which checks the int with one test and
+    stores it.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+    _stored: tuple[str, ...] = ()
 
     def __init_subclass__(cls) -> None:
         if "_fields" not in cls.__dict__:
             cls._fields += cls.__dict__.get("__slots__", ())
-        # attrgetter is not a descriptor: self._key(x) is the tuple of x's fields.
-        cls._key = attrgetter(*cls._fields)
+        # attrgetter is not a descriptor: self._values(x) is the tuple of x's
+        # fields, self._key(x) what == and hash compare.
+        cls._values = attrgetter(*cls._fields)
+        cls._key = attrgetter(*cls._stored) if cls._stored else cls._values
 
     def __init__(self, *args: object, **kwargs: object) -> None:
         fields = self._fields
@@ -88,7 +94,7 @@ class _Frozen:
         return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self) -> tuple:
-        return type(self), self._key(self)
+        return type(self), self._values(self)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -244,6 +250,7 @@ class _PackedClass(_Frozen):
     """
 
     __slots__ = ("packed", "rank")
+    _stored = __slots__
     _clear = 0
 
     unit = property(lambda self: self.packed & 1, doc="The unit square class bit.")

@@ -204,7 +204,8 @@ def verify_generator_relations(cfg: CurveConfig) -> RelationSuiteReport:
     """Verify <uL, vM> = <1, uvLM> and <pi*uL, pi*vM> = <pi, pi*uvLM>
     for all unit classes u, v and all bundle classes L, M.
 
-    Each side is a pair of packed entries, decided on the summaries.
+    A claim lhs = rhs holds when the difference lhs + (-rhs) is Witt-trivial,
+    so each claim is one summary of four packed entries and one decision.
     """
     check_config(cfg, "verify_generator_relations")
     _check_rank(cfg, SUITE_RANK_BOUND, "generator relation suite")
@@ -215,12 +216,16 @@ def verify_generator_relations(cfg: CurveConfig) -> RelationSuiteReport:
     for u, v, mask_l, mask_m in product((0, 1), (0, 1), pic, pic):
         a = u | mask_l << 2
         b = v | mask_m << 2
-        for kind, lhs, rhs in (
-            ("residue", (a, b), (0, a ^ b)),
-            ("ramified", (a | 2, b | 2), (2, a ^ b | 2)),
+        # -rhs is rhs with the unit bit of -1 XORed into each entry, as
+        # DiagonalForm.__neg__ builds it: -<1, ab> = <m, c>, c = ab XOR m.
+        c = a ^ b ^ m
+        for kind, difference in (
+            ("residue", (a, b, m, c)),
+            ("ramified", (a | 2, b | 2, m | 2, c | 2)),
         ):
             checked += 1
-            if not summary_is_trivial(summarize(lhs).plus(summarize(rhs).negated(m)), m):
+            if not summary_is_trivial(summarize(difference), m):
+                lhs = difference[:2]
                 failures.append(f"{kind} relation failed at {DiagonalForm._from_packed(cfg, lhs)}")
     return RelationSuiteReport(
         config=cfg,

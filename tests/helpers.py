@@ -13,10 +13,12 @@ from wittcurve import (
     Generator,
     GroupRingElement,
     ResidueWittClass,
+    RelationSuiteReport,
     RingIsoReport,
     Shape,
     enumerate_generators,
     enumerate_group_ring_elements,
+    equals,
     quaternion_norm_form,
     symbol,
     verify,
@@ -257,4 +259,31 @@ def pairwise_ring_iso(cfg: CurveConfig) -> RingIsoReport:
         injective=injective,
         mismatches=tuple(mismatches),
         passed=roundtrip_ok and injective and not mismatches,
+    )
+
+
+def pairwise_relations(cfg: CurveConfig) -> RelationSuiteReport:
+    """Reference relation suite: the same report as
+    verify.verify_generator_relations, with each claim built as two forms,
+    <uL, vM> and <1, uvLM> or <pi*uL, pi*vM> and <pi, pi*uvLM>, and decided
+    by equals, through Summary.plus and Summary.negated."""
+    rank = cfg.picard_rank
+    pic = range(cfg.pic_order)
+    one = Generator.one(rank)
+    pi = Generator.pi(rank)
+    checked = 0
+    failures = []
+    for u, v, mask_l, mask_m in itertools.product((0, 1), (0, 1), pic, pic):
+        a = Generator(u, 0, mask_l, rank)
+        b = Generator(v, 0, mask_m, rank)
+        for kind, lhs, rhs in (
+            ("residue", (a, b), (one, a * b)),
+            ("ramified", (pi * a, pi * b), (pi, pi * a * b)),
+        ):
+            checked += 1
+            left = DiagonalForm(cfg, lhs)
+            if not equals(left, DiagonalForm(cfg, rhs)):
+                failures.append(f"{kind} relation failed at {left}")
+    return RelationSuiteReport(
+        config=cfg, checked=checked, failures=tuple(failures), passed=not failures
     )

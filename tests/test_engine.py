@@ -633,6 +633,9 @@ HOT_PATH_FRAMES = {
     "g * h": 1,
     "b + c": 1,
     "symbol": 2,
+    "g == h": 1,
+    "hash(g)": 1,
+    "a == b": 1,
 }
 
 
@@ -660,6 +663,9 @@ def test_hot_paths_open_few_frames():
         "g * h": lambda: g * h,
         "b + c": lambda: c + c,
         "symbol": lambda: symbol(cfg, g, h),
+        "g == h": lambda: g == h,
+        "hash(g)": lambda: hash(g),
+        "a == b": lambda: x.a == x.b,
     }
     for name, call in calls.items():
         frames = _python_frames(call)

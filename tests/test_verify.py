@@ -21,6 +21,8 @@ from wittcurve.group_ring import (
     packed_residue_classes,
 )
 
+from helpers import pairwise_relations
+
 
 @pytest.mark.parametrize(
     "suite, name",
@@ -112,6 +114,14 @@ def test_relation_suite_counts_every_claim(monkeypatch, cfg):
         "ramified relation failed at <pi,pi>",
     )
     assert not report.passed
+
+
+def test_relation_suite_agrees_with_equals_on_the_two_forms(cfg):
+    # The suite decides each claim on the summary of one difference form;
+    # the reference builds both sides and calls equals.
+    report = verify_generator_relations(cfg)
+    assert report == pairwise_relations(cfg)
+    assert report.checked == 8 * cfg.pic_order**2 and report.passed
 
 
 def test_quaternion_suite_reports_an_equal_pair(monkeypatch, cfg):
