@@ -198,7 +198,7 @@ def run_command(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        if args.out:
+        if args.out is not None:
             with open(args.out, "w", encoding="utf-8") as out:
                 out.write(output + "\n")
         elif sys.stdout is None:  # started with stdout closed
@@ -207,10 +207,9 @@ def run_command(argv: Sequence[str] | None = None) -> int:
             sys.stdout.write(output + "\n")
             sys.stdout.flush()
     except OSError as exc:
-        print(
-            f"error: cannot write {args.out or 'stdout'}: {exc.strerror or exc}",
-            file=sys.stderr,
-        )
+        # An empty path is named as the shell spells it.
+        where = "stdout" if args.out is None else args.out or "''"
+        print(f"error: cannot write {where}: {exc.strerror or exc}", file=sys.stderr)
         return 2
     return code
 

@@ -110,10 +110,12 @@ class CurveConfig(_Frozen):
     characteristic is rejected).  picard_rank is the rank r of the 2-torsion
     Picard group, so that group has order n = 2**r.  minus_one, which follows
     from q_mod_4 and takes no part in ==, hash or repr, is the unit bit of -1:
-    0 (a square) iff q = 1 mod 4 (Euler criterion).
+    0 (a square) iff q = 1 mod 4 (Euler criterion).  _terms, the parser's
+    term table for this configuration, likewise takes no part in ==, hash,
+    repr or pickling; syntax fills it on the first parse.
     """
 
-    __slots__ = ("q_mod_4", "picard_rank", "minus_one")
+    __slots__ = ("q_mod_4", "picard_rank", "minus_one", "_terms")
     _fields = ("q_mod_4", "picard_rank")
 
     def __init__(self, q_mod_4: int, picard_rank: int) -> None:
@@ -126,6 +128,7 @@ class CurveConfig(_Frozen):
         _set(self, "q_mod_4", q_mod_4)
         _set(self, "picard_rank", picard_rank)
         _set(self, "minus_one", 1 if q_mod_4 == 3 else 0)
+        _set(self, "_terms", None)
 
     @property
     def pic_order(self) -> int:

@@ -11,7 +11,8 @@ to it.
 Every term is its packed delta, unit | pi_exp << 1 | mask << 2, and an
 entry is the XOR of its terms and, if it has a '-', of the class of -1.
 parse_form splits a well-formed text with str methods and packs each
-distinct entry text, once, into an int; any text that path cannot take
+distinct entry text, once, into an int, looking its terms up in a table
+that the configuration keeps across calls; any text that path cannot take
 goes, unchanged, to a character-by-character cursor parser, the one place
 that names a syntax error and its position.  Both paths read a bundle
 label through _label_delta, the one rule for which labels exist.
@@ -24,7 +25,7 @@ from functools import reduce
 from operator import xor
 
 from .forms import DiagonalForm
-from .groups import CurveConfig
+from .groups import CurveConfig, _set
 
 
 class FormSyntaxError(ValueError):
@@ -157,25 +158,40 @@ def _parse_with_cursor(text: str, cfg: CurveConfig) -> DiagonalForm:
 
 
 class _TermDeltas(dict):
-    """Packed delta of each term met in one parse.
+    """Packed delta of each term spelling met under one configuration.
 
-    A key may carry whitespace on either side; each spelling is kept, so
-    the table grows with the distinct tokens of one text and no further.
-    A term the cursor parser would reject raises KeyError.  A label is
-    read with str methods, not a regex: a full match of a long zero run
-    backtracks quadratically.
+    A key is a term with any whitespace on either side.  A CurveConfig keeps
+    one table in its slot _terms, from its first parse on, so a later call
+    looks its terms up without a Python frame.  The table keeps only the
+    canonical terms ('1', 's', 'pi' and L<k> without a leading zero) and
+    their spellings with one ASCII space before, after or on both sides:
+    at most 4 * (r + 3) keys at Picard rank r, the spellings str() and the
+    ', ' and ' * ' separators give.  Any other spelling is decided once and
+    sets foreign, and _packed_entries drops a foreign table from the config
+    when its call ends, so a kept table never grows past that bound.  A
+    term the cursor parser would reject raises KeyError.  A label is read with str methods, not a regex: a full
+    match of a long zero run backtracks quadratically.
     """
+
+    __slots__ = ("picard_rank", "foreign")
 
     def __init__(self, picard_rank: int):
         super().__init__({"1": 0, "s": 1, "pi": 2})
         self.picard_rank = picard_rank
+        self.foreign = False
 
     def __missing__(self, token: str) -> int:
         term = token.strip()
         if term != token:
             delta = self[term]
+            # A table already foreign skips the test: a respelled text meets
+            # thousands of distinct tokens.
+            if not self.foreign and token.removeprefix(" ").removesuffix(" ") != term:
+                self.foreign = True
         elif term[:1] == "L" and term[1:].isascii() and term[1:].isdigit():
             delta = _label_delta(term[1:].lstrip("0"), self.picard_rank)
+            if term[1] == "0":
+                self.foreign = True
         else:
             raise KeyError(term)
         self[token] = delta
@@ -188,22 +204,31 @@ def _packed_entries(inside: str, cfg: CurveConfig) -> tuple[int, ...]:
 
     Each distinct entry text is decided once: dict.fromkeys keeps the
     distinct texts in order, and the map back to every entry runs in C, as
-    do the splits and the term lookups.  A leading '-' XORs in the class
-    of -1.
+    do the splits and the term lookups in cfg's term table.  A leading '-'
+    XORs in the class of -1; the sign stays outside the table, so no key
+    depends on q_mod_4.
     """
     parts = inside.split(",")
     if len(parts) > MAX_FORM_ENTRIES:
         raise KeyError(MAX_FORM_ENTRIES)
-    term_delta = _TermDeltas(cfg.picard_rank).__getitem__
+    terms = cfg._terms
+    if terms is None:
+        terms = _TermDeltas(cfg.picard_rank)
+        _set(cfg, "_terms", terms)
+    term_delta = terms.__getitem__
     minus = cfg.minus_one
     decided = dict.fromkeys(parts)
-    for entry in decided:
-        body = entry.lstrip()
-        signed = body[:1] == "-"
-        # Any other '-' fails the lookup of its term.
-        decided[entry] = reduce(
-            xor, map(term_delta, body[signed:].split("*")), minus if signed else 0
-        )
+    try:
+        for entry in decided:
+            body = entry.lstrip()
+            signed = body[:1] == "-"
+            # Any other '-' fails the lookup of its term.
+            decided[entry] = reduce(
+                xor, map(term_delta, body[signed:].split("*")), minus if signed else 0
+            )
+    finally:
+        if terms.foreign:
+            _set(cfg, "_terms", None)
     return tuple(map(decided.__getitem__, parts))
 
 

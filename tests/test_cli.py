@@ -350,6 +350,15 @@ class TestRunCommand:
         assert len(captured.err.strip().splitlines()) == 1
         assert not target.exists()
 
+    def test_empty_out_path_exits_two(self, capsys):
+        # An empty --out is a path that cannot be opened, not a request for
+        # stdout.
+        code = run_command(["reduce", "<1>", "--out", ""])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: cannot write '': No such file or directory\n"
+
     def test_stdout_write_failure_exits_two(self, capsys, monkeypatch):
         class FullStdout(io.StringIO):
             def write(self, text):

@@ -621,6 +621,7 @@ def _python_frames(call) -> list[str]:
 # view operator on views of it, the called function included.  A helper added
 # on one of these paths fails here.
 HOT_PATH_FRAMES = {
+    "parse_form": 3,
     "equals": 8,
     "canonical_form": 7,
     "invariant_profile": 7,
@@ -650,7 +651,11 @@ def test_hot_paths_open_few_frames():
     y = GroupRingElement.one(cfg)
     g, h = form.entries[:2]
     c = invariant_profile(form).witt_inv
+    # A small, singly spaced text whose terms the config has seen.
+    text = "<s*L1, -pi*L2*s, L1*L2, pi>"
+    parse_form(text, cfg)
     calls = {
+        "parse_form": lambda: parse_form(text, cfg),
         "equals": lambda: equals(form, form),
         "canonical_form": lambda: canonical_form(form),
         "invariant_profile": lambda: invariant_profile(form),

@@ -1,6 +1,9 @@
 """Property and fuzz tests of the form parser."""
 
+import pickle
 import random
+import sys
+import threading
 import time
 import tracemalloc
 
@@ -232,15 +235,16 @@ def test_long_form_parses_in_bounded_memory():
     assert peak < 4 << 20
 
 
+PATHOLOGICAL_TEXTS = [
+    "<" + " " * 200_000 + "1>",
+    "<" + "1*" * 100_000 + "1>",
+    "<" + "1," * 100_000,
+    "<L" + "0" * 100_000 + "1>",
+]
+
+
 @pytest.mark.parametrize(
-    "text",
-    [
-        "<" + " " * 200_000 + "1>",
-        "<" + "1*" * 100_000 + "1>",
-        "<" + "1," * 100_000,
-        "<L" + "0" * 100_000 + "1>",
-    ],
-    ids=["spaces", "terms", "unclosed", "zero-run"],
+    "text", PATHOLOGICAL_TEXTS, ids=["spaces", "terms", "unclosed", "zero-run"]
 )
 @pytest.mark.parametrize("rank", (0, 16))
 def test_long_pathological_text_is_linear(text, rank):
@@ -306,7 +310,7 @@ def test_label_digit_bound_is_the_rank_digit_count(rank):
             parse("<L" + "7" * (digits + 1) + ">", cfg)
 
 
-# -- the per-call term tables ------------------------------------------------------
+# -- the term table of each configuration ------------------------------------------
 
 
 def test_tables_do_not_outlive_a_call():
@@ -326,6 +330,133 @@ def test_tables_do_not_outlive_a_call():
                 parse_form("<L2>", cfg)
         else:
             assert parse_form("<L2>", cfg).packed == (1 << 3,)
+
+
+def _kept_spellings(rank: int) -> set[str]:
+    """The term spellings a configuration's table may keep: each canonical
+    term with one space before it, after it, both or neither."""
+    terms = ["1", "s", "pi"] + [f"L{k}" for k in range(1, rank + 1)]
+    return {a + term + b for term in terms for a in ("", " ") for b in ("", " ")}
+
+
+def _assert_table_is_kept_spellings(cfg: CurveConfig) -> None:
+    table = cfg._terms
+    if table is not None:
+        assert len(table) <= 4 * (cfg.picard_rank + 3)
+        assert set(table) <= _kept_spellings(cfg.picard_rank), set(table)
+
+
+# Configurations whose term tables stay warm from one example to the next.
+SHARED_CONFIGS = {(q, r): CurveConfig(q, r) for q in (1, 3) for r in (0, 1, 2, 16)}
+# Labels in kept spellings, each valid at some ranks of SHARED_CONFIGS only.
+LABEL_TEXTS = ["<L1>", "<L2>", "< L16 >", "<s * L16, L2>", "<-L2 ,L1 * pi>", "<L17>"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    cases=st.lists(
+        st.one_of(DIFFERENTIAL_CASES, st.tuples(st.sampled_from(LABEL_TEXTS), CONFIGS)),
+        min_size=1,
+        max_size=6,
+    )
+)
+def test_warm_shared_tables_agree_with_cursor_parser(cases):
+    # Every shared configuration has seen every label text, so L16 is in the
+    # table at rank 16 when rank 2 meets it.
+    for cfg in SHARED_CONFIGS.values():
+        for text in LABEL_TEXTS:
+            _outcome(parse_form, text, cfg)
+    for text, cfg in cases:
+        shared = SHARED_CONFIGS[cfg.q_mod_4, cfg.picard_rank]
+        assert _outcome(parse_form, text, shared) == _outcome(_parse_with_cursor, text, cfg)
+        _assert_table_is_kept_spellings(shared)
+
+
+def test_equal_configs_parse_alike():
+    a, b = CurveConfig(3, 2), CurveConfig(3, 2)
+    texts = ["<s*L1, -pi*L2*s, L1*L2, pi>", "< -1 >", "<L01>", "<s\t* L2>", "<L3>"]
+    for text in texts * 2:
+        expected = _outcome(_parse_with_cursor, text, CurveConfig(3, 2))
+        assert _outcome(parse_form, text, a) == _outcome(parse_form, text, b) == expected
+    # Each config has its own table; "<L3>" is refused without a foreign key.
+    assert a._terms is not None and b._terms is not None and a._terms is not b._terms
+
+
+def test_term_table_is_bounded_after_any_text():
+    rank = 16
+    cfg = CurveConfig(1, rank)
+    rng = random.Random(24)
+    for _ in range(100):
+        entries = tuple(
+            Generator(rng.randint(0, 1), rng.randint(0, 1), rng.getrandbits(rank), rank)
+            for _ in range(rng.randint(0, 8))
+        )
+        form = DiagonalForm(cfg, entries)
+        assert parse_form(respell(form, rng), cfg) == form
+        _assert_table_is_kept_spellings(cfg)
+        # The spellings str() and the usual separators give are kept.
+        spaced = str(form).replace(",", ", ").replace("*", " * ")
+        assert parse_form(spaced, cfg) == form
+        assert cfg._terms is not None
+        _assert_table_is_kept_spellings(cfg)
+    for text in PATHOLOGICAL_TEXTS:
+        try:
+            parse_form(text, cfg)
+        except FormSyntaxError:
+            pass
+        _assert_table_is_kept_spellings(cfg)
+    # A spelling outside the kept set leaves no table, also when the text
+    # is refused.
+    for text in ("<L01>", "<s\t>", "<s  *L1>", "<s\t* L17>"):
+        parse_form("<s>", cfg)
+        _outcome(parse_form, text, cfg)
+        assert cfg._terms is None, text
+
+
+def test_threads_sharing_a_config_leave_a_kept_table():
+    # Threads that share one config and switch often, with kept and foreign
+    # spellings in flight at once: every parse is right, and what is left
+    # is no table or a table of kept spellings.
+    cfg = CurveConfig(3, 16)
+    texts = ["<s * L1, -pi * L16>", "<L01, s\t* L2>", "< L3 ,1>", "<L17>", "<s  *pi>"]
+    expected = {text: _outcome(_parse_with_cursor, text, cfg) for text in texts}
+    wrong = []
+
+    def work(offset):
+        for i in range(400):
+            text = texts[(i + offset) % len(texts)]
+            if _outcome(parse_form, text, cfg) != expected[text]:
+                wrong.append(text)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
+    _assert_table_is_kept_spellings(cfg)
+
+
+def test_term_table_stays_out_of_equality_repr_and_pickles():
+    cfg = CurveConfig(3, 2)
+    before = pickle.dumps(cfg)
+    parse_form("<s * L1, L2>", cfg)
+    assert cfg._terms is not None
+    assert pickle.dumps(cfg) == before
+    # The bytes CurveConfig(3, 2) pickled to before it had a term table slot.
+    assert pickle.dumps(cfg, protocol=4) == (
+        b"\x80\x04\x95,\x00\x00\x00\x00\x00\x00\x00\x8c\x10wittcurve.groups"
+        b"\x94\x8c\x0bCurveConfig\x94\x93\x94K\x03K\x02\x86\x94R\x94."
+    )
+    assert pickle.loads(before)._terms is None
+    assert repr(cfg) == "CurveConfig(q_mod_4=3, picard_rank=2)"
+    assert cfg == CurveConfig(3, 2) and hash(cfg) == hash(CurveConfig(3, 2))
 
 
 @pytest.mark.parametrize(
