@@ -14,10 +14,12 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterable
 from functools import reduce
-from itertools import product, starmap
-from operator import xor
+from itertools import product, repeat, starmap
+from operator import and_, xor
 
 from .groups import (
+    _BYTE_TEXT,
+    _CACHED_BITS,
     CurveConfig,
     Generator,
     _Frozen,
@@ -101,6 +103,19 @@ def summarize(packed: tuple[int, ...]) -> Summary:
     return _new(Summary, (
         len(packed), len(ramified), reduce(xor, packed, 0), reduce(xor, ramified, 0)
     ))
+
+
+class _StarText(dict):
+    """'*' and the text of a non-zero byte in place, keyed on the byte; '' for
+    a zero byte.  Only bytes below _CACHED_BITS are looked up, so it holds at
+    most 1 + 7 * 255 strings."""
+
+    def __missing__(self, byte: int) -> str:
+        text = self[byte] = "*" + _BYTE_TEXT[byte] if byte else ""
+        return text
+
+
+_STAR_TEXT = _StarText()
 
 
 class DiagonalForm(_Frozen):
@@ -204,7 +219,24 @@ class DiagonalForm(_Frozen):
         )
 
     def __str__(self) -> str:
-        return "<" + ",".join(map(label, self.packed)) + ">"
+        packed = self.packed
+        width = self.config.picard_rank + 2
+        if width <= 8:
+            return "<" + ",".join(map(_BYTE_TEXT.__getitem__, packed)) + ">"
+        if width > _CACHED_BITS:
+            return "<" + ",".join(map(label, packed)) + ">"
+        # Byte columns, each one C-level pass: the text of the low byte, then
+        # '*' and the text of each higher non-zero byte.  A zero entry so
+        # prints "1", and a non-zero entry whose low byte is zero starts
+        # "1*", which the replaces drop: every other byte text starts with a
+        # letter, so no other entry starts "1*".
+        columns = [map(_BYTE_TEXT.__getitem__, map(and_, packed, repeat(255)))]
+        columns += [
+            map(_STAR_TEXT.__getitem__, map(and_, packed, repeat(255 << shift)))
+            for shift in range(8, width, 8)
+        ]
+        text = "<" + ",".join(map("".join, zip(*columns))) + ">"
+        return text.replace(",1*", ",").replace("<1*", "<", 1)
 
 
 def quaternion_norm_form(cfg: CurveConfig, unit: int, mask: int) -> DiagonalForm:

@@ -215,7 +215,8 @@ class _ByteText(dict):
 # Only the bytes below bit 64 (s, pi, L1..L62) are kept, so _BYTE_TEXT never
 # holds more than 1 + 8 * 255 strings, the trivial class "1" included; a byte
 # above is printed on each use.  The table starts empty and fills as classes
-# are printed.
+# are printed.  DiagonalForm.__str__ prints a form by byte columns from it
+# when the packed width r + 2 is at most _CACHED_BITS.
 _CACHED_BITS = 64
 _BYTE_TEXT = _ByteText()
 

@@ -12,10 +12,14 @@ Every term is its packed delta, unit | pi_exp << 1 | mask << 2, and an
 entry is the XOR of its terms and, if it has a '-', of the class of -1.
 parse_form splits a well-formed text with str methods and packs each
 distinct entry text, once, into an int, looking its terms up in a table
-that the configuration keeps across calls; any text that path cannot take
-goes, unchanged, to a character-by-character cursor parser, the one place
-that names a syntax error and its position.  Both paths read a bundle
-label through _label_delta, the one rule for which labels exist.
+that the configuration keeps across calls.  A delta is 0 or a single bit,
+so the sum of an entry's deltas has one set bit per term, not counting bare
+'1' terms, only when those terms are distinct bits, and the sum is then
+their XOR; an entry with a repeated term or a '1' with whitespace fails that
+check and is XOR-ed term by term.  Any text that path cannot take goes,
+unchanged, to a character-by-character cursor parser, the one place that
+names a syntax error and its position.  Both paths read a bundle label
+through _label_delta, the one rule for which labels exist.
 """
 
 from __future__ import annotations
@@ -169,8 +173,14 @@ class _TermDeltas(dict):
     ', ' and ' * ' separators give.  Any other spelling is decided once and
     sets foreign, and _packed_entries drops a foreign table from the config
     when its call ends, so a kept table never grows past that bound.  A
-    term the cursor parser would reject raises KeyError.  A label is read with str methods, not a regex: a full
-    match of a long zero run backtracks quadratically.
+    term the cursor parser would reject raises KeyError.  A label is read
+    with str methods, not a regex: a full match of a long zero run
+    backtracks quadratically.
+
+    Every value is 0 or a single bit: _packed_entries packs an entry as the
+    sum of its deltas when the sum has as many set bits as the entry has
+    terms other than bare '1's, which holds only when those terms are
+    distinct bits.
     """
 
     __slots__ = ("picard_rank", "foreign")
@@ -223,9 +233,14 @@ def _packed_entries(inside: str, cfg: CurveConfig) -> tuple[int, ...]:
             body = entry.lstrip()
             signed = body[:1] == "-"
             # Any other '-' fails the lookup of its term.
-            decided[entry] = reduce(
-                xor, map(term_delta, body[signed:].split("*")), minus if signed else 0
-            )
+            tokens = body[signed:].split("*")
+            packed = sum(map(term_delta, tokens))
+            bits = packed.bit_count()
+            if bits != len(tokens) and bits != len(tokens) - tokens.count("1"):
+                # A repeated term, or a '1' with whitespace: the sum may not
+                # be the XOR.
+                packed = reduce(xor, map(term_delta, tokens))
+            decided[entry] = packed ^ minus if signed else packed
     finally:
         if terms.foreign:
             _set(cfg, "_terms", None)
@@ -246,7 +261,7 @@ def parse_form(text: str, cfg: CurveConfig) -> DiagonalForm:
     if body[:1] == "<" and body[-1:] == ">":
         inside = body[1:-1]
         if not inside or inside.isspace():
-            return DiagonalForm.zero(cfg)
+            return DiagonalForm._from_packed(cfg, ())
         try:
             packed = _packed_entries(inside, cfg)
         except KeyError:

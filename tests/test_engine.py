@@ -622,6 +622,7 @@ def _python_frames(call) -> list[str]:
 # on one of these paths fails here.
 HOT_PATH_FRAMES = {
     "parse_form": 3,
+    "parse_form('<>')": 2,
     "equals": 8,
     "canonical_form": 7,
     "invariant_profile": 7,
@@ -656,6 +657,7 @@ def test_hot_paths_open_few_frames():
     parse_form(text, cfg)
     calls = {
         "parse_form": lambda: parse_form(text, cfg),
+        "parse_form('<>')": lambda: parse_form("<>", cfg),
         "equals": lambda: equals(form, form),
         "canonical_form": lambda: canonical_form(form),
         "invariant_profile": lambda: invariant_profile(form),

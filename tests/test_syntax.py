@@ -496,6 +496,37 @@ def test_repeated_entries_agree_with_cursor_parser(pool, picks, cfg):
     assert _outcome(parse_form, text, cfg) == _outcome(_parse_with_cursor, text, cfg)
 
 
+@pytest.mark.parametrize("rank", (16, 62))
+def test_term_deltas_are_single_bits(rank):
+    # An entry is packed as the sum of its deltas when that sum has one bit
+    # per term, which is its XOR only if every delta is 0 or a single bit.
+    rng = random.Random(rank)
+    cfg = CurveConfig(3, rank)
+    for _ in range(20):
+        parse_form("<s>", cfg)
+        table = cfg._terms
+        form = DiagonalForm._from_packed(
+            cfg, tuple(rng.getrandbits(rank + 2) for _ in range(rng.randint(1, 8)))
+        )
+        # A respelled text adds foreign spellings to the table, then drops it.
+        assert parse_form(respell(form, rng), cfg) == form
+        assert cfg._terms is None and len(table) > 3
+        assert all(delta.bit_count() <= 1 for delta in table.values())
+
+
+@pytest.mark.parametrize("rank", (16, 62))
+@pytest.mark.parametrize(
+    "text",
+    ["<s*s>", "<L3*L3*L3>", "<1*L1>", "<-1*s>", "<s*1*s*pi>", "<L1*L1*L2, pi*s*pi>",
+     "<- L2*1*L2*L16 , 1*1>", "<L62*L61*L62*s>", "<1*s*s, 1*1*pi>", "<s* 1 *pi*s>"],
+)
+def test_ones_and_repeated_terms_agree_with_cursor_parser(text, rank):
+    # Their deltas do not sum to their XOR: such an entry is XOR-ed term by term.
+    cfg = CurveConfig(3, rank)
+    parse_form("<s>", cfg)
+    assert _outcome(parse_form, text, cfg) == _outcome(_parse_with_cursor, text, cfg)
+
+
 # -- the form-length limit -----------------------------------------------------------
 
 LIMIT = syntax.MAX_FORM_ENTRIES
@@ -568,3 +599,30 @@ def test_high_sparse_bits_print_in_linear_time():
     assert time.perf_counter() - start < 2.0
     assert text == "<" + ",".join(["L4096"] * 1000) + ">"
     assert high == ["L200001"] * 1000
+
+
+# Ranks on each side of the byte-column bounds of str(): one byte (r + 2 <= 8)
+# and the 64 bits of the byte-text table.
+PRINT_RANKS = (0, 6, 7, 16, 62, 63, 64, 200)
+
+
+@st.composite
+def packed_forms(draw):
+    rank = draw(st.sampled_from(PRINT_RANKS), label="rank")
+    top = rank + 2
+    entry = st.one_of(
+        st.just(0),
+        st.integers(0, (1 << top) - 1),
+        st.integers(0, (1 << top) - 1).map(lambda p: p & -256),  # low byte zero
+        st.integers(0, top - 1).map(lambda i: 1 << i),
+    )
+    cfg = CurveConfig(draw(st.sampled_from((1, 3)), label="q"), rank)
+    return DiagonalForm._from_packed(cfg, tuple(draw(st.lists(entry, max_size=12))))
+
+
+@settings(max_examples=400, deadline=None)
+@given(form=packed_forms())
+def test_form_prints_its_labels_at_the_byte_column_bounds(form):
+    text = str(form)
+    assert text == "<" + ",".join(map(label, form.packed)) + ">"
+    assert parse_form(text, form.config) == form
