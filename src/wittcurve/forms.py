@@ -19,7 +19,6 @@ from operator import and_, xor
 
 from .groups import (
     _BYTE_TEXT,
-    _CACHED_BITS,
     CurveConfig,
     Generator,
     _Frozen,
@@ -107,8 +106,8 @@ def summarize(packed: tuple[int, ...]) -> Summary:
 
 class _StarText(dict):
     """'*' and the text of a non-zero byte in place, keyed on the byte; '' for
-    a zero byte.  Only bytes below _CACHED_BITS are looked up, so it holds at
-    most 1 + 7 * 255 strings."""
+    a zero byte.  Only bytes below _COLUMN_BITS are looked up, so it holds at
+    most 1 + 2 * 255 strings."""
 
     def __missing__(self, byte: int) -> str:
         text = self[byte] = "*" + _BYTE_TEXT[byte] if byte else ""
@@ -116,6 +115,11 @@ class _StarText(dict):
 
 
 _STAR_TEXT = _StarText()
+# The widest packed int DiagonalForm.__str__ prints by byte columns.  A column
+# costs one pass over every entry, label one step per non-zero byte: above
+# three columns a form of one bit per entry prints faster with label (0.45
+# against 0.78 us per entry at r = 62), and a dense one never does.
+_COLUMN_BITS = 24
 
 
 class DiagonalForm(_Frozen):
@@ -223,7 +227,7 @@ class DiagonalForm(_Frozen):
         width = self.config.picard_rank + 2
         if width <= 8:
             return "<" + ",".join(map(_BYTE_TEXT.__getitem__, packed)) + ">"
-        if width > _CACHED_BITS:
+        if width > _COLUMN_BITS:
             return "<" + ",".join(map(label, packed)) + ">"
         # Byte columns, each one C-level pass: the text of the low byte, then
         # '*' and the text of each higher non-zero byte.  A zero entry so

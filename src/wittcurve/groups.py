@@ -216,7 +216,7 @@ class _ByteText(dict):
 # holds more than 1 + 8 * 255 strings, the trivial class "1" included; a byte
 # above is printed on each use.  The table starts empty and fills as classes
 # are printed.  DiagonalForm.__str__ prints a form by byte columns from it
-# when the packed width r + 2 is at most _CACHED_BITS.
+# when the packed width r + 2 is at most forms._COLUMN_BITS (24).
 _CACHED_BITS = 64
 _BYTE_TEXT = _ByteText()
 

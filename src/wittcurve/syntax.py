@@ -236,9 +236,11 @@ def _packed_entries(inside: str, cfg: CurveConfig) -> tuple[int, ...]:
             tokens = body[signed:].split("*")
             packed = sum(map(term_delta, tokens))
             bits = packed.bit_count()
+            # bits is at most the number of terms other than bare '1's, so
+            # the first test only spares most entries the count.  A repeated
+            # term, or a '1' with whitespace, fails both: the sum may not be
+            # the XOR.
             if bits != len(tokens) and bits != len(tokens) - tokens.count("1"):
-                # A repeated term, or a '1' with whitespace: the sum may not
-                # be the XOR.
                 packed = reduce(xor, map(term_delta, tokens))
             decided[entry] = packed ^ minus if signed else packed
     finally:

@@ -1,16 +1,16 @@
 """Cost per entry of printing and parsing a form: the README table.
 
     python3 tools/measure_syntax.py
-    python3 tools/measure_syntax.py --parent ../other-checkout --rounds 101
+    python3 tools/measure_syntax.py --parent ../other-checkout
 
 Times, on a random 4096-entry form at r = 2 and r = 16 (q = 3): str(), parse_form
 of the text str() prints, parse_form of a spelling of the same form, and the
 character-by-character parser on that spelling.  Each figure is the best of
---rounds rounds (of 10 for the character-by-character parser), divided by the
+101 rounds (of 10 for the character-by-character parser), divided by the
 entry count, with the garbage collector off.  A spelling has 0-2 whitespace
 characters (space, tab, newline, \\x1c) around every separator, signs, '1' terms
 and zero-padded labels, as respell in tests/test_syntax.py writes them.  Then it
-times the fixed cost of a call: the best of --rounds rounds of 2000 calls on
+times the fixed cost of a call: the best of 101 rounds of 2000 calls on
 each of a few short texts.
 
 With --parent, the package under DIR/src is loaded too, under another name, and
@@ -32,6 +32,7 @@ ROOT = Path(__file__).resolve().parent.parent
 WHITESPACE = " \t\n\x1c"
 ENTRIES = 4096
 RANKS = (2, 16)
+ROUNDS = 101
 CURSOR_ROUNDS = 10
 CALLS = 2000
 SHORT_TEXTS = (
@@ -122,7 +123,6 @@ class Version:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", type=Path, help="a checkout to measure beside this one")
-    parser.add_argument("--rounds", type=int, default=101)
     args = parser.parse_args()
 
     versions = [Version(load(ROOT / "src", "wittcurve"))]
@@ -132,7 +132,7 @@ def main() -> int:
     best = [dict.fromkeys(r, float("inf")) for r in rows]
     gc.disable()
     try:
-        for i in range(args.rounds):
+        for i in range(ROUNDS):
             for name in rows[0]:
                 for side in range(len(versions)):
                     call, rounds, count = rows[side][name]
@@ -151,7 +151,7 @@ def main() -> int:
             text += f" ({best[1][name] * 1e6:.2f})"
         return text
 
-    print(f"Python {sys.version.split()[0]}, {ENTRIES} entries, best of {args.rounds} rounds")
+    print(f"Python {sys.version.split()[0]}, {ENTRIES} entries, best of {ROUNDS} rounds")
     print()
     print("| | `r = 2` | `r = 16` |")
     print("|---|---|---|")
