@@ -12,7 +12,8 @@ Every term is its packed delta, unit | pi_exp << 1 | mask << 2, and an
 entry is the XOR of its terms and, if it has a '-', of the class of -1.
 parse_form splits a well-formed text with str methods and packs each
 distinct entry text, once, into an int, looking its terms up in a table
-that the configuration keeps across calls.  A delta is 0 or a single bit,
+that the configuration keeps across calls while the table holds at most
+4 * (r + 3) spellings at Picard rank r.  A delta is 0 or a single bit,
 so the sum of an entry's deltas has one set bit per term, not counting bare
 '1' terms, only when those terms are distinct bits, and the sum is then
 their XOR; an entry with a repeated term or a '1' with whitespace fails that
@@ -164,18 +165,16 @@ def _parse_with_cursor(text: str, cfg: CurveConfig) -> DiagonalForm:
 class _TermDeltas(dict):
     """Packed delta of each term spelling met under one configuration.
 
-    A key is a term with any whitespace on either side.  A CurveConfig keeps
-    one table in its slot _terms, from its first parse on, so a later call
-    looks its terms up without a Python frame.  The table keeps only the
-    canonical terms ('1', 's', 'pi' and L<k> without a leading zero) and
-    their spellings with one ASCII space before, after or on both sides:
-    at most 4 * (r + 3) keys at Picard rank r, the spellings str() and the
-    ', ' and ' * ' separators give.  Any other spelling is decided once and
-    sets foreign, and _packed_entries drops a foreign table from the config
-    when its call ends, so a kept table never grows past that bound.  A
-    term the cursor parser would reject raises KeyError.  A label is read
-    with str methods, not a regex: a full match of a long zero run
-    backtracks quadratically.
+    A key is a term with any whitespace on either side, and every spelling
+    decided is stored.  A CurveConfig keeps one table in its slot _terms,
+    from its first parse on, so a later call looks its terms up without a
+    Python frame.  A call that leaves the table with more than 4 * (r + 3)
+    keys at Picard rank r drops it from the config, so a kept table never
+    holds more: room for the r + 3 canonical terms, each bare and with one
+    space before, after or on both sides, the spellings str() and the ', '
+    and ' * ' separators give.  A term the cursor parser would reject
+    raises KeyError.  A label is read with str methods, not a regex: a full
+    match of a long zero run backtracks quadratically.
 
     Every value is 0 or a single bit: _packed_entries packs an entry as the
     sum of its deltas when the sum has as many set bits as the entry has
@@ -183,25 +182,18 @@ class _TermDeltas(dict):
     distinct bits.
     """
 
-    __slots__ = ("picard_rank", "foreign")
+    __slots__ = ("picard_rank",)
 
     def __init__(self, picard_rank: int):
         super().__init__({"1": 0, "s": 1, "pi": 2})
         self.picard_rank = picard_rank
-        self.foreign = False
 
     def __missing__(self, token: str) -> int:
         term = token.strip()
         if term != token:
             delta = self[term]
-            # A table already foreign skips the test: a respelled text meets
-            # thousands of distinct tokens.
-            if not self.foreign and token.removeprefix(" ").removesuffix(" ") != term:
-                self.foreign = True
         elif term[:1] == "L" and term[1:].isascii() and term[1:].isdigit():
             delta = _label_delta(term[1:].lstrip("0"), self.picard_rank)
-            if term[1] == "0":
-                self.foreign = True
         else:
             raise KeyError(term)
         self[token] = delta
@@ -244,7 +236,7 @@ def _packed_entries(inside: str, cfg: CurveConfig) -> tuple[int, ...]:
                 packed = reduce(xor, map(term_delta, tokens))
             decided[entry] = packed ^ minus if signed else packed
     finally:
-        if terms.foreign:
+        if len(terms) > 4 * (cfg.picard_rank + 3):
             _set(cfg, "_terms", None)
     return tuple(map(decided.__getitem__, parts))
 

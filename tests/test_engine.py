@@ -623,6 +623,7 @@ def _python_frames(call) -> list[str]:
 HOT_PATH_FRAMES = {
     "parse_form": 3,
     "parse_form('<>')": 2,
+    "parse_form (tab, L01)": 3,
     "equals": 8,
     "canonical_form": 7,
     "invariant_profile": 7,
@@ -655,9 +656,13 @@ def test_hot_paths_open_few_frames():
     # A small, singly spaced text whose terms the config has seen.
     text = "<s*L1, -pi*L2*s, L1*L2, pi>"
     parse_form(text, cfg)
+    # Unusual spellings, few enough that the config keeps its table.
+    unusual = "<s\t*L1, L01, pi  * L2>"
+    parse_form(unusual, cfg)
     calls = {
         "parse_form": lambda: parse_form(text, cfg),
         "parse_form('<>')": lambda: parse_form("<>", cfg),
+        "parse_form (tab, L01)": lambda: parse_form(unusual, cfg),
         "equals": lambda: equals(form, form),
         "canonical_form": lambda: canonical_form(form),
         "invariant_profile": lambda: invariant_profile(form),
@@ -677,3 +682,4 @@ def test_hot_paths_open_few_frames():
     for name, call in calls.items():
         frames = _python_frames(call)
         assert len(frames) == HOT_PATH_FRAMES[name], (name, frames)
+    assert cfg._terms is not None

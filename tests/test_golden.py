@@ -1,5 +1,6 @@
 """Golden output: the exact text the command line and the enumerations print,
-under this interpreter and under each other supported one on PATH.
+under this interpreter and under each other supported one on PATH or
+installed beside it.
 
 The corpus and how to rebuild it are in golden_corpus.py.
 """
@@ -33,18 +34,27 @@ def test_enumeration_strings_are_golden(q):
     assert enumeration_listing(q) == expected
 
 
+def _exit_code(path) -> int:
+    return subprocess.run([path, "-c", "pass"], capture_output=True, timeout=60).returncode
+
+
 def _interpreter(name: str) -> str:
-    """The path of a python on PATH that runs, or a skip."""
+    """The path of a python on PATH that runs, else of the same-named one
+    installed beside the running interpreter, or a skip."""
     if name == "this":
         return sys.executable
     path = shutil.which(name)
-    if path is None:
-        pytest.skip(f"{name} is not on PATH")
     # A version manager's shim can be on PATH for a version it will not run.
-    probe = subprocess.run([path, "-c", "pass"], capture_output=True, timeout=60)
-    if probe.returncode:
-        pytest.skip(f"{name} on PATH exits {probe.returncode}")
-    return path
+    code = None if path is None else _exit_code(path)
+    if code == 0:
+        return path
+    # Version managers install each version in a sibling of this one's
+    # prefix, such as versions/3.10.13/bin/python3.10.
+    version = name.removeprefix("python")
+    for beside in sorted(Path(sys.base_prefix).parent.glob(f"{version}*/bin/{name}")):
+        if _exit_code(beside) == 0:
+            return str(beside)
+    pytest.skip(f"{name} is not on PATH" if path is None else f"{name} on PATH exits {code}")
 
 
 @pytest.mark.parametrize("name", ("this",) + OTHER_PYTHONS)

@@ -332,23 +332,15 @@ def test_tables_do_not_outlive_a_call():
             assert parse_form("<L2>", cfg).packed == (1 << 3,)
 
 
-def _kept_spellings(rank: int) -> set[str]:
-    """The term spellings a configuration's table may keep: each canonical
-    term with one space before it, after it, both or neither."""
-    terms = ["1", "s", "pi"] + [f"L{k}" for k in range(1, rank + 1)]
-    return {a + term + b for term in terms for a in ("", " ") for b in ("", " ")}
-
-
-def _assert_table_is_kept_spellings(cfg: CurveConfig) -> None:
+def _assert_table_is_bounded(cfg: CurveConfig) -> None:
     table = cfg._terms
     if table is not None:
         assert len(table) <= 4 * (cfg.picard_rank + 3)
-        assert set(table) <= _kept_spellings(cfg.picard_rank), set(table)
 
 
 # Configurations whose term tables stay warm from one example to the next.
 SHARED_CONFIGS = {(q, r): CurveConfig(q, r) for q in (1, 3) for r in (0, 1, 2, 16)}
-# Labels in kept spellings, each valid at some ranks of SHARED_CONFIGS only.
+# Labels in the usual spellings, each valid at some ranks of SHARED_CONFIGS only.
 LABEL_TEXTS = ["<L1>", "<L2>", "< L16 >", "<s * L16, L2>", "<-L2 ,L1 * pi>", "<L17>"]
 
 
@@ -369,7 +361,7 @@ def test_warm_shared_tables_agree_with_cursor_parser(cases):
     for text, cfg in cases:
         shared = SHARED_CONFIGS[cfg.q_mod_4, cfg.picard_rank]
         assert _outcome(parse_form, text, shared) == _outcome(_parse_with_cursor, text, cfg)
-        _assert_table_is_kept_spellings(shared)
+        _assert_table_is_bounded(shared)
 
 
 def test_equal_configs_parse_alike():
@@ -378,13 +370,13 @@ def test_equal_configs_parse_alike():
     for text in texts * 2:
         expected = _outcome(_parse_with_cursor, text, CurveConfig(3, 2))
         assert _outcome(parse_form, text, a) == _outcome(parse_form, text, b) == expected
-    # Each config has its own table; "<L3>" is refused without a foreign key.
+    # Each config has its own table.
     assert a._terms is not None and b._terms is not None and a._terms is not b._terms
 
 
 def test_term_table_is_bounded_after_any_text():
     rank = 16
-    cfg = CurveConfig(1, rank)
+    cfg, spaced_cfg = CurveConfig(1, rank), CurveConfig(1, rank)
     rng = random.Random(24)
     for _ in range(100):
         entries = tuple(
@@ -393,32 +385,46 @@ def test_term_table_is_bounded_after_any_text():
         )
         form = DiagonalForm(cfg, entries)
         assert parse_form(respell(form, rng), cfg) == form
-        _assert_table_is_kept_spellings(cfg)
-        # The spellings str() and the usual separators give are kept.
+        _assert_table_is_bounded(cfg)
+        # The spellings str() and the usual separators give fit the bound,
+        # so a config that meets only those keeps its table.
         spaced = str(form).replace(",", ", ").replace("*", " * ")
-        assert parse_form(spaced, cfg) == form
-        assert cfg._terms is not None
-        _assert_table_is_kept_spellings(cfg)
+        assert parse_form(spaced, spaced_cfg) == form
+        assert spaced_cfg._terms is not None
+        _assert_table_is_bounded(spaced_cfg)
     for text in PATHOLOGICAL_TEXTS:
         try:
             parse_form(text, cfg)
         except FormSyntaxError:
             pass
-        _assert_table_is_kept_spellings(cfg)
-    # A spelling outside the kept set leaves no table, also when the text
-    # is refused.
+        _assert_table_is_bounded(cfg)
+    # A short text of unusual spellings keeps the table, also when it is
+    # refused; a text of more spellings than the bound leaves no table, so a
+    # long respelled text decides its spellings afresh on each call.
+    overflowing = "<" + ",".join("L" + "0" * k + "1" for k in range(4 * (rank + 3))) + ">"
+    long_form = DiagonalForm._from_packed(
+        cfg, tuple(rng.getrandbits(rank + 2) for _ in range(4096))
+    )
     for text in ("<L01>", "<s\t>", "<s  *L1>", "<s\t* L17>"):
+        cfg = CurveConfig(1, rank)
+        _outcome(parse_form, text, cfg)
+        assert cfg._terms is not None, text
+        _assert_table_is_bounded(cfg)
+    for text in (overflowing, overflowing[:-1] + ", L17>", respell(long_form, rng)):
+        cfg = CurveConfig(1, rank)
         parse_form("<s>", cfg)
         _outcome(parse_form, text, cfg)
         assert cfg._terms is None, text
 
 
 def test_threads_sharing_a_config_leave_a_kept_table():
-    # Threads that share one config and switch often, with kept and foreign
-    # spellings in flight at once: every parse is right, and what is left
-    # is no table or a table of kept spellings.
+    # Threads that share one config and switch often, with texts that keep
+    # the table and one that overflows it in flight at once: every parse is
+    # right, and what is left is no table or a table within the bound.
     cfg = CurveConfig(3, 16)
-    texts = ["<s * L1, -pi * L16>", "<L01, s\t* L2>", "< L3 ,1>", "<L17>", "<s  *pi>"]
+    overflowing = "<" + ",".join("L" + "0" * k + "1" for k in range(80)) + ">"
+    texts = ["<s * L1, -pi * L16>", "<L01, s\t* L2>", "< L3 ,1>", "<L17>", "<s  *pi>",
+             overflowing]
     expected = {text: _outcome(_parse_with_cursor, text, cfg) for text in texts}
     wrong = []
 
@@ -440,7 +446,7 @@ def test_threads_sharing_a_config_leave_a_kept_table():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert wrong == []
-    _assert_table_is_kept_spellings(cfg)
+    _assert_table_is_bounded(cfg)
 
 
 def test_term_table_stays_out_of_equality_repr_and_pickles():
@@ -508,9 +514,11 @@ def test_term_deltas_are_single_bits(rank):
         form = DiagonalForm._from_packed(
             cfg, tuple(rng.getrandbits(rank + 2) for _ in range(rng.randint(1, 8)))
         )
-        # A respelled text adds foreign spellings to the table, then drops it.
+        # A respelled text adds its spellings to the table, which the call
+        # keeps or, past the bound, drops; its values are checked either way.
         assert parse_form(respell(form, rng), cfg) == form
-        assert cfg._terms is None and len(table) > 3
+        assert cfg._terms is None or cfg._terms is table
+        assert len(table) > 3
         assert all(delta.bit_count() <= 1 for delta in table.values())
 
 
