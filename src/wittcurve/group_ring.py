@@ -13,7 +13,8 @@ and its shape follow from the types of its two components.
 The arithmetic runs on packed ints.  A residue class is parity | unit << 1 |
 mask << 2, its signed discriminant being the square class unit * (L-mask);
 a group ring element is the pair (a, b) of packed residue classes.  The public
-classes are views of these.
+classes are views of these, and each stores just its config and its packed
+value: an element's components are built from the pair when they are read.
 """
 
 from __future__ import annotations
@@ -192,14 +193,18 @@ def packed_group_ring_elements(cfg: CurveConfig) -> list[tuple[int, int]]:
 
 
 class _PackedView:
-    """Operators shared by the two views: a subclass names its packed zero and
-    the packed add, neg and mul it computes with, each taking the unit bit of
-    -1 first.  An operand of another class gets NotImplemented."""
+    """Storage and operators shared by the two views.  A view stores its
+    config and its packed value; a subclass names its packed zero and the
+    packed add, neg and mul it computes with, each taking the unit bit of -1
+    first.  An operand of another class gets NotImplemented."""
 
-    __slots__ = ()
+    __slots__ = ("config", "packed")
+    _stored = __slots__
 
     @classmethod
     def zero(cls, cfg: CurveConfig) -> _PackedView:
+        if cfg.__class__ is not CurveConfig:
+            check_config(cfg, f"{cls.__name__}.zero")
         return cls.from_packed(cfg, cls._zero)
 
     @property
@@ -233,9 +238,8 @@ class ResidueWittClass(_PackedView, _Frozen):
     its coordinates from it.
     """
 
-    __slots__ = ("config", "packed")
+    __slots__ = ()
     _fields = ("config", "parity", "disc_unit", "disc_mask")
-    _stored = __slots__
 
     _zero = 0
     _add = staticmethod(residue_add)
@@ -258,6 +262,8 @@ class ResidueWittClass(_PackedView, _Frozen):
     def from_packed(cls, cfg: CurveConfig, packed: int) -> "ResidueWittClass":
         """The class of parity | unit << 1 | mask << 2, checked with one test
         as groups.Generator.from_packed does."""
+        if cfg.__class__ is not CurveConfig:
+            check_config(cfg, "ResidueWittClass.from_packed")
         rank = cfg.picard_rank
         if type(packed) is not int or packed >> rank + 2:
             raise packed_error("residue class", packed, rank)
@@ -269,6 +275,8 @@ class ResidueWittClass(_PackedView, _Frozen):
     @classmethod
     def one(cls, cfg: CurveConfig) -> "ResidueWittClass":
         """Class of <1>; its signed discriminant is the class of -1."""
+        if cfg.__class__ is not CurveConfig:
+            check_config(cfg, "ResidueWittClass.one")
         return cls.from_packed(cfg, 1 | cfg.minus_one << 1)
 
     @classmethod
@@ -288,14 +296,23 @@ class ResidueWittClass(_PackedView, _Frozen):
 
 
 class GroupRingElement(_PackedView, _Frozen):
-    """Element a + <pi>*b of the group ring over the residue Witt ring."""
+    """Element a + <pi>*b of the group ring over the residue Witt ring.
 
-    __slots__ = ("a", "b")
+    The element stores packed, the pair (a.packed, b.packed), and builds the
+    residue component a and the ramified component b, the coefficient of
+    <pi>, as ResidueWittClass views when they are read.
+    """
+
+    __slots__ = ()
+    _fields = ("a", "b")
 
     _zero = (0, 0)
     _add = staticmethod(element_add)
     _neg = staticmethod(element_neg)
     _mul = staticmethod(element_mul)
+
+    a = property(lambda self: ResidueWittClass.from_packed(self.config, self.packed[0]))
+    b = property(lambda self: ResidueWittClass.from_packed(self.config, self.packed[1]))
 
     def __init__(self, a: ResidueWittClass, b: ResidueWittClass) -> None:
         if not (isinstance(a, ResidueWittClass) and isinstance(b, ResidueWittClass)):
@@ -303,32 +320,32 @@ class GroupRingElement(_PackedView, _Frozen):
             raise TypeError(f"GroupRingElement() takes two ResidueWittClass, got {got}")
         if a.config != b.config:
             raise ValueError("config mismatch: mixed group ring components")
-        _set(self, "a", a)
-        _set(self, "b", b)
+        _set(self, "config", a.config)
+        _set(self, "packed", (a.packed, b.packed))
 
     @classmethod
     def from_packed(cls, cfg: CurveConfig, x: tuple[int, int]) -> "GroupRingElement":
-        """The element of the pair x of packed residue classes; both
-        components take the one cfg."""
+        """The element of the pair x of packed residue classes, each checked
+        with the one test of ResidueWittClass.from_packed."""
+        if cfg.__class__ is not CurveConfig:
+            check_config(cfg, "GroupRingElement.from_packed")
         if type(x) is not tuple or len(x) != 2:
             got = f"a tuple of {len(x)}" if type(x) is tuple else type(x).__name__
             raise ValueError(f"a packed group ring element is a pair of ints, got {got}")
+        rank = cfg.picard_rank
+        for packed in x:
+            if type(packed) is not int or packed >> rank + 2:
+                raise packed_error("residue class", packed, rank)
         element = _new(cls)
-        _set(element, "a", ResidueWittClass.from_packed(cfg, x[0]))
-        _set(element, "b", ResidueWittClass.from_packed(cfg, x[1]))
+        _set(element, "config", cfg)
+        _set(element, "packed", x)
         return element
-
-    @property
-    def packed(self) -> tuple[int, int]:
-        return self.a.packed, self.b.packed
-
-    @property
-    def config(self) -> CurveConfig:
-        return self.a.config
 
     @classmethod
     def one(cls, cfg: CurveConfig) -> "GroupRingElement":
-        return cls(ResidueWittClass.one(cfg), ResidueWittClass.zero(cfg))
+        if cfg.__class__ is not CurveConfig:
+            check_config(cfg, "GroupRingElement.one")
+        return cls.from_packed(cfg, (1 | cfg.minus_one << 1, 0))
 
     def __str__(self) -> str:
         return f"[{self.a} | pi: {self.b}]"

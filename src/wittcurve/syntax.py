@@ -165,16 +165,18 @@ def _parse_with_cursor(text: str, cfg: CurveConfig) -> DiagonalForm:
 class _TermDeltas(dict):
     """Packed delta of each term spelling met under one configuration.
 
-    A key is a term with any whitespace on either side, and every spelling
-    decided is stored.  A CurveConfig keeps one table in its slot _terms,
-    from its first parse on, so a later call looks its terms up without a
-    Python frame.  A call that leaves the table with more than 4 * (r + 3)
-    keys at Picard rank r drops it from the config, so a kept table never
-    holds more: room for the r + 3 canonical terms, each bare and with one
-    space before, after or on both sides, the spellings str() and the ', '
-    and ' * ' separators give.  A term the cursor parser would reject
-    raises KeyError.  A label is read with str methods, not a regex: a full
-    match of a long zero run backtracks quadratically.
+    A key is a term with any whitespace on either side.  Every spelling
+    decided of at most 16 characters is stored; a longer one, such as a label
+    with a long run of zeros, is decided on every call.  A CurveConfig keeps
+    one table in its slot _terms, from its first parse on, so a later call
+    looks its terms up without a Python frame.  A call that leaves the table
+    with more than 4 * (r + 3) keys at Picard rank r drops it from the
+    config, so a kept table never holds more: room for the r + 3 canonical
+    terms, each bare and with one space before, after or on both sides, the
+    spellings str() and the ', ' and ' * ' separators give.  A term the
+    cursor parser would reject raises KeyError.  A label is read with str
+    methods, not a regex: a full match of a long zero run backtracks
+    quadratically.
 
     Every value is 0 or a single bit: _packed_entries packs an entry as the
     sum of its deltas when the sum has as many set bits as the entry has
@@ -196,7 +198,8 @@ class _TermDeltas(dict):
             delta = _label_delta(term[1:].lstrip("0"), self.picard_rank)
         else:
             raise KeyError(term)
-        self[token] = delta
+        if len(token) <= 16:
+            self[token] = delta
         return delta
 
 

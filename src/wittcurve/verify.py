@@ -9,7 +9,7 @@ lives above both.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from itertools import combinations, product, repeat, starmap
+from itertools import combinations, compress, product, repeat, starmap
 from operator import add, and_
 
 from .engine import equals, is_trivial, summary_is_trivial
@@ -267,9 +267,10 @@ def check_ring_iso(cfg: CurveConfig) -> RingIsoReport:
     representatives.  The representative of y = (c, d) is the sum of those
     of (c, 0) and (0, d), checked for every y, so by bilinearity of
     Summary.times a product entry is S[x]*S[(c, 0)] + S[x]*S[(0, d)] -
-    S[x*y], and a row needs 2*4n products of summaries, not 16n^2.  Only a
-    row that fails is rescanned entry by entry, looking its entries up by
-    element index, with Summary.plus and Summary.times, to name the pairs.
+    S[x*y], and a row needs 2*4n products of summaries, not 16n^2.  Each
+    entry is decided once, and a failing pair is named from that decision:
+    a failing row by its false entries, the addition of each pair before its
+    multiplication, and a Witt-equal pair of the injectivity pass likewise.
     A sample of pairs that meets every row and every column builds the real
     sum and tensor product and checks that their summaries are the ones the
     tables were decided on.
@@ -278,10 +279,8 @@ def check_ring_iso(cfg: CurveConfig) -> RingIsoReport:
     _check_rank(cfg, RING_ISO_RANK_BOUND, "exhaustive ring comparison")
     m = cfg.minus_one
     elements = packed_group_ring_elements(cfg)
-    index = {x: i for i, x in enumerate(elements)}
     reps = [packed_representative(m, x) for x in elements]
     summaries = [summarize(rep) for rep in reps]
-    negated = [summary.negated(m) for summary in summaries]
     mismatches: list[str] = []
 
     def mismatch(message: str) -> None:
@@ -299,7 +298,7 @@ def check_ring_iso(cfg: CurveConfig) -> RingIsoReport:
     table = _spread_table(bits)
     keep = _keep(bits, table)
     spread = [_spread(summary, bits, table) for summary in summaries]
-    spread_negated = [_spread(summary, bits, table) for summary in negated]
+    spread_negated = [_spread(summary.negated(m), bits, table) for summary in summaries]
     spread_negated_of = dict(zip(elements, spread_negated))
     trivial = _Decisions(m, bits)
 
@@ -309,12 +308,10 @@ def check_ring_iso(cfg: CurveConfig) -> RingIsoReport:
 
     injective = True
     for i, total in enumerate(spread):
-        if not any(decided(map(total.__add__, spread_negated[i + 1 :]))):
-            continue
-        for j in range(i + 1, len(elements)):
-            if summary_is_trivial(summaries[i].plus(negated[j]), m):
-                injective = False
-                mismatch(f"distinct elements {element(i)} and {element(j)} gave equal forms")
+        equal = decided(map(total.__add__, spread_negated[i + 1 :]))
+        for j in compress(range(i + 1, len(elements)), equal):
+            injective = False
+            mismatch(f"distinct elements {element(i)} and {element(j)} gave equal forms")
 
     # Row i of the sample meets column i (squares) and column N-1-i, which
     # pairs each class type with the others.
@@ -354,16 +351,15 @@ def check_ring_iso(cfg: CurveConfig) -> RingIsoReport:
             [l + r for l in by_left for r in by_right],
             map(spread_negated_of.__getitem__, mul_row),
         )
-        found = len(mismatches)
-        if found == MAX_MISMATCHES or (all(decided(sums)) and all(decided(products))):
+        sums_ok = list(decided(sums))
+        products_ok = list(decided(products))
+        if all(sums_ok) and all(products_ok):
             continue
-        for j, other in enumerate(summaries):
-            if not summary_is_trivial(summary.plus(other).plus(negated[index[add_row[j]]]), m):
+        for j, (sum_ok, product_ok) in enumerate(zip(sums_ok, products_ok)):
+            if not sum_ok:
                 mismatch(f"addition mismatch at {element(i)}, {element(j)}")
-            if not summary_is_trivial(summary.times(other).plus(negated[index[mul_row[j]]]), m):
+            if not product_ok:
                 mismatch(f"multiplication mismatch at {element(i)}, {element(j)}")
-        if len(mismatches) == found:
-            mismatch(f"table row of {element(i)} fails on spread summaries only")
 
     # Every table row is built in full.
     pairs = len(elements) ** 2

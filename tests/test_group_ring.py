@@ -546,7 +546,10 @@ class TestFaultInjection:
 
     @pytest.mark.parametrize("rank", (0, 1))
     def test_a_row_failing_on_spread_summaries_only_is_reported(self, monkeypatch, rank):
-        # A codec fault fails every row although each entry holds.
+        # A codec fault fails every table entry although each entry holds.
+        # The pairs are named from the spread decisions, so the report holds
+        # the first pairs of row 0, the addition of each pair before its
+        # multiplication.
         unspread = verify._unspread
         monkeypatch.setattr(
             verify, "_unspread", lambda key, bits: unspread(key, bits)._replace(rank=1)
@@ -555,9 +558,11 @@ class TestFaultInjection:
         report = check_ring_iso(cfg)
         assert not report.passed
         assert report.injective
+        x = _element(cfg, 0)
         assert report.mismatches == tuple(
-            f"table row of {_element(cfg, i)} fails on spread summaries only"
-            for i in range(verify.MAX_MISMATCHES)
+            f"{kind} mismatch at {x}, {_element(cfg, j)}"
+            for j in range(verify.MAX_MISMATCHES // 2)
+            for kind in ("addition", "multiplication")
         )
 
     @pytest.mark.parametrize("rank", (0, 1))

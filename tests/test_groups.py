@@ -51,6 +51,12 @@ CONFIG_FUNCTIONS = {
     "rank_one_group_structure": rank_one_group_structure,
     "verify_generator_relations": verify_generator_relations,
     "check_ring_iso": check_ring_iso,
+    "ResidueWittClass.from_packed": lambda cfg: ResidueWittClass.from_packed(cfg, 0),
+    "ResidueWittClass.zero": ResidueWittClass.zero,
+    "ResidueWittClass.one": ResidueWittClass.one,
+    "GroupRingElement.from_packed": lambda cfg: GroupRingElement.from_packed(cfg, (0, 0)),
+    "GroupRingElement.zero": GroupRingElement.zero,
+    "GroupRingElement.one": GroupRingElement.one,
 }
 
 

@@ -336,6 +336,13 @@ def _assert_table_is_bounded(cfg: CurveConfig) -> None:
     table = cfg._terms
     if table is not None:
         assert len(table) <= 4 * (cfg.picard_rank + 3)
+        assert max(map(len, table)) <= 16
+
+
+# More distinct term spellings than a table at rank 16 may keep, each short
+# enough to be kept: L1 to L16 with 0 to 4 spaces after.  (Spaces before an
+# entry are stripped before its terms are looked up.)
+OVERFLOWING = "<" + ",".join(f"L{i}" + " " * k for k in range(5) for i in range(1, 17)) + ">"
 
 
 # Configurations whose term tables stay warm from one example to the next.
@@ -401,7 +408,6 @@ def test_term_table_is_bounded_after_any_text():
     # A short text of unusual spellings keeps the table, also when it is
     # refused; a text of more spellings than the bound leaves no table, so a
     # long respelled text decides its spellings afresh on each call.
-    overflowing = "<" + ",".join("L" + "0" * k + "1" for k in range(4 * (rank + 3))) + ">"
     long_form = DiagonalForm._from_packed(
         cfg, tuple(rng.getrandbits(rank + 2) for _ in range(4096))
     )
@@ -410,7 +416,7 @@ def test_term_table_is_bounded_after_any_text():
         _outcome(parse_form, text, cfg)
         assert cfg._terms is not None, text
         _assert_table_is_bounded(cfg)
-    for text in (overflowing, overflowing[:-1] + ", L17>", respell(long_form, rng)):
+    for text in (OVERFLOWING, OVERFLOWING[:-1] + ", L17>", respell(long_form, rng)):
         cfg = CurveConfig(1, rank)
         parse_form("<s>", cfg)
         _outcome(parse_form, text, cfg)
@@ -422,9 +428,8 @@ def test_threads_sharing_a_config_leave_a_kept_table():
     # the table and one that overflows it in flight at once: every parse is
     # right, and what is left is no table or a table within the bound.
     cfg = CurveConfig(3, 16)
-    overflowing = "<" + ",".join("L" + "0" * k + "1" for k in range(80)) + ">"
     texts = ["<s * L1, -pi * L16>", "<L01, s\t* L2>", "< L3 ,1>", "<L17>", "<s  *pi>",
-             overflowing]
+             OVERFLOWING]
     expected = {text: _outcome(_parse_with_cursor, text, cfg) for text in texts}
     wrong = []
 
@@ -447,6 +452,23 @@ def test_threads_sharing_a_config_leave_a_kept_table():
     assert not any(thread.is_alive() for thread in threads)
     assert wrong == []
     _assert_table_is_bounded(cfg)
+
+
+def test_a_kept_term_table_holds_no_long_spelling():
+    # Labels with long zero runs are decided on every call and never kept:
+    # when every spelling was kept, these 70 parses left about 7 MB in the table.
+    cfg = CurveConfig(1, 16)
+    parse_form("<s>", cfg)
+    tracemalloc.start()
+    try:
+        for k in range(70):
+            assert parse_form("<L" + "0" * (100_000 + k) + "1>", cfg).packed == (1 << 2,)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert cfg._terms is not None
+    _assert_table_is_bounded(cfg)
+    assert held < 100_000
 
 
 def test_term_table_stays_out_of_equality_repr_and_pickles():

@@ -125,7 +125,12 @@ def test_value_semantics(name):
             setattr(value, field, None)
         with pytest.raises(AttributeError, match=f"^cannot delete field '{field}'$"):
             delattr(value, field)
-        assert getattr(value, field) is held
+        # A group ring element builds its components when they are read.
+        if cls is GroupRingElement:
+            assert type(getattr(value, field)) is type(held)
+            assert getattr(value, field) == held
+        else:
+            assert getattr(value, field) is held
 
 
 def test_report_fields_are_taken_by_position_or_keyword():
