@@ -12,9 +12,13 @@ and its shape follow from the types of its two components.
 
 The arithmetic runs on packed ints.  A residue class is parity | unit << 1 |
 mask << 2, its signed discriminant being the square class unit * (L-mask);
-a group ring element is the pair (a, b) of packed residue classes.  The public
-classes are views of these, and each stores just its config and its packed
-value: an element's components are built from the pair when they are read.
+a group ring element is the pair (a, b) of packed residue classes.  The
+product of two residue classes is one closed form, residue_mul, which
+element_mul writes out for each of its four products.  The public classes are
+views of these, and each stores just its config and its packed value: an
+element's components are built from the pair when they are read, and both
+views print through _residue_text, so an element prints from its pair
+without building them.
 """
 
 from __future__ import annotations
@@ -59,15 +63,17 @@ def residue_mul(m: int, a: int, b: int) -> int:
     odd * odd is (1, d + d' + [-1]): <-d> * <-d'> = <d d'>, whose signed
     discriminant is -d d'.  odd * even is the even factor: <-d> * <1, -d'> =
     <-d, d d'>, whose signed discriminant is -(-d)(d d') = d'.  even * even
-    is zero: the fundamental ideal of the residue ring squares to zero.
+    is zero: the fundamental ideal of the residue ring squares to zero.  So
+    u*v = [v odd]u + [u odd]v, plus parity 1 and [-1] when both are odd, the
+    closed form element_mul writes out four times.
     """
-    if a & b & 1:
-        return a ^ b ^ (m << 1) ^ 1
-    if a & 1:
-        return b
-    if b & 1:
-        return a
-    return 0
+    return (a if b & 1 else 0) ^ (b if a & 1 else 0) ^ ((m << 1 | 1) if a & b & 1 else 0)
+
+
+def _residue_text(a: int) -> str:
+    """Text of a packed residue class: its parity and signed discriminant."""
+    # The discriminant's unit bit is bit 1 here and bit 0 of a label.
+    return f"(parity {a & 1}, disc {label(a >> 1 & 1 | a & ~3)})"
 
 
 def element_add(m: int, x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
@@ -89,8 +95,7 @@ def element_mul(m: int, x: tuple[int, int], y: tuple[int, int]) -> tuple[int, in
     so the ramified components multiply back into the residue component.
 
     The four residue_mul and two residue_add calls are written out, so that a
-    table row of check_ring_iso costs one call per entry.  residue_mul is
-    u*v = [v odd]u + [u odd]v, plus parity 1 and [-1] when both are odd.
+    table row of check_ring_iso costs one call per entry.
     """
     a, b = x
     c, d = y
@@ -194,9 +199,10 @@ def packed_group_ring_elements(cfg: CurveConfig) -> list[tuple[int, int]]:
 
 class _PackedView:
     """Storage and operators shared by the two views.  A view stores its
-    config and its packed value; a subclass names its packed zero and the
-    packed add, neg and mul it computes with, each taking the unit bit of -1
-    first.  An operand of another class gets NotImplemented."""
+    config and its packed value; a subclass names its packed zero, its packed
+    ones (the packed <1> when the unit bit of -1 is 0 and when it is 1) and
+    the packed add, neg and mul it computes with, each taking the unit bit
+    of -1 first.  An operand of another class gets NotImplemented."""
 
     __slots__ = ("config", "packed")
     _stored = __slots__
@@ -206,6 +212,13 @@ class _PackedView:
         if cfg.__class__ is not CurveConfig:
             check_config(cfg, f"{cls.__name__}.zero")
         return cls.from_packed(cfg, cls._zero)
+
+    @classmethod
+    def one(cls, cfg: CurveConfig) -> _PackedView:
+        """The class of <1>; its signed discriminant is the class of -1."""
+        if cfg.__class__ is not CurveConfig:
+            check_config(cfg, f"{cls.__name__}.one")
+        return cls.from_packed(cfg, cls._ones[cfg.minus_one])
 
     @property
     def is_zero(self) -> bool:
@@ -242,6 +255,7 @@ class ResidueWittClass(_PackedView, _Frozen):
     _fields = ("config", "parity", "disc_unit", "disc_mask")
 
     _zero = 0
+    _ones = (1, 3)
     _add = staticmethod(residue_add)
     _neg = staticmethod(residue_neg)
     _mul = staticmethod(residue_mul)
@@ -273,13 +287,6 @@ class ResidueWittClass(_PackedView, _Frozen):
         return x
 
     @classmethod
-    def one(cls, cfg: CurveConfig) -> "ResidueWittClass":
-        """Class of <1>; its signed discriminant is the class of -1."""
-        if cfg.__class__ is not CurveConfig:
-            check_config(cfg, "ResidueWittClass.one")
-        return cls.from_packed(cfg, 1 | cfg.minus_one << 1)
-
-    @classmethod
     def from_generators(
         cls, cfg: CurveConfig, gens: Iterable[Generator]
     ) -> "ResidueWittClass":
@@ -290,9 +297,7 @@ class ResidueWittClass(_PackedView, _Frozen):
         return cls.from_packed(cfg, packed_coordinates(cfg.minus_one, packed)[0])
 
     def __str__(self) -> str:
-        # The discriminant's unit bit is bit 1 here and bit 0 of a label.
-        packed = self.packed
-        return f"(parity {packed & 1}, disc {label(packed >> 1 & 1 | packed & ~3)})"
+        return _residue_text(self.packed)
 
 
 class GroupRingElement(_PackedView, _Frozen):
@@ -307,6 +312,7 @@ class GroupRingElement(_PackedView, _Frozen):
     _fields = ("a", "b")
 
     _zero = (0, 0)
+    _ones = ((1, 0), (3, 0))
     _add = staticmethod(element_add)
     _neg = staticmethod(element_neg)
     _mul = staticmethod(element_mul)
@@ -341,14 +347,9 @@ class GroupRingElement(_PackedView, _Frozen):
         _set(element, "packed", x)
         return element
 
-    @classmethod
-    def one(cls, cfg: CurveConfig) -> "GroupRingElement":
-        if cfg.__class__ is not CurveConfig:
-            check_config(cfg, "GroupRingElement.one")
-        return cls.from_packed(cfg, (1 | cfg.minus_one << 1, 0))
-
     def __str__(self) -> str:
-        return f"[{self.a} | pi: {self.b}]"
+        a, b = self.packed
+        return f"[{_residue_text(a)} | pi: {_residue_text(b)}]"
 
 
 def to_group_ring(form: DiagonalForm) -> GroupRingElement:

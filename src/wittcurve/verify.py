@@ -50,58 +50,55 @@ def _check_rank(cfg: CurveConfig, bound: int, suite: str) -> None:
         )
 
 
-# Spread summaries.  check_ring_iso decides its tables on ints in which each
-# count of a Summary (rank, ramified) and each bit of its two discriminants
-# (bits = picard_rank + 2 bits each) has its own 8-bit counter, counts
-# lowest.  An orthogonal sum of summaries is then one int addition, and
-# masking with _keep keeps the counts whole and the low bit of each
-# discriminant counter: exactly the spread of the summed Summary.  A table
-# total adds at most three spreads, so a count is at most 20 (ranks of at
-# most 4; a product total is two products of rank at most 4*2 and a negated
-# summary of rank at most 4) and a discriminant counter at most 3: no
-# counter carries into the next.
+class _Spreads(dict):
+    """The spread summaries check_ring_iso decides its tables on, and the Witt
+    triviality of each masked spread total, decided on first sight.
 
+    A spread is an int in which each count of a Summary (rank, ramified) and
+    each bit of its two discriminants (bits = picard_rank + 2 bits each) has
+    its own 8-bit counter, counts lowest; table[v] is v with bit i moved to
+    bit 8*i.  An orthogonal sum of summaries is then one int addition, and
+    masking with keep keeps the counts whole and the low bit of each
+    discriminant counter: exactly the spread of the summed Summary.  A table
+    total adds at most three spreads, so a count is at most 20 (ranks of at
+    most 4; a product total is two products of rank at most 4*2 and a negated
+    summary of rank at most 4) and a discriminant counter at most 3: no
+    counter carries into the next.
+    """
 
-def _spread_table(bits: int) -> list[int]:
-    """Entry v is v with bit i moved to bit 8*i, for every v < 2**bits."""
-    table = [0]
-    for i in range(bits):
-        table += [t | 1 << 8 * i for t in table]
-    return table
-
-
-def _spread(summary: Summary, bits: int, table: list[int]) -> int:
-    n, r, d, rd = summary
-    return n | r << 8 | (table[d] | table[rd] << 8 * bits) << 16
-
-
-def _keep(bits: int, table: list[int]) -> int:
-    """Mask of the whole count counters and the low bit of each discriminant counter."""
-    full = len(table) - 1
-    return _spread(Summary(255, 255, full, full), bits, table)
-
-
-def _unspread(key: int, bits: int) -> Summary:
-    """The Summary whose spread is the masked key."""
-    disc = ramified_disc = 0
-    for i in range(bits):
-        disc |= (key >> 16 + 8 * i & 1) << i
-        ramified_disc |= (key >> 16 + 8 * (bits + i) & 1) << i
-    return Summary(key & 255, key >> 8 & 255, disc, ramified_disc)
-
-
-class _Decisions(dict):
-    """Witt triviality of masked spread totals, each decided on first sight."""
-
-    __slots__ = ("minus_one", "bits")
+    __slots__ = ("minus_one", "bits", "table", "keep")
 
     def __init__(self, minus_one: int, bits: int) -> None:
         self.minus_one = minus_one
         self.bits = bits
+        self.table = table = [0]
+        for i in range(bits):
+            table += [t | 1 << 8 * i for t in table]
+        full = len(table) - 1
+        self.keep = self.spread(Summary(255, 255, full, full))
+
+    def spread(self, summary: Summary) -> int:
+        n, r, d, rd = summary
+        table = self.table
+        return n | r << 8 | (table[d] | table[rd] << 8 * self.bits) << 16
+
+    def summary(self, key: int) -> Summary:
+        """The Summary whose spread is the masked key: each discriminant is
+        the position of its counters in the table."""
+        discs = key >> 16
+        shift = 8 * self.bits
+        index = self.table.index
+        return Summary(
+            key & 255, key >> 8 & 255, index(discs & (1 << shift) - 1), index(discs >> shift)
+        )
 
     def __missing__(self, key: int) -> bool:
-        result = self[key] = summary_is_trivial(_unspread(key, self.bits), self.minus_one)
+        result = self[key] = summary_is_trivial(self.summary(key), self.minus_one)
         return result
+
+    def decided(self, totals: Iterable[int]) -> Iterator[bool]:
+        """The decision of each spread total."""
+        return map(self.__getitem__, map(and_, totals, repeat(self.keep)))
 
 
 class QuaternionDistinctnessReport(_Frozen):
@@ -260,14 +257,13 @@ def check_ring_iso(cfg: CurveConfig) -> RingIsoReport:
     from_group_ring.
 
     The group-ring engine fills the addition and multiplication tables one
-    row at a time; the invariant engine decides each entry on spread
-    summaries, so a table entry costs one lookup of the negated spread of
-    its element, two int additions and one lookup of the decision.  A sum
-    entry is S[x] + S[y] - S[x+y], with S the summaries of the
-    representatives.  The representative of y = (c, d) is the sum of those
-    of (c, 0) and (0, d), checked for every y, so by bilinearity of
-    Summary.times a product entry is S[x]*S[(c, 0)] + S[x]*S[(0, d)] -
-    S[x*y], and a row needs 2*4n products of summaries, not 16n^2.  Each
+    row at a time; the invariant engine decides each entry on the spread
+    summaries of _Spreads.  A sum entry is S[x] + S[y] - S[x+y], with S the
+    summaries of the representatives.  The representative of y = (c, d) is
+    the sum of those of (c, 0) and (0, d), checked for every y, so by
+    bilinearity of Summary.times a product entry is S[x]*S[(c, 0)] +
+    S[x]*S[(0, d)] - S[x*y], and a row needs 2*4n products of summaries, not
+    16n^2.  Each
     entry is decided once, and a failing pair is named from that decision:
     a failing row by its false entries, the addition of each pair before its
     multiplication, and a Witt-equal pair of the injectivity pass likewise.
@@ -294,21 +290,14 @@ def check_ring_iso(cfg: CurveConfig) -> RingIsoReport:
     if not roundtrip_ok:
         mismatch("from_group_ring does not invert to_group_ring")
 
-    bits = cfg.picard_rank + 2
-    table = _spread_table(bits)
-    keep = _keep(bits, table)
-    spread = [_spread(summary, bits, table) for summary in summaries]
-    spread_negated = [_spread(summary.negated(m), bits, table) for summary in summaries]
+    spreads = _Spreads(m, cfg.picard_rank + 2)
+    spread = list(map(spreads.spread, summaries))
+    spread_negated = [spreads.spread(summary.negated(m)) for summary in summaries]
     spread_negated_of = dict(zip(elements, spread_negated))
-    trivial = _Decisions(m, bits)
-
-    def decided(totals: Iterable[int]) -> Iterator[bool]:
-        """The decision of each spread total."""
-        return map(trivial.__getitem__, map(and_, totals, repeat(keep)))
 
     injective = True
     for i, total in enumerate(spread):
-        equal = decided(map(total.__add__, spread_negated[i + 1 :]))
+        equal = spreads.decided(map(total.__add__, spread_negated[i + 1 :]))
         for j in compress(range(i + 1, len(elements)), equal):
             injective = False
             mismatch(f"distinct elements {element(i)} and {element(j)} gave equal forms")
@@ -344,15 +333,15 @@ def check_ring_iso(cfg: CurveConfig) -> RingIsoReport:
         sums = map(
             add, map(spread[i].__add__, spread), map(spread_negated_of.__getitem__, add_row)
         )
-        by_left = [_spread(summary.times(a), bits, table) for a in left]
-        by_right = [_spread(summary.times(b), bits, table) for b in right]
+        by_left = list(map(spreads.spread, map(summary.times, left)))
+        by_right = list(map(spreads.spread, map(summary.times, right)))
         products = map(
             add,
             [l + r for l in by_left for r in by_right],
             map(spread_negated_of.__getitem__, mul_row),
         )
-        sums_ok = list(decided(sums))
-        products_ok = list(decided(products))
+        sums_ok = list(spreads.decided(sums))
+        products_ok = list(spreads.decided(products))
         if all(sums_ok) and all(products_ok):
             continue
         for j, (sum_ok, product_ok) in enumerate(zip(sums_ok, products_ok)):

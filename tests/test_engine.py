@@ -633,6 +633,7 @@ HOT_PATH_FRAMES = {
     "x + y": 4,
     "-x": 3,
     "x.a": 2,
+    "str(x)": 5,
     "a * b": 4,
     "g * h": 1,
     "b + c": 1,
@@ -653,6 +654,8 @@ def test_hot_paths_open_few_frames():
     x = to_group_ring(form)
     y = GroupRingElement.one(cfg)
     a, b = x.a, x.b
+    # The label table learns the texts of x's components.
+    str(x)
     g, h = form.entries[:2]
     c = invariant_profile(form).witt_inv
     # A small, singly spaced text whose terms the config has seen.
@@ -674,6 +677,7 @@ def test_hot_paths_open_few_frames():
         "x + y": lambda: x + y,
         "-x": lambda: -x,
         "x.a": lambda: x.a,
+        "str(x)": lambda: str(x),
         "a * b": lambda: a * b,
         "g * h": lambda: g * h,
         "b + c": lambda: c + c,

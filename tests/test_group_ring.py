@@ -162,6 +162,29 @@ def test_packed_group_ring_arithmetic_every_pair(q, rank):
             )
 
 
+@pytest.mark.parametrize("q", (1, 3))
+@pytest.mark.parametrize("rank", (0, 1))
+def test_element_mul_writes_out_residue_mul(q, rank):
+    # (a + <pi>b)(c + <pi>d) = (ac + bd) + <pi>(ad + bc), each product the one
+    # closed form residue_mul: element_mul inlines it four times.
+    cfg = CurveConfig(q, rank)
+    m = cfg.minus_one
+    elements = packed_group_ring_elements(cfg)
+    for (a, b), (c, d) in itertools.product(elements, repeat=2):
+        assert element_mul(m, (a, b), (c, d)) == (
+            residue_add(m, residue_mul(m, a, c), residue_mul(m, b, d)),
+            residue_add(m, residue_mul(m, a, d), residue_mul(m, b, c)),
+        )
+
+
+@pytest.mark.parametrize("q", (1, 3))
+@pytest.mark.parametrize("rank", (0, 1, 2))
+def test_element_prints_as_its_components(q, rank):
+    # An element prints from its packed pair, without building a, b.
+    for x in enumerate_group_ring_elements(CurveConfig(q, rank)):
+        assert str(x) == f"[{x.a} | pi: {x.b}]"
+
+
 # Both views compute through their packed functions, with one operator path.
 @pytest.mark.parametrize(
     "view, packed, zero, ops",
@@ -550,9 +573,9 @@ class TestFaultInjection:
         # The pairs are named from the spread decisions, so the report holds
         # the first pairs of row 0, the addition of each pair before its
         # multiplication.
-        unspread = verify._unspread
+        summary = verify._Spreads.summary
         monkeypatch.setattr(
-            verify, "_unspread", lambda key, bits: unspread(key, bits)._replace(rank=1)
+            verify._Spreads, "summary", lambda self, key: summary(self, key)._replace(rank=1)
         )
         cfg = CurveConfig(3, rank)
         report = check_ring_iso(cfg)

@@ -5,7 +5,8 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-COUNT_LINES = ROOT / "tools" / "count_lines.py"
+TOOLS = ROOT / "tools"
+COUNT_LINES = TOOLS / "count_lines.py"
 
 # Eight code lines: the import, the class and the two def lines, the call
 # wrapped over three lines, and the return with its trailing comment.
@@ -59,3 +60,38 @@ def test_count_lines_total_is_the_sum_of_the_module_rows():
     total = rows.pop("total")
     assert "group_ring.py" in rows
     assert total == sum(rows.values())
+
+
+def _measure(tool: str, small: str) -> list[str]:
+    """The lines tools/<tool>.py prints against this checkout as its parent,
+    with its round and size constants set small by the statements small."""
+    code = (
+        f"import sys; sys.path.insert(0, {str(TOOLS)!r}); import {tool}; {small}; "
+        f"sys.argv = [{tool}.__file__, '--parent', {str(ROOT)!r}]; sys.exit({tool}.main())"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    return result.stdout.splitlines()
+
+
+# Both scripts reach private names of the package (syntax._parse_with_cursor,
+# DiagonalForm._from_packed), so a refactor that breaks them fails here.
+def test_measure_syntax_prints_its_tables():
+    lines = _measure(
+        "measure_syntax",
+        "measure_syntax.ROUNDS = measure_syntax.CURSOR_ROUNDS = 1; "
+        "measure_syntax.ENTRIES = 64; measure_syntax.CALLS = 10",
+    )
+    assert lines[0].endswith("64 entries, best of 1 rounds")
+    assert "| | `r = 2` | `r = 16` |" in lines
+    assert "| `parse_form` at `r = 2`, per call | |" in lines
+
+
+def test_measure_suites_prints_its_tables():
+    lines = _measure(
+        "measure_suites", "measure_suites.ROUNDS = 1; measure_suites.CALL_SECONDS = 0"
+    )
+    assert lines[0].endswith("best of 1 rounds, q = 1 / q = 3")
+    assert lines.count("| Suite | `r = 0` | `r = 1` | `r = 2` |") == 2
+    assert "Median per-round ratio, this version over the parent:" in lines
+    assert sum(line.startswith("| `check_ring_iso` |") for line in lines) == 2

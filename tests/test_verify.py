@@ -50,13 +50,17 @@ def _summaries(bits):
 
 
 @settings(max_examples=300, deadline=None)
-@given(data=st.data(), rank=st.integers(0, verify.RING_ISO_RANK_BOUND))
-def test_masked_sum_of_three_spreads_is_the_summed_summary(data, rank):
+@given(
+    data=st.data(),
+    rank=st.integers(0, verify.RING_ISO_RANK_BOUND),
+    minus_one=st.integers(0, 1),
+)
+def test_masked_sum_of_three_spreads_is_the_summed_summary(data, rank, minus_one):
     bits = rank + 2
-    table = verify._spread_table(bits)
+    spreads = verify._Spreads(minus_one, bits)
     a, b, c = (data.draw(_summaries(bits)) for _ in range(3))
-    total = sum(verify._spread(s, bits, table) for s in (a, b, c))
-    assert verify._unspread(total & verify._keep(bits, table), bits) == a.plus(b).plus(c)
+    total = sum(map(spreads.spread, (a, b, c)))
+    assert spreads.summary(total & spreads.keep) == a.plus(b).plus(c)
 
 
 @pytest.mark.parametrize("q", (1, 3))

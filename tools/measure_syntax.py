@@ -84,7 +84,7 @@ class Version:
         self.cases = {}
         for rank in RANKS:
             rng = random.Random(rank)
-            cfg = package.make_config(3, rank)
+            cfg = package.CurveConfig(3, rank)
             packed = tuple(rng.getrandbits(rank + 2) for _ in range(ENTRIES))
             form = package.DiagonalForm._from_packed(cfg, packed)
             spelled = "<" + ",".join(
@@ -94,7 +94,7 @@ class Version:
                 if self.parse(text, cfg) != form or self.cursor(text, cfg) != form:
                     raise SystemExit(f"{package.__name__}: a parse at r = {rank} is wrong")
             self.cases[rank] = cfg, form, spelled
-        self.short_cfg = package.make_config(3, 2)
+        self.short_cfg = package.CurveConfig(3, 2)
 
     def rows(self) -> dict[str, tuple]:
         """Each row's name, call, rounds and the count its time is divided by."""
