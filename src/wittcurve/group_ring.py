@@ -11,14 +11,17 @@ shapes and the class census are its answers: a class's minimal representative
 and its shape follow from the types of its two components.
 
 The arithmetic runs on packed ints.  A residue class is parity | unit << 1 |
-mask << 2, its signed discriminant being the square class unit * (L-mask);
-a group ring element is the pair (a, b) of packed residue classes.  The
+mask << 2, its signed discriminant being the square class unit * (L-mask),
+an int below 1 << w with w = r + 2; a group ring element is the int
+a | b << w of its packed components.  The element operations take the
+config's law (M, w), where M = m | m << w puts the unit bit m of -1 at the
+parity bit of each component, and work on both components at once.  The
 product of two residue classes is one closed form, residue_mul, which
-element_mul writes out for each of its four products.  The public classes are
-views of these, and each stores just its config and its packed value: an
-element's components are built from the pair when they are read, and both
-views print through _residue_text, so an element prints from its pair
-without building them.
+element_mul applies to both components of its right factor.  The public
+classes are views of these, and each stores just its config and its packed
+value: an element's components are built from its int when they are read,
+and both views print through _residue_text, so an element prints from its
+int without building them.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from enum import Enum
 from functools import reduce
-from operator import xor
+from operator import attrgetter, xor
 
 from .forms import DiagonalForm
 from .groups import (
@@ -76,38 +79,40 @@ def _residue_text(a: int) -> str:
     return f"(parity {a & 1}, disc {label(a >> 1 & 1 | a & ~3)})"
 
 
-def element_add(m: int, x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
-    """residue_add on each component, written out so that a table row of
-    check_ring_iso costs one call per entry."""
-    a, b = x
-    c, d = y
-    return a ^ c ^ ((a & c & m) << 1), b ^ d ^ ((b & d & m) << 1)
+def element_add(law: tuple[int, int], x: int, y: int) -> int:
+    """residue_add on both components at once: the twist (x & y & M) << 1
+    moves only bit 0 to bit 1 and bit w to bit w + 1, so it never crosses
+    into the other component."""
+    return x ^ y ^ ((x & y & law[0]) << 1)
 
 
-def element_neg(m: int, x: tuple[int, int]) -> tuple[int, int]:
-    """residue_neg on each component, written out as element_add is."""
-    a, b = x
-    return a ^ ((a & m) << 1), b ^ ((b & m) << 1)
+def element_neg(law: tuple[int, int], x: int) -> int:
+    """residue_neg on both components at once, as element_add is."""
+    return x ^ ((x & law[0]) << 1)
 
 
-def element_mul(m: int, x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
+def element_mul(law: tuple[int, int], x: int, y: int) -> int:
     """(a + <pi>b)(c + <pi>d) = (ac + bd) + <pi>(ad + bc): <pi> squares to 1,
     so the ramified components multiply back into the residue component.
 
-    The four residue_mul and two residue_add calls are written out, so that a
-    table row of check_ring_iso costs one call per entry.
+    That is a*y + swap(b*y), where u*y multiplies the residue class u into
+    both components of y and swap exchanges the two components.  With P the
+    parity bits of both components, y & P holds the parity of c and of d, so
+    residue_mul's terms [c odd]u and [u odd](c + [c odd](1, [-1])) are
+    u * (y & P) and twisted, for both components at once.
     """
-    a, b = x
-    c, d = y
-    both_odd = m << 1 | 1
-    ac = (a if c & 1 else 0) ^ (c if a & 1 else 0) ^ (both_odd if a & c & 1 else 0)
-    bd = (b if d & 1 else 0) ^ (d if b & 1 else 0) ^ (both_odd if b & d & 1 else 0)
-    ad = (a if d & 1 else 0) ^ (d if a & 1 else 0) ^ (both_odd if a & d & 1 else 0)
-    bc = (b if c & 1 else 0) ^ (c if b & 1 else 0) ^ (both_odd if b & c & 1 else 0)
-    return ac ^ bd ^ ((ac & bd & m) << 1), ad ^ bc ^ ((ad & bc & m) << 1)
+    sign_masks, w = law
+    low = (1 << w) - 1
+    odd = y & low + 2
+    twisted = y ^ odd ^ (y & sign_masks) << 1
+    a, b = x & low, x >> w
+    ay = a * odd ^ (twisted if a & 1 else 0)
+    by = b * odd ^ (twisted if b & 1 else 0)
+    swapped = by >> w | (by & low) << w
+    return ay ^ swapped ^ ((ay & swapped & sign_masks) << 1)
 
 
-def packed_coordinates(m: int, packed: Iterable[int]) -> tuple[int, int]:
+def packed_coordinates(law: tuple[int, int], packed: Iterable[int]) -> int:
     """Packed group ring element of packed form entries: split by pi exponent.
 
     Each component is the residue class of its count entries, whose packed
@@ -115,6 +120,7 @@ def packed_coordinates(m: int, packed: Iterable[int]) -> tuple[int, int]:
     sign exponent count*(count+1)/2, which is odd exactly when (count + 1) >> 1
     is.
     """
+    m, w = law[0] & 1, law[1]
     packed = tuple(packed)
     ramified = tuple(filter((2).__and__, packed))
     ramified_count = len(ramified)
@@ -124,11 +130,12 @@ def packed_coordinates(m: int, packed: Iterable[int]) -> tuple[int, int]:
     return (
         residue_count & 1
         | ((residue_disc & 1) ^ ((residue_count + 1) >> 1 & m)) << 1
-        | residue_disc & ~3,
+        | residue_disc & ~3
+    ) | (
         ramified_count & 1
         | ((ramified_disc & 1) ^ ((ramified_count + 1) >> 1 & m)) << 1
-        | ramified_disc & ~3,
-    )
+        | ramified_disc & ~3
+    ) << w
 
 
 def _template(m: int, a: int) -> tuple[int, ...]:
@@ -143,9 +150,10 @@ def _template(m: int, a: int) -> tuple[int, ...]:
     return (partner,) if a & 1 else (0, partner)
 
 
-def packed_representative(m: int, x: tuple[int, int]) -> tuple[int, ...]:
+def packed_representative(law: tuple[int, int], x: int) -> tuple[int, ...]:
     """Packed entries of rep(a) + pi * rep(b), the minimal representative."""
-    return _template(m, x[0]) + tuple(map((2).__or__, _template(m, x[1])))
+    m, w = law[0] & 1, law[1]
+    return _template(m, x & (1 << w) - 1) + tuple(map((2).__or__, _template(m, x >> w)))
 
 
 class Shape(Enum):
@@ -191,18 +199,19 @@ def packed_residue_classes(cfg: CurveConfig) -> list[int]:
     ]
 
 
-def packed_group_ring_elements(cfg: CurveConfig) -> list[tuple[int, int]]:
-    """All 16n^2 packed elements a + <pi>*b."""
+def packed_group_ring_elements(cfg: CurveConfig) -> list[int]:
+    """All 16n^2 packed elements a + <pi>*b, by a and then by b."""
     classes = packed_residue_classes(cfg)
-    return [(a, b) for a in classes for b in classes]
+    return [a | b << cfg.picard_rank + 2 for a in classes for b in classes]
 
 
 class _PackedView:
     """Storage and operators shared by the two views.  A view stores its
-    config and its packed value; a subclass names its packed zero, its packed
-    ones (the packed <1> when the unit bit of -1 is 0 and when it is 1) and
-    the packed add, neg and mul it computes with, each taking the unit bit
-    of -1 first.  An operand of another class gets NotImplemented."""
+    config and its packed value, 0 for zero and minus_one << 1 | 1 for <1>
+    in both packings.  A subclass names _law,
+    which reads from the config what its packed add, neg and mul take first,
+    and those three functions.  An operand of another class gets
+    NotImplemented."""
 
     __slots__ = ("config", "packed")
     _stored = __slots__
@@ -211,36 +220,36 @@ class _PackedView:
     def zero(cls, cfg: CurveConfig) -> _PackedView:
         if cfg.__class__ is not CurveConfig:
             check_config(cfg, f"{cls.__name__}.zero")
-        return cls.from_packed(cfg, cls._zero)
+        return cls.from_packed(cfg, 0)
 
     @classmethod
     def one(cls, cfg: CurveConfig) -> _PackedView:
         """The class of <1>; its signed discriminant is the class of -1."""
         if cfg.__class__ is not CurveConfig:
             check_config(cfg, f"{cls.__name__}.one")
-        return cls.from_packed(cfg, cls._ones[cfg.minus_one])
+        return cls.from_packed(cfg, cfg.minus_one << 1 | 1)
 
     @property
     def is_zero(self) -> bool:
-        return self.packed == self._zero
+        return not self.packed
 
     def __add__(self, other: _PackedView) -> _PackedView:
         if other.__class__ is not self.__class__:
             return NotImplemented
         cfg = self.config
         require_same_config(cfg, other.config)
-        return self.from_packed(cfg, self._add(cfg.minus_one, self.packed, other.packed))
+        return self.from_packed(cfg, self._add(self._law(cfg), self.packed, other.packed))
 
     def __neg__(self) -> _PackedView:
         cfg = self.config
-        return self.from_packed(cfg, self._neg(cfg.minus_one, self.packed))
+        return self.from_packed(cfg, self._neg(self._law(cfg), self.packed))
 
     def __mul__(self, other: _PackedView) -> _PackedView:
         if other.__class__ is not self.__class__:
             return NotImplemented
         cfg = self.config
         require_same_config(cfg, other.config)
-        return self.from_packed(cfg, self._mul(cfg.minus_one, self.packed, other.packed))
+        return self.from_packed(cfg, self._mul(self._law(cfg), self.packed, other.packed))
 
 
 class ResidueWittClass(_PackedView, _Frozen):
@@ -254,8 +263,7 @@ class ResidueWittClass(_PackedView, _Frozen):
     __slots__ = ()
     _fields = ("config", "parity", "disc_unit", "disc_mask")
 
-    _zero = 0
-    _ones = (1, 3)
+    _law = attrgetter("minus_one")
     _add = staticmethod(residue_add)
     _neg = staticmethod(residue_neg)
     _mul = staticmethod(residue_mul)
@@ -294,7 +302,8 @@ class ResidueWittClass(_PackedView, _Frozen):
         packed = DiagonalForm(cfg, gens).packed
         if any(p & 2 for p in packed):
             raise ValueError("residue classes come from pi-free generators")
-        return cls.from_packed(cfg, packed_coordinates(cfg.minus_one, packed)[0])
+        # With no ramified entry, the ramified component is zero.
+        return cls.from_packed(cfg, packed_coordinates(cfg._ring_law, packed))
 
     def __str__(self) -> str:
         return _residue_text(self.packed)
@@ -303,22 +312,27 @@ class ResidueWittClass(_PackedView, _Frozen):
 class GroupRingElement(_PackedView, _Frozen):
     """Element a + <pi>*b of the group ring over the residue Witt ring.
 
-    The element stores packed, the pair (a.packed, b.packed), and builds the
-    residue component a and the ramified component b, the coefficient of
-    <pi>, as ResidueWittClass views when they are read.
+    The element stores packed, a.packed | b.packed << (picard_rank + 2), and
+    builds the residue component a and the ramified component b, the
+    coefficient of <pi>, as ResidueWittClass views when they are read.
     """
 
     __slots__ = ()
     _fields = ("a", "b")
 
-    _zero = (0, 0)
-    _ones = ((1, 0), (3, 0))
+    _law = attrgetter("_ring_law")
     _add = staticmethod(element_add)
     _neg = staticmethod(element_neg)
     _mul = staticmethod(element_mul)
 
-    a = property(lambda self: ResidueWittClass.from_packed(self.config, self.packed[0]))
-    b = property(lambda self: ResidueWittClass.from_packed(self.config, self.packed[1]))
+    @property
+    def a(self) -> ResidueWittClass:
+        cfg = self.config
+        return ResidueWittClass.from_packed(cfg, self.packed & (4 << cfg.picard_rank) - 1)
+
+    @property
+    def b(self) -> ResidueWittClass:
+        return ResidueWittClass.from_packed(self.config, self.packed >> self.config.picard_rank + 2)
 
     def __init__(self, a: ResidueWittClass, b: ResidueWittClass) -> None:
         if not (isinstance(a, ResidueWittClass) and isinstance(b, ResidueWittClass)):
@@ -327,29 +341,25 @@ class GroupRingElement(_PackedView, _Frozen):
         if a.config != b.config:
             raise ValueError("config mismatch: mixed group ring components")
         _set(self, "config", a.config)
-        _set(self, "packed", (a.packed, b.packed))
+        _set(self, "packed", a.packed | b.packed << a.config.picard_rank + 2)
 
     @classmethod
-    def from_packed(cls, cfg: CurveConfig, x: tuple[int, int]) -> "GroupRingElement":
-        """The element of the pair x of packed residue classes, each checked
-        with the one test of ResidueWittClass.from_packed."""
+    def from_packed(cls, cfg: CurveConfig, x: int) -> "GroupRingElement":
+        """The element a | b << (picard_rank + 2) of packed residue classes a
+        and b, checked with one test as ResidueWittClass.from_packed is."""
         if cfg.__class__ is not CurveConfig:
             check_config(cfg, "GroupRingElement.from_packed")
-        if type(x) is not tuple or len(x) != 2:
-            got = f"a tuple of {len(x)}" if type(x) is tuple else type(x).__name__
-            raise ValueError(f"a packed group ring element is a pair of ints, got {got}")
         rank = cfg.picard_rank
-        for packed in x:
-            if type(packed) is not int or packed >> rank + 2:
-                raise packed_error("residue class", packed, rank)
+        if type(x) is not int or x >> 2 * rank + 4:
+            raise packed_error("group ring element", x, rank)
         element = _new(cls)
         _set(element, "config", cfg)
         _set(element, "packed", x)
         return element
 
     def __str__(self) -> str:
-        a, b = self.packed
-        return f"[{_residue_text(a)} | pi: {_residue_text(b)}]"
+        x, w = self.packed, self.config.picard_rank + 2
+        return f"[{_residue_text(x & (1 << w) - 1)} | pi: {_residue_text(x >> w)}]"
 
 
 def to_group_ring(form: DiagonalForm) -> GroupRingElement:
@@ -357,7 +367,7 @@ def to_group_ring(form: DiagonalForm) -> GroupRingElement:
     if not isinstance(form, DiagonalForm):
         raise TypeError(f"to_group_ring() takes a DiagonalForm, got {type(form).__name__}")
     cfg = form.config
-    return GroupRingElement.from_packed(cfg, packed_coordinates(cfg.minus_one, form.packed))
+    return GroupRingElement.from_packed(cfg, packed_coordinates(cfg._ring_law, form.packed))
 
 
 def from_group_ring(x: GroupRingElement) -> DiagonalForm:
@@ -369,7 +379,7 @@ def from_group_ring(x: GroupRingElement) -> DiagonalForm:
     if not isinstance(x, GroupRingElement):
         raise TypeError(f"from_group_ring() takes a GroupRingElement, got {type(x).__name__}")
     cfg = x.config
-    return DiagonalForm._from_packed(cfg, packed_representative(cfg.minus_one, x.packed))
+    return DiagonalForm._from_packed(cfg, packed_representative(cfg._ring_law, x.packed))
 
 
 def inclusion(cls: ResidueWittClass) -> DiagonalForm:
@@ -389,9 +399,9 @@ def splitting_map(form: DiagonalForm) -> ResidueWittClass:
     if not isinstance(form, DiagonalForm):
         raise TypeError(f"splitting_map() takes a DiagonalForm, got {type(form).__name__}")
     cfg = form.config
-    m = cfg.minus_one
-    a, b = packed_coordinates(m, form.packed)
-    return ResidueWittClass.from_packed(cfg, residue_add(m, a, b))
+    x = packed_coordinates(cfg._ring_law, form.packed)
+    w = cfg.picard_rank + 2
+    return ResidueWittClass.from_packed(cfg, residue_add(cfg.minus_one, x & (1 << w) - 1, x >> w))
 
 
 def enumerate_residue_classes(cfg: CurveConfig) -> list[ResidueWittClass]:
@@ -431,8 +441,8 @@ def canonical_form(form: DiagonalForm) -> CanonicalShape:
     if not isinstance(form, DiagonalForm):
         raise TypeError(f"canonical_form() takes a DiagonalForm, got {type(form).__name__}")
     cfg = form.config
-    m = cfg.minus_one
-    payload = packed_representative(m, packed_coordinates(m, form.packed))
+    law = cfg._ring_law
+    payload = packed_representative(law, packed_coordinates(law, form.packed))
     tag = _SHAPE_BY_PI_BITS[tuple(map((2).__and__, payload))]
     return CanonicalShape(tag, DiagonalForm._from_packed(cfg, payload))
 

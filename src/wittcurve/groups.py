@@ -110,12 +110,14 @@ class CurveConfig(_Frozen):
     characteristic is rejected).  picard_rank is the rank r of the 2-torsion
     Picard group, so that group has order n = 2**r.  minus_one, which follows
     from q_mod_4 and takes no part in ==, hash or repr, is the unit bit of -1:
-    0 (a square) iff q = 1 mod 4 (Euler criterion).  _terms, the parser's
-    term table for this configuration, likewise takes no part in ==, hash,
-    repr or pickling; syntax fills it on the first parse.
+    0 (a square) iff q = 1 mod 4 (Euler criterion).  _ring_law, the pair
+    (m | m << w, w) with m = minus_one and w = picard_rank + 2 that the packed
+    group ring operations of group_ring take, and _terms, the parser's term
+    table for this configuration, likewise take no part in ==, hash, repr or
+    pickling; syntax fills _terms on the first parse.
     """
 
-    __slots__ = ("q_mod_4", "picard_rank", "minus_one", "_terms")
+    __slots__ = ("q_mod_4", "picard_rank", "minus_one", "_ring_law", "_terms")
     _fields = ("q_mod_4", "picard_rank")
 
     def __init__(self, q_mod_4: int, picard_rank: int) -> None:
@@ -127,7 +129,9 @@ class CurveConfig(_Frozen):
         check_rank(picard_rank, "picard_rank")
         _set(self, "q_mod_4", q_mod_4)
         _set(self, "picard_rank", picard_rank)
-        _set(self, "minus_one", 1 if q_mod_4 == 3 else 0)
+        m = 1 if q_mod_4 == 3 else 0
+        _set(self, "minus_one", m)
+        _set(self, "_ring_law", (m | m << picard_rank + 2, picard_rank + 2))
         _set(self, "_terms", None)
 
     @property
@@ -181,7 +185,8 @@ def check_mask(mask: int, rank: int) -> None:
 
 def packed_error(what: str, packed: object, rank: int) -> ValueError:
     """The one error of a from_packed constructor: packed is not an int in
-    0..2**(rank + 2) - 1 (for a Brauer class, also with bit 1 clear)."""
+    0..2**(rank + 2) - 1 (for a Brauer class, also with bit 1 clear; for a
+    group ring element, of two such components, 0..2**(2 * rank + 4) - 1)."""
     return ValueError(f"not a packed {what} of rank {rank}: {int_text(packed)}")
 
 

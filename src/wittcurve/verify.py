@@ -59,11 +59,12 @@ class _Spreads(dict):
     its own 8-bit counter, counts lowest; table[v] is v with bit i moved to
     bit 8*i.  An orthogonal sum of summaries is then one int addition, and
     masking with keep keeps the counts whole and the low bit of each
-    discriminant counter: exactly the spread of the summed Summary.  A table
-    total adds at most three spreads, so a count is at most 20 (ranks of at
-    most 4; a product total is two products of rank at most 4*2 and a negated
-    summary of rank at most 4) and a discriminant counter at most 3: no
-    counter carries into the next.
+    discriminant counter: exactly the spread of the summed Summary.  A
+    representative has at most 4 entries, and one of a component at most 2.
+    A sum total adds three spreads of rank at most 4; a product total adds
+    four products of components, each of rank at most 2*2, and a negated
+    summary of rank at most 4.  So a count is at most 20 and a discriminant
+    counter at most 5: no counter carries into the next.
     """
 
     __slots__ = ("minus_one", "bits", "table", "keep")
@@ -91,6 +92,10 @@ class _Spreads(dict):
         return Summary(
             key & 255, key >> 8 & 255, index(discs & (1 << shift) - 1), index(discs >> shift)
         )
+
+    def products(self, factors: list[Summary], by: list[Summary]) -> list[list[int]]:
+        """Row i holds the spread of factors[i] * by[j] at j."""
+        return [list(map(self.spread, map(f.times, by))) for f in factors]
 
     def __missing__(self, key: int) -> bool:
         result = self[key] = summary_is_trivial(self.summary(key), self.minus_one)
@@ -261,12 +266,13 @@ def check_ring_iso(cfg: CurveConfig) -> RingIsoReport:
     summaries of _Spreads.  A sum entry is S[x] + S[y] - S[x+y], with S the
     summaries of the representatives.  The representative of y = (c, d) is
     the sum of those of (c, 0) and (0, d), checked for every y, so by
-    bilinearity of Summary.times a product entry is S[x]*S[(c, 0)] +
-    S[x]*S[(0, d)] - S[x*y], and a row needs 2*4n products of summaries, not
-    16n^2.  Each
-    entry is decided once, and a failing pair is named from that decision:
-    a failing row by its false entries, the addition of each pair before its
-    multiplication, and a Witt-equal pair of the injectivity pass likewise.
+    bilinearity of Summary.times on both sides, with x = (a, b), a product
+    entry is S[(a, 0)]*S[(c, 0)] + S[(0, b)]*S[(c, 0)] + S[(a, 0)]*S[(0, d)]
+    + S[(0, b)]*S[(0, d)] - S[x*y]: four tables of (4n)^2 products of
+    component summaries serve every row.  Each entry is decided once, and a
+    failing pair is named from that decision: a failing row by its false
+    entries, the addition of each pair before its multiplication, and a
+    Witt-equal pair of the injectivity pass likewise.
     A sample of pairs that meets every row and every column builds the real
     sum and tensor product and checks that their summaries are the ones the
     tables were decided on.
@@ -274,8 +280,9 @@ def check_ring_iso(cfg: CurveConfig) -> RingIsoReport:
     check_config(cfg, "check_ring_iso")
     _check_rank(cfg, RING_ISO_RANK_BOUND, "exhaustive ring comparison")
     m = cfg.minus_one
+    law = cfg._ring_law
     elements = packed_group_ring_elements(cfg)
-    reps = [packed_representative(m, x) for x in elements]
+    reps = [packed_representative(law, x) for x in elements]
     summaries = [summarize(rep) for rep in reps]
     mismatches: list[str] = []
 
@@ -286,7 +293,7 @@ def check_ring_iso(cfg: CurveConfig) -> RingIsoReport:
     def element(i: int) -> GroupRingElement:
         return GroupRingElement.from_packed(cfg, elements[i])
 
-    roundtrip_ok = all(packed_coordinates(m, rep) == x for x, rep in zip(elements, reps))
+    roundtrip_ok = all(packed_coordinates(law, rep) == x for x, rep in zip(elements, reps))
     if not roundtrip_ok:
         mismatch("from_group_ring does not invert to_group_ring")
 
@@ -326,15 +333,21 @@ def check_ring_iso(cfg: CurveConfig) -> RingIsoReport:
         if summaries[j] != a.plus(b):
             mismatch(f"summary of {element(j)} is not the sum of its components' summaries")
 
+    # Row a of left_left holds the spreads of S[(a, 0)]*S[(c, 0)] for every c,
+    # and likewise for the other three component tables; the row of element
+    # i = a*4n + b adds row a of a left_* table to row b of a right_* one.
+    left_left, right_left = spreads.products(left, left), spreads.products(right, left)
+    left_right, right_right = spreads.products(left, right), spreads.products(right, right)
+
     for i, x in enumerate(elements):
-        summary = summaries[i]
-        add_row = list(map(element_add, repeat(m), repeat(x), elements))
-        mul_row = list(map(element_mul, repeat(m), repeat(x), elements))
+        a, b = divmod(i, width)
+        add_row = list(map(element_add, repeat(law), repeat(x), elements))
+        mul_row = list(map(element_mul, repeat(law), repeat(x), elements))
         sums = map(
             add, map(spread[i].__add__, spread), map(spread_negated_of.__getitem__, add_row)
         )
-        by_left = list(map(spreads.spread, map(summary.times, left)))
-        by_right = list(map(spreads.spread, map(summary.times, right)))
+        by_left = map(add, left_left[a], right_left[b])
+        by_right = list(map(add, left_right[a], right_right[b]))
         products = map(
             add,
             [l + r for l in by_left for r in by_right],

@@ -201,9 +201,10 @@ def pairwise_ring_iso(cfg: CurveConfig) -> RingIsoReport:
     up at call time, so a fault patched into verify reaches both checks.
     """
     m = cfg.minus_one
+    law = cfg._ring_law
     elements = packed_group_ring_elements(cfg)
     index = {x: i for i, x in enumerate(elements)}
-    reps = [packed_representative(m, x) for x in elements]
+    reps = [packed_representative(law, x) for x in elements]
     summaries = [summarize(rep) for rep in reps]
     negated = [summary.negated(m) for summary in summaries]
     mismatches = []
@@ -215,7 +216,7 @@ def pairwise_ring_iso(cfg: CurveConfig) -> RingIsoReport:
     def element(i):
         return GroupRingElement.from_packed(cfg, elements[i])
 
-    roundtrip_ok = all(packed_coordinates(m, rep) == x for x, rep in zip(elements, reps))
+    roundtrip_ok = all(packed_coordinates(law, rep) == x for x, rep in zip(elements, reps))
     if not roundtrip_ok:
         mismatch("from_group_ring does not invert to_group_ring")
 
@@ -240,8 +241,8 @@ def pairwise_ring_iso(cfg: CurveConfig) -> RingIsoReport:
     additions = multiplications = 0
     for i, x in enumerate(elements):
         summary = summaries[i]
-        add_row = [index[verify.element_add(m, x, y)] for y in elements]
-        mul_row = [index[verify.element_mul(m, x, y)] for y in elements]
+        add_row = [index[verify.element_add(law, x, y)] for y in elements]
+        mul_row = [index[verify.element_mul(law, x, y)] for y in elements]
         for j, other in enumerate(summaries):
             if not summary_is_trivial(summary.plus(other).plus(negated[add_row[j]]), m):
                 mismatch(f"addition mismatch at {element(i)}, {element(j)}")

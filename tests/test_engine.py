@@ -541,8 +541,11 @@ def test_sign_twist_at_every_count_mod_4(data, q, counts_mod_4):
 
     # The group-ring coordinates against residue classes built entry by entry.
     unramified = [Generator(g.unit, 0, g.mask, rank) for g in ramified]
-    expected = residue_class_of(cfg, pi_free).packed, residue_class_of(cfg, unramified).packed
-    assert packed_coordinates(m, [g.packed for g in entries]) == expected
+    expected = (
+        residue_class_of(cfg, pi_free).packed
+        | residue_class_of(cfg, unramified).packed << rank + 2
+    )
+    assert packed_coordinates(cfg._ring_law, [g.packed for g in entries]) == expected
 
     # The summary decision against the reference, also after the last entry
     # takes on the signed discriminant: that keeps both counts and, when d is

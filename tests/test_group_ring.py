@@ -6,6 +6,8 @@ import pickle
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wittcurve import (
     CurveConfig,
@@ -162,19 +164,67 @@ def test_packed_group_ring_arithmetic_every_pair(q, rank):
             )
 
 
-@pytest.mark.parametrize("q", (1, 3))
-@pytest.mark.parametrize("rank", (0, 1))
-def test_element_mul_writes_out_residue_mul(q, rank):
-    # (a + <pi>b)(c + <pi>d) = (ac + bd) + <pi>(ad + bc), each product the one
-    # closed form residue_mul: element_mul inlines it four times.
-    cfg = CurveConfig(q, rank)
+def _assert_element_ops_are_residue_ops(cfg, a, b, c, d):
+    """element_add, element_neg and element_mul on a | b << w and c | d << w
+    against residue_add, residue_neg and residue_mul on the components:
+    (a + <pi>b)(c + <pi>d) = (ac + bd) + <pi>(ad + bc)."""
     m = cfg.minus_one
-    elements = packed_group_ring_elements(cfg)
-    for (a, b), (c, d) in itertools.product(elements, repeat=2):
-        assert element_mul(m, (a, b), (c, d)) == (
-            residue_add(m, residue_mul(m, a, c), residue_mul(m, b, d)),
-            residue_add(m, residue_mul(m, a, d), residue_mul(m, b, c)),
-        )
+    law = cfg._ring_law
+    w = cfg.picard_rank + 2
+    x, y = a | b << w, c | d << w
+    assert element_add(law, x, y) == residue_add(m, a, c) | residue_add(m, b, d) << w
+    assert element_neg(law, x) == residue_neg(m, a) | residue_neg(m, b) << w
+    assert element_mul(law, x, y) == (
+        residue_add(m, residue_mul(m, a, c), residue_mul(m, b, d))
+        | residue_add(m, residue_mul(m, a, d), residue_mul(m, b, c)) << w
+    )
+
+
+@pytest.mark.parametrize("q", (1, 3))
+@pytest.mark.parametrize("rank", (0, 1, 2))
+def test_element_mul_writes_out_residue_mul(q, rank):
+    # Every pair, with add and neg too: the int element operations work on
+    # both components at once.
+    cfg = CurveConfig(q, rank)
+    classes = packed_residue_classes(cfg)
+    for a, b, c, d in itertools.product(classes, repeat=4):
+        _assert_element_ops_are_residue_ops(cfg, a, b, c, d)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), q=st.sampled_from((1, 3)), rank=st.integers(0, 300))
+def test_element_ops_never_carry_between_components(data, q, rank):
+    # Random components at ranks up to 300, odd and with the unit bit set
+    # often, so that a twist or a product crossing bit w would show.
+    component = st.integers(0, (4 << rank) - 1) | st.sampled_from((1, 3, (4 << rank) - 1))
+    a, b, c, d = (data.draw(component) for _ in range(4))
+    _assert_element_ops_are_residue_ops(CurveConfig(q, rank), a, b, c, d)
+
+
+@pytest.mark.parametrize("q", (1, 3))
+@pytest.mark.parametrize("rank", (0, 1, 2))
+def test_component_tables_give_each_product_row(q, rank):
+    # With x = (a, b), S[x] = S[(a, 0)] + S[(0, b)], so the product row of x
+    # against each component summary is the sum of two table rows, masked.
+    cfg = CurveConfig(q, rank)
+    law = cfg._ring_law
+    w = rank + 2
+    spreads = verify._Spreads(cfg.minus_one, w)
+    classes = packed_residue_classes(cfg)
+    left = [summarize(packed_representative(law, c)) for c in classes]
+    right = [summarize(packed_representative(law, d << w)) for d in classes]
+    left_left, right_left = spreads.products(left, left), spreads.products(right, left)
+    left_right, right_right = spreads.products(left, right), spreads.products(right, right)
+    keep = spreads.keep
+    for (i, a), (j, b) in itertools.product(enumerate(classes), repeat=2):
+        summary = summarize(packed_representative(law, a | b << w))
+        for k, (by_left, by_right) in enumerate(zip(left, right)):
+            assert (left_left[i][k] + right_left[j][k]) & keep == spreads.spread(
+                summary.times(by_left)
+            )
+            assert (left_right[i][k] + right_right[j][k]) & keep == spreads.spread(
+                summary.times(by_right)
+            )
 
 
 @pytest.mark.parametrize("q", (1, 3))
@@ -193,7 +243,7 @@ def test_element_prints_as_its_components(q, rank):
         (
             GroupRingElement,
             packed_group_ring_elements,
-            (0, 0),
+            0,
             (element_add, element_neg, element_mul),
         ),
     ],
@@ -206,7 +256,7 @@ def test_element_prints_as_its_components(q, rank):
 )
 def test_views_share_one_operator_path(view, packed, zero, ops, cfg, other_cfg):
     add, neg, mul = ops
-    m = cfg.minus_one
+    law = view._law(cfg)
     for op in (operator.add, operator.mul):
         with pytest.raises(ValueError) as exc:
             op(view.one(cfg), view.one(other_cfg))
@@ -214,13 +264,13 @@ def test_views_share_one_operator_path(view, packed, zero, ops, cfg, other_cfg):
     assert view.zero(cfg) == view.from_packed(cfg, zero)
     xs = [view.from_packed(cfg, p) for p in packed(cfg)]
     for x in xs:
-        assert (-x).packed == neg(m, x.packed)
+        assert (-x).packed == neg(law, x.packed)
         assert x.is_zero == (x.packed == zero)
         copy = pickle.loads(pickle.dumps(x))
         assert copy == x and hash(copy) == hash(x) and repr(copy) == repr(x)
         for y in xs:
-            assert (x + y).packed == add(m, x.packed, y.packed)
-            assert (x * y).packed == mul(m, x.packed, y.packed)
+            assert (x + y).packed == add(law, x.packed, y.packed)
+            assert (x * y).packed == mul(law, x.packed, y.packed)
 
 class TestGroupRingCoordinates:
     def test_pi_maps_to_ramified_one(self, cfg):
@@ -373,7 +423,7 @@ class TestRingIsomorphism:
 
 def _drop_minus_one(operation):
     """The group-ring operation computed as if -1 were a square."""
-    return lambda m, x, y: operation(0, x, y)
+    return lambda law, x, y: operation((0, law[1]), x, y)
 
 
 def _shift_ramified(offset):
@@ -410,8 +460,8 @@ def _wrong_once(operation, elements, i, j):
     """operation with its result at the pair (i, j) replaced by another
     element; distinct elements are Witt-distinct."""
 
-    def wrong(m, x, y):
-        result = operation(m, x, y)
+    def wrong(law, x, y):
+        result = operation(law, x, y)
         if (x, y) == (elements[i], elements[j]):
             return elements[elements.index(result) - 1]
         return result
@@ -463,9 +513,10 @@ class TestFaultInjection:
         # S[(c, d)] is no longer S[(c, 0)] + S[(0, d)] for d nonzero.
         representative = verify.packed_representative
 
-        def padded(m, x):
-            rep = representative(m, x)
-            return rep + (0, m) if x[0] and not x[1] else rep
+        def padded(law, x):
+            rep = representative(law, x)
+            w = law[1]
+            return rep + (0, law[0] & 1) if x & (1 << w) - 1 and not x >> w else rep
 
         monkeypatch.setattr(verify, "packed_representative", padded)
         cfg = CurveConfig(q, rank)
@@ -483,11 +534,12 @@ class TestFaultInjection:
     def test_injectivity_names_a_witt_equal_pair(self, monkeypatch, q, rank):
         cfg = CurveConfig(q, rank)
         m = cfg.minus_one
+        law = cfg._ring_law
         elements = packed_group_ring_elements(cfg)
         i, j = 1, len(elements) - 2
         # The invariant engine calls the representatives of i and j equal.
-        equal = summarize(packed_representative(m, elements[i])).plus(
-            summarize(packed_representative(m, elements[j])).negated(m)
+        equal = summarize(packed_representative(law, elements[i])).plus(
+            summarize(packed_representative(law, elements[j])).negated(m)
         )
         decide = verify.summary_is_trivial
         monkeypatch.setattr(
@@ -526,13 +578,12 @@ class TestFaultInjection:
     def test_roundtrip_fault_is_reported(self, monkeypatch, q, rank):
         # The group-ring engine reads the last representative as zero.
         cfg = CurveConfig(q, rank)
-        m = cfg.minus_one
-        last = packed_representative(m, packed_group_ring_elements(cfg)[-1])
+        last = packed_representative(cfg._ring_law, packed_group_ring_elements(cfg)[-1])
         coordinates = verify.packed_coordinates
         monkeypatch.setattr(
             verify,
             "packed_coordinates",
-            lambda m, rep: (0, 0) if rep == last else coordinates(m, rep),
+            lambda law, rep: 0 if rep == last else coordinates(law, rep),
         )
         report = check_ring_iso(cfg)
         assert not report.roundtrip_ok

@@ -66,23 +66,18 @@ def test_masked_sum_of_three_spreads_is_the_summed_summary(data, rank, minus_one
 @pytest.mark.parametrize("q", (1, 3))
 def test_table_totals_fit_their_counters_at_the_rank_bound(q):
     # The largest count any table total reaches: an addition total adds three
-    # representatives' summaries, a product total two products by component
+    # representatives' summaries, a product total four products of component
     # summaries and one negated summary.
     cfg = CurveConfig(q, verify.RING_ISO_RANK_BOUND)
-    m = cfg.minus_one
-    summaries = [summarize(packed_representative(m, x)) for x in packed_group_ring_elements(cfg)]
+    law = cfg._ring_law
+    w = cfg.picard_rank + 2
+    summaries = [summarize(packed_representative(law, x)) for x in packed_group_ring_elements(cfg)]
     classes = packed_residue_classes(cfg)
-    left = [summarize(packed_representative(m, (c, 0))) for c in classes]
-    right = [summarize(packed_representative(m, (0, d))) for d in classes]
+    left = [summarize(packed_representative(law, c)) for c in classes]
+    right = [summarize(packed_representative(law, d << w)) for d in classes]
+    components = left + right
     rank = max(s.rank for s in summaries)
-    largest = max(
-        3 * rank,
-        max(
-            max(x.times(a).rank for a in left) + max(x.times(b).rank for b in right)
-            for x in summaries
-        )
-        + rank,
-    )
+    largest = max(3 * rank, 4 * max(x.times(y).rank for x in components for y in components) + rank)
     assert largest == 20
     assert largest < 256
     assert all(s.ramified <= s.rank for s in summaries)

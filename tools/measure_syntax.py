@@ -14,8 +14,9 @@ times the fixed cost of a call: the best of 101 rounds of 2000 calls on
 each of a few short texts.
 
 With --parent, the package under DIR/src is loaded too, under another name, and
-each round times both versions in turn; its figures follow in brackets.  Every
-parse is checked against the form it spells.
+each round times both versions in turn, taking turns at going first, as
+tools/measure_suites.py does; its figures follow in brackets.  Every parse is
+checked against the form it spells.
 """
 
 from __future__ import annotations
@@ -134,7 +135,7 @@ def main() -> int:
     try:
         for i in range(ROUNDS):
             for name in rows[0]:
-                for side in range(len(versions)):
+                for side in (0, 1)[: len(versions)][:: -1 if i % 2 else 1]:
                     call, rounds, count = rows[side][name]
                     if rounds is not None and i >= rounds:
                         continue
