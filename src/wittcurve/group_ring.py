@@ -14,8 +14,10 @@ The arithmetic runs on packed ints.  A residue class is parity | unit << 1 |
 mask << 2, its signed discriminant being the square class unit * (L-mask),
 an int below 1 << w with w = r + 2; a group ring element is the int
 a | b << w of its packed components.  The element operations take the
-config's law (M, w), where M = m | m << w puts the unit bit m of -1 at the
-parity bit of each component, and work on both components at once.  The
+config's law (M, w, low, parity), where M = m | m << w puts the unit bit m
+of -1 at the parity bit of each component, low = 2^w - 1 masks the residue
+component and parity = 2^w + 1 holds the parity bit of each, and work on
+both components at once.  The
 product of two residue classes is one closed form, residue_mul, which
 element_mul applies to both components of its right factor.  The public
 classes are views of these, and each stores just its config and its packed
@@ -79,19 +81,19 @@ def _residue_text(a: int) -> str:
     return f"(parity {a & 1}, disc {label(a >> 1 & 1 | a & ~3)})"
 
 
-def element_add(law: tuple[int, int], x: int, y: int) -> int:
+def element_add(law: tuple[int, int, int, int], x: int, y: int) -> int:
     """residue_add on both components at once: the twist (x & y & M) << 1
     moves only bit 0 to bit 1 and bit w to bit w + 1, so it never crosses
-    into the other component."""
+    into the other component, nor out of a lane of lane_law."""
     return x ^ y ^ ((x & y & law[0]) << 1)
 
 
-def element_neg(law: tuple[int, int], x: int) -> int:
+def element_neg(law: tuple[int, int, int, int], x: int) -> int:
     """residue_neg on both components at once, as element_add is."""
     return x ^ ((x & law[0]) << 1)
 
 
-def element_mul(law: tuple[int, int], x: int, y: int) -> int:
+def element_mul(law: tuple[int, int, int, int], x: int, y: int) -> int:
     """(a + <pi>b)(c + <pi>d) = (ac + bd) + <pi>(ad + bc): <pi> squares to 1,
     so the ramified components multiply back into the residue component.
 
@@ -100,19 +102,35 @@ def element_mul(law: tuple[int, int], x: int, y: int) -> int:
     parity bits of both components, y & P holds the parity of c and of d, so
     residue_mul's terms [c odd]u and [u odd](c + [c odd](1, [-1])) are
     u * (y & P) and twisted, for both components at once.
+
+    The same call multiplies one element x into every lane of y under
+    lane_law.  A lane of y & P is one of 0, 1, 2^w and 2^w + 1, and a < 2^w,
+    so a * (y & P) stays below 2^(2w) in each lane; the twists move bit 0 to
+    1 and bit w to w + 1; and the swap masks its down-shift with low, which
+    changes nothing for a single element (b*y < 2^(2w)) and keeps a lane's
+    residue half out of the lane below.  No bit crosses into another lane.
     """
-    sign_masks, w = law
-    low = (1 << w) - 1
-    odd = y & low + 2
+    sign_masks, w, low, parity = law
+    odd = y & parity
     twisted = y ^ odd ^ (y & sign_masks) << 1
     a, b = x & low, x >> w
     ay = a * odd ^ (twisted if a & 1 else 0)
     by = b * odd ^ (twisted if b & 1 else 0)
-    swapped = by >> w | (by & low) << w
+    swapped = by >> w & low | (by & low) << w
     return ay ^ swapped ^ ((ay & swapped & sign_masks) << 1)
 
 
-def packed_coordinates(law: tuple[int, int], packed: Iterable[int]) -> int:
+def lane_law(law: tuple[int, int, int, int], ones: int) -> tuple[int, int, int, int]:
+    """The law with its masks repeated at each set bit of ones: the element
+    operations then work on every lane of an int at once, one element per
+    lane.  A lane must hold the 2w bits of an element, so the set bits of
+    ones are 2w or more apart; element_mul takes a single element, below
+    2^(2w), as its left factor."""
+    sign_masks, w, low, parity = law
+    return sign_masks * ones, w, low * ones, parity * ones
+
+
+def packed_coordinates(law: tuple[int, int, int, int], packed: Iterable[int]) -> int:
     """Packed group ring element of packed form entries: split by pi exponent.
 
     Each component is the residue class of its count entries, whose packed
@@ -150,10 +168,11 @@ def _template(m: int, a: int) -> tuple[int, ...]:
     return (partner,) if a & 1 else (0, partner)
 
 
-def packed_representative(law: tuple[int, int], x: int) -> tuple[int, ...]:
+def packed_representative(law: tuple[int, int, int, int], x: int) -> tuple[int, ...]:
     """Packed entries of rep(a) + pi * rep(b), the minimal representative."""
-    m, w = law[0] & 1, law[1]
-    return _template(m, x & (1 << w) - 1) + tuple(map((2).__or__, _template(m, x >> w)))
+    sign_masks, w, low, _ = law
+    m = sign_masks & 1
+    return _template(m, x & low) + tuple(map((2).__or__, _template(m, x >> w)))
 
 
 class Shape(Enum):
@@ -328,7 +347,7 @@ class GroupRingElement(_PackedView, _Frozen):
     @property
     def a(self) -> ResidueWittClass:
         cfg = self.config
-        return ResidueWittClass.from_packed(cfg, self.packed & (4 << cfg.picard_rank) - 1)
+        return ResidueWittClass.from_packed(cfg, self.packed & cfg._ring_law[2])
 
     @property
     def b(self) -> ResidueWittClass:
@@ -358,8 +377,9 @@ class GroupRingElement(_PackedView, _Frozen):
         return element
 
     def __str__(self) -> str:
-        x, w = self.packed, self.config.picard_rank + 2
-        return f"[{_residue_text(x & (1 << w) - 1)} | pi: {_residue_text(x >> w)}]"
+        x = self.packed
+        _, w, low, _ = self.config._ring_law
+        return f"[{_residue_text(x & low)} | pi: {_residue_text(x >> w)}]"
 
 
 def to_group_ring(form: DiagonalForm) -> GroupRingElement:
@@ -399,9 +419,9 @@ def splitting_map(form: DiagonalForm) -> ResidueWittClass:
     if not isinstance(form, DiagonalForm):
         raise TypeError(f"splitting_map() takes a DiagonalForm, got {type(form).__name__}")
     cfg = form.config
-    x = packed_coordinates(cfg._ring_law, form.packed)
-    w = cfg.picard_rank + 2
-    return ResidueWittClass.from_packed(cfg, residue_add(cfg.minus_one, x & (1 << w) - 1, x >> w))
+    law = cfg._ring_law
+    x = packed_coordinates(law, form.packed)
+    return ResidueWittClass.from_packed(cfg, residue_add(cfg.minus_one, x & law[2], x >> law[1]))
 
 
 def enumerate_residue_classes(cfg: CurveConfig) -> list[ResidueWittClass]:

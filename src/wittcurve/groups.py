@@ -110,9 +110,11 @@ class CurveConfig(_Frozen):
     characteristic is rejected).  picard_rank is the rank r of the 2-torsion
     Picard group, so that group has order n = 2**r.  minus_one, which follows
     from q_mod_4 and takes no part in ==, hash or repr, is the unit bit of -1:
-    0 (a square) iff q = 1 mod 4 (Euler criterion).  _ring_law, the pair
-    (m | m << w, w) with m = minus_one and w = picard_rank + 2 that the packed
-    group ring operations of group_ring take, and _terms, the parser's term
+    0 (a square) iff q = 1 mod 4 (Euler criterion).  _ring_law, the tuple
+    (m | m << w, w, 2^w - 1, 2^w + 1) with m = minus_one and
+    w = picard_rank + 2 that the packed group ring operations of group_ring
+    take (the sign bits, the component width, the residue component mask and
+    the parity bits of both components), and _terms, the parser's term
     table for this configuration, likewise take no part in ==, hash, repr or
     pickling; syntax fills _terms on the first parse.
     """
@@ -131,7 +133,8 @@ class CurveConfig(_Frozen):
         _set(self, "picard_rank", picard_rank)
         m = 1 if q_mod_4 == 3 else 0
         _set(self, "minus_one", m)
-        _set(self, "_ring_law", (m | m << picard_rank + 2, picard_rank + 2))
+        w = picard_rank + 2
+        _set(self, "_ring_law", (m | m << w, w, (1 << w) - 1, (1 << w) + 1))
         _set(self, "_terms", None)
 
     @property

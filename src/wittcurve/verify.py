@@ -27,6 +27,7 @@ from .group_ring import (
     GroupRingElement,
     element_add,
     element_mul,
+    lane_law,
     packed_coordinates,
     packed_group_ring_elements,
     packed_representative,
@@ -36,7 +37,8 @@ from .group_ring import (
 # mismatch at all fails it.
 MAX_MISMATCHES = 10
 
-# check_ring_iso refuses a picard_rank above this.
+# check_ring_iso refuses a picard_rank above this.  Its table rows hold one
+# element of 2r + 4 bits per byte, so a larger bound needs wider lanes.
 RING_ISO_RANK_BOUND = 2
 
 # The other three suites refuse a picard_rank above this.
@@ -262,7 +264,14 @@ def check_ring_iso(cfg: CurveConfig) -> RingIsoReport:
     from_group_ring.
 
     The group-ring engine fills the addition and multiplication tables one
-    row at a time; the invariant engine decides each entry on the spread
+    row per call: the elements are packed one per byte into one int, the
+    column, and one element_add of x in every lane with the column, and one
+    element_mul of x by it, under lane_law, give the whole row of x.  An
+    element has 2r + 4 bits, at most 8 up to RING_ISO_RANK_BOUND, so it fits
+    its byte, and element_mul's docstring shows that no bit crosses a lane.
+    The pairwise oracle of the tests still calls both operations once per
+    pair, so it checks the lanes against the single-element calls.  The
+    invariant engine decides each entry on the spread
     summaries of _Spreads.  A sum entry is S[x] + S[y] - S[x+y], with S the
     summaries of the representatives.  The representative of y = (c, d) is
     the sum of those of (c, 0) and (0, d), checked for every y, so by
@@ -300,7 +309,9 @@ def check_ring_iso(cfg: CurveConfig) -> RingIsoReport:
     spreads = _Spreads(m, cfg.picard_rank + 2)
     spread = list(map(spreads.spread, summaries))
     spread_negated = [spreads.spread(summary.negated(m)) for summary in summaries]
-    spread_negated_of = dict(zip(elements, spread_negated))
+    # The elements are the ints below 1 << 2w, so in the order of their
+    # values each negated spread sits at the index of its element.
+    spread_negated_of = [negated for _, negated in sorted(zip(elements, spread_negated))]
 
     injective = True
     for i, total in enumerate(spread):
@@ -339,10 +350,15 @@ def check_ring_iso(cfg: CurveConfig) -> RingIsoReport:
     left_left, right_left = spreads.products(left, left), spreads.products(right, left)
     left_right, right_right = spreads.products(left, right), spreads.products(right, right)
 
+    # Lane k of column holds elements[k]; each lane is one byte.
+    count = len(elements)
+    ones = int.from_bytes(bytes([1]) * count, "little")
+    column = int.from_bytes(bytes(elements), "little")
+    row_law = lane_law(law, ones)
     for i, x in enumerate(elements):
         a, b = divmod(i, width)
-        add_row = list(map(element_add, repeat(law), repeat(x), elements))
-        mul_row = list(map(element_mul, repeat(law), repeat(x), elements))
+        add_row = element_add(row_law, x * ones, column).to_bytes(count, "little")
+        mul_row = element_mul(row_law, x, column).to_bytes(count, "little")
         sums = map(
             add, map(spread[i].__add__, spread), map(spread_negated_of.__getitem__, add_row)
         )

@@ -21,6 +21,7 @@ from wittcurve import (
     ResidueWittClass,
     Shape,
     canonical_form,
+    check_ring_iso,
     enumerate_classes,
     enumerate_generators,
     equals,
@@ -37,6 +38,7 @@ from wittcurve import (
     verify_quaternion_distinctness,
     witt_invariant,
 )
+from wittcurve import verify
 from wittcurve.engine import summary_is_trivial
 from wittcurve.group_ring import packed_coordinates
 
@@ -460,6 +462,28 @@ def test_hot_paths_do_not_revalidate(monkeypatch):
     # The counters count: the coordinate constructor checks each coordinate.
     Generator(0, 1, 2, 2)
     assert calls == ["check_bit", "check_bit", "check_mask"]
+
+
+@pytest.mark.parametrize("q", (1, 3))
+@pytest.mark.parametrize("rank", (0, 1))
+def test_ring_check_calls_each_operation_once_per_row(monkeypatch, q, rank):
+    # check_ring_iso fills a table row with one call of each operation, so
+    # it makes 16n^2 calls of each, not one per pair, and still checks
+    # (16n^2)^2 pairs of each table.
+    calls = dict.fromkeys(("element_add", "element_mul"), 0)
+    for name in calls:
+
+        def counted(*args, _operation=getattr(verify, name), _name=name):
+            calls[_name] += 1
+            return _operation(*args)
+
+        monkeypatch.setattr(verify, name, counted)
+    cfg = CurveConfig(q, rank)
+    report = check_ring_iso(cfg)
+    count = 16 * cfg.pic_order**2
+    assert report.passed
+    assert report.addition_pairs_checked == report.multiplication_pairs_checked == count**2
+    assert calls == {"element_add": count, "element_mul": count}
 
 
 def _reference_signed_discriminant(form: DiagonalForm) -> Generator:

@@ -34,6 +34,7 @@ from wittcurve.group_ring import (
     element_add,
     element_mul,
     element_neg,
+    lane_law,
     packed_group_ring_elements,
     packed_representative,
     packed_residue_classes,
@@ -199,6 +200,27 @@ def test_element_ops_never_carry_between_components(data, q, rank):
     component = st.integers(0, (4 << rank) - 1) | st.sampled_from((1, 3, (4 << rank) - 1))
     a, b, c, d = (data.draw(component) for _ in range(4))
     _assert_element_ops_are_residue_ops(CurveConfig(q, rank), a, b, c, d)
+
+
+@pytest.mark.parametrize("q", (1, 3))
+@pytest.mark.parametrize("rank", range(verify.RING_ISO_RANK_BOUND + 1))
+def test_row_calls_on_byte_lanes_give_each_pair(q, rank):
+    # check_ring_iso packs the elements one per byte and fills a table row
+    # with one call: byte k of it is the single-element call on
+    # (x, elements[k]).  A raised bound that no longer fits a byte fails here.
+    assert 2 * (verify.RING_ISO_RANK_BOUND + 2) <= 8
+    cfg = CurveConfig(q, rank)
+    law = cfg._ring_law
+    elements = packed_group_ring_elements(cfg)
+    count = len(elements)
+    ones = int.from_bytes(bytes([1]) * count, "little")
+    column = int.from_bytes(bytes(elements), "little")
+    row_law = lane_law(law, ones)
+    for x in elements:
+        add_row = element_add(row_law, x * ones, column).to_bytes(count, "little")
+        mul_row = element_mul(row_law, x, column).to_bytes(count, "little")
+        assert list(add_row) == [element_add(law, x, y) for y in elements]
+        assert list(mul_row) == [element_mul(law, x, y) for y in elements]
 
 
 @pytest.mark.parametrize("q", (1, 3))
@@ -423,7 +445,7 @@ class TestRingIsomorphism:
 
 def _drop_minus_one(operation):
     """The group-ring operation computed as if -1 were a square."""
-    return lambda law, x, y: operation((0, law[1]), x, y)
+    return lambda law, x, y: operation((0, *law[1:]), x, y)
 
 
 def _shift_ramified(offset):
@@ -458,12 +480,21 @@ def _times_fault_on_long_right_factor():
 
 def _wrong_once(operation, elements, i, j):
     """operation with its result at the pair (i, j) replaced by another
-    element; distinct elements are Witt-distinct."""
+    element, in a single call and in lane j of a row call whose left factor
+    is elements[i] (a row call takes the column, one element per byte);
+    distinct elements are Witt-distinct."""
+
+    def replaced(result):
+        return elements[elements.index(result) - 1]
 
     def wrong(law, x, y):
         result = operation(law, x, y)
         if (x, y) == (elements[i], elements[j]):
-            return elements[elements.index(result) - 1]
+            return replaced(result)
+        if y >> 8 and x & 255 == elements[i]:
+            lanes = bytearray(result.to_bytes(len(elements), "little"))
+            lanes[j] = replaced(lanes[j])
+            return int.from_bytes(lanes, "little")
         return result
 
     return wrong
@@ -515,8 +546,7 @@ class TestFaultInjection:
 
         def padded(law, x):
             rep = representative(law, x)
-            w = law[1]
-            return rep + (0, law[0] & 1) if x & (1 << w) - 1 and not x >> w else rep
+            return rep + (0, law[0] & 1) if x & law[2] and not x >> law[1] else rep
 
         monkeypatch.setattr(verify, "packed_representative", padded)
         cfg = CurveConfig(q, rank)
