@@ -13,17 +13,17 @@ and its shape follow from the types of its two components.
 The arithmetic runs on packed ints.  A residue class is parity | unit << 1 |
 mask << 2, its signed discriminant being the square class unit * (L-mask),
 an int below 1 << w with w = r + 2; a group ring element is the int
-a | b << w of its packed components.  The element operations take the
-config's law (M, w, low, parity), where M = m | m << w puts the unit bit m
-of -1 at the parity bit of each component, low = 2^w - 1 masks the residue
-component and parity = 2^w + 1 holds the parity bit of each, and work on
-both components at once.  The
-product of two residue classes is one closed form, residue_mul, which
-element_mul applies to both components of its right factor.  The public
-classes are views of these, and each stores just its config and its packed
-value: an element's components are built from its int when they are read,
-and both views print through _residue_text, so an element prints from its
-int without building them.
+a | b << w of its packed components, so a residue class a is the element
+a + <pi>*0, the same int.  The element operations are the one ring law.
+They take the config's law (M, w, low, parity), where M = m | m << w puts
+the unit bit m of -1 at the parity bit of each component, low = 2^w - 1
+masks the residue component and parity = 2^w + 1 holds the parity bit of
+each, and work on both components at once; on ints below 2^w they stay
+below 2^w, and compute in the residue ring.  The public classes are views
+of these, and each stores just its config and its packed value: an
+element's components are built from its int when they are read, and both
+views print through _residue_text, so an element prints from its int
+without building them.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from enum import Enum
 from functools import reduce
-from operator import attrgetter, xor
+from operator import xor
 
 from .forms import DiagonalForm
 from .groups import (
@@ -49,32 +49,6 @@ from .groups import (
 )
 
 
-def residue_add(m: int, a: int, b: int) -> int:
-    """Sum of packed residue classes; m is the unit bit of -1.
-
-    The sign twist contributes a cross term [-1] exactly when both summands
-    have odd rank.
-    """
-    return a ^ b ^ ((a & b & m) << 1)
-
-
-def residue_neg(m: int, a: int) -> int:
-    return a ^ ((a & m) << 1)
-
-
-def residue_mul(m: int, a: int, b: int) -> int:
-    """Product of packed residue classes, with d, d' their signed discriminants.
-
-    odd * odd is (1, d + d' + [-1]): <-d> * <-d'> = <d d'>, whose signed
-    discriminant is -d d'.  odd * even is the even factor: <-d> * <1, -d'> =
-    <-d, d d'>, whose signed discriminant is -(-d)(d d') = d'.  even * even
-    is zero: the fundamental ideal of the residue ring squares to zero.  So
-    u*v = [v odd]u + [u odd]v, plus parity 1 and [-1] when both are odd, the
-    closed form element_mul writes out four times.
-    """
-    return (a if b & 1 else 0) ^ (b if a & 1 else 0) ^ ((m << 1 | 1) if a & b & 1 else 0)
-
-
 def _residue_text(a: int) -> str:
     """Text of a packed residue class: its parity and signed discriminant."""
     # The discriminant's unit bit is bit 1 here and bit 0 of a label.
@@ -82,14 +56,20 @@ def _residue_text(a: int) -> str:
 
 
 def element_add(law: tuple[int, int, int, int], x: int, y: int) -> int:
-    """residue_add on both components at once: the twist (x & y & M) << 1
-    moves only bit 0 to bit 1 and bit w to bit w + 1, so it never crosses
-    into the other component, nor out of a lane of lane_law."""
+    """Sum of packed elements, one component at a time.
+
+    The sum of residue classes is the XOR of their coordinates, and the sign
+    twist contributes a cross term [-1] exactly when both summands have odd
+    rank.  The twist (x & y & M) << 1 moves only bit 0 to bit 1 and bit w to
+    bit w + 1, so it never crosses into the other component, nor out of a
+    lane of lane_law.
+    """
     return x ^ y ^ ((x & y & law[0]) << 1)
 
 
 def element_neg(law: tuple[int, int, int, int], x: int) -> int:
-    """residue_neg on both components at once, as element_add is."""
+    """Negative of a packed element: each odd component gains [-1], by the
+    twist of element_add."""
     return x ^ ((x & law[0]) << 1)
 
 
@@ -97,11 +77,21 @@ def element_mul(law: tuple[int, int, int, int], x: int, y: int) -> int:
     """(a + <pi>b)(c + <pi>d) = (ac + bd) + <pi>(ad + bc): <pi> squares to 1,
     so the ramified components multiply back into the residue component.
 
-    That is a*y + swap(b*y), where u*y multiplies the residue class u into
-    both components of y and swap exchanges the two components.  With P the
-    parity bits of both components, y & P holds the parity of c and of d, so
-    residue_mul's terms [c odd]u and [u odd](c + [c odd](1, [-1])) are
-    u * (y & P) and twisted, for both components at once.
+    The product of residue classes u, v with signed discriminants d, d' is
+    one closed form.  odd * odd is (1, d + d' + [-1]): <-d> * <-d'> =
+    <d d'>, whose signed discriminant is -d d'.  odd * even is the even
+    factor: <-d> * <1, -d'> = <-d, d d'>, whose signed discriminant is
+    -(-d)(d d') = d'.  even * even is zero: the fundamental ideal of the
+    residue ring squares to zero.  So u*v = [v odd]u + [u odd]v, plus
+    parity 1 and [-1] when both are odd.
+
+    The element product is a*y + swap(b*y), where u*y multiplies the residue
+    class u into both components of y and swap exchanges the two components.
+    With P the parity bits of both components, y & P holds the parity of c
+    and of d, so the terms [c odd]u and [u odd](c + [c odd](1, [-1])) are
+    u * (y & P) and twisted, for both components at once.  For residue
+    classes x = a and y = c, below 2^w, b*y and its swap are 0 and the
+    product is a*c, below 2^w.
 
     The same call multiplies one element x into every lane of y under
     lane_law.  A lane of y & P is one of 0, 1, 2^w and 2^w + 1, and a < 2^w,
@@ -225,15 +215,30 @@ def packed_group_ring_elements(cfg: CurveConfig) -> list[int]:
 
 
 class _PackedView:
-    """Storage and operators shared by the two views.  A view stores its
-    config and its packed value, 0 for zero and minus_one << 1 | 1 for <1>
-    in both packings.  A subclass names _law,
-    which reads from the config what its packed add, neg and mul take first,
-    and those three functions.  An operand of another class gets
-    NotImplemented."""
+    """Storage, constructor and operators shared by the two views.  A view
+    stores its config and its packed value, 0 for zero and minus_one << 1 | 1
+    for <1> in both packings, and computes with the element operations on
+    the config's _ring_law, a residue class as the element a + <pi>*0.  A
+    subclass names in _components how many packed residue classes its int
+    holds, and the view in the message of from_packed in _what.  An operand
+    of another class gets NotImplemented."""
 
     __slots__ = ("config", "packed")
     _stored = __slots__
+
+    @classmethod
+    def from_packed(cls, cfg: CurveConfig, packed: int) -> _PackedView:
+        """The view of packed, _components packed residue classes of
+        picard_rank + 2 bits each, checked with one test as
+        groups.Generator.from_packed does."""
+        if cfg.__class__ is not CurveConfig:
+            check_config(cfg, f"{cls.__name__}.from_packed")
+        if type(packed) is not int or packed >> cls._components * cfg._ring_law[1]:
+            raise packed_error(cls._what, packed, cfg.picard_rank)
+        view = _new(cls)
+        _set(view, "config", cfg)
+        _set(view, "packed", packed)
+        return view
 
     @classmethod
     def zero(cls, cfg: CurveConfig) -> _PackedView:
@@ -257,18 +262,18 @@ class _PackedView:
             return NotImplemented
         cfg = self.config
         require_same_config(cfg, other.config)
-        return self.from_packed(cfg, self._add(self._law(cfg), self.packed, other.packed))
+        return self.from_packed(cfg, element_add(cfg._ring_law, self.packed, other.packed))
 
     def __neg__(self) -> _PackedView:
         cfg = self.config
-        return self.from_packed(cfg, self._neg(self._law(cfg), self.packed))
+        return self.from_packed(cfg, element_neg(cfg._ring_law, self.packed))
 
     def __mul__(self, other: _PackedView) -> _PackedView:
         if other.__class__ is not self.__class__:
             return NotImplemented
         cfg = self.config
         require_same_config(cfg, other.config)
-        return self.from_packed(cfg, self._mul(self._law(cfg), self.packed, other.packed))
+        return self.from_packed(cfg, element_mul(cfg._ring_law, self.packed, other.packed))
 
 
 class ResidueWittClass(_PackedView, _Frozen):
@@ -282,10 +287,8 @@ class ResidueWittClass(_PackedView, _Frozen):
     __slots__ = ()
     _fields = ("config", "parity", "disc_unit", "disc_mask")
 
-    _law = attrgetter("minus_one")
-    _add = staticmethod(residue_add)
-    _neg = staticmethod(residue_neg)
-    _mul = staticmethod(residue_mul)
+    _components = 1
+    _what = "residue class"
 
     parity = property(lambda self: self.packed & 1, doc="The rank parity bit.")
     disc_unit = property(lambda self: self.packed >> 1 & 1, doc="The discriminant's unit bit.")
@@ -298,20 +301,6 @@ class ResidueWittClass(_PackedView, _Frozen):
         check_mask(disc_mask, config.picard_rank)
         _set(self, "config", config)
         _set(self, "packed", parity | disc_unit << 1 | disc_mask << 2)
-
-    @classmethod
-    def from_packed(cls, cfg: CurveConfig, packed: int) -> "ResidueWittClass":
-        """The class of parity | unit << 1 | mask << 2, checked with one test
-        as groups.Generator.from_packed does."""
-        if cfg.__class__ is not CurveConfig:
-            check_config(cfg, "ResidueWittClass.from_packed")
-        rank = cfg.picard_rank
-        if type(packed) is not int or packed >> rank + 2:
-            raise packed_error("residue class", packed, rank)
-        x = _new(cls)
-        _set(x, "config", cfg)
-        _set(x, "packed", packed)
-        return x
 
     @classmethod
     def from_generators(
@@ -339,10 +328,8 @@ class GroupRingElement(_PackedView, _Frozen):
     __slots__ = ()
     _fields = ("a", "b")
 
-    _law = attrgetter("_ring_law")
-    _add = staticmethod(element_add)
-    _neg = staticmethod(element_neg)
-    _mul = staticmethod(element_mul)
+    _components = 2
+    _what = "group ring element"
 
     @property
     def a(self) -> ResidueWittClass:
@@ -361,20 +348,6 @@ class GroupRingElement(_PackedView, _Frozen):
             raise ValueError("config mismatch: mixed group ring components")
         _set(self, "config", a.config)
         _set(self, "packed", a.packed | b.packed << a.config.picard_rank + 2)
-
-    @classmethod
-    def from_packed(cls, cfg: CurveConfig, x: int) -> "GroupRingElement":
-        """The element a | b << (picard_rank + 2) of packed residue classes a
-        and b, checked with one test as ResidueWittClass.from_packed is."""
-        if cfg.__class__ is not CurveConfig:
-            check_config(cfg, "GroupRingElement.from_packed")
-        rank = cfg.picard_rank
-        if type(x) is not int or x >> 2 * rank + 4:
-            raise packed_error("group ring element", x, rank)
-        element = _new(cls)
-        _set(element, "config", cfg)
-        _set(element, "packed", x)
-        return element
 
     def __str__(self) -> str:
         x = self.packed
@@ -421,7 +394,7 @@ def splitting_map(form: DiagonalForm) -> ResidueWittClass:
     cfg = form.config
     law = cfg._ring_law
     x = packed_coordinates(law, form.packed)
-    return ResidueWittClass.from_packed(cfg, residue_add(cfg.minus_one, x & law[2], x >> law[1]))
+    return ResidueWittClass.from_packed(cfg, element_add(law, x & law[2], x >> law[1]))
 
 
 def enumerate_residue_classes(cfg: CurveConfig) -> list[ResidueWittClass]:

@@ -77,6 +77,11 @@ MAX_FORM_ENTRIES = 1 << 16
 _INDEX = re.compile(r"0*([0-9]*)")
 
 
+# Each term other than a bundle label and its packed delta, in the order the
+# cursor parser tries them.
+_FIXED_TERMS = (("1", 0), ("s", 1), ("pi", 2))
+
+
 class _LabelError(KeyError):
     """A bundle label the syntax refuses; its message carries no position."""
 
@@ -110,7 +115,7 @@ def _parse_term(cur: _Cursor, cfg: CurveConfig) -> int:
             return _label_delta(match.group(1), cfg.picard_rank)
         except _LabelError as err:
             raise FormSyntaxError(err.args[0], start) from None
-    for term, delta in (("1", 0), ("s", 1), ("pi", 2)):
+    for term, delta in _FIXED_TERMS:
         if cur.text.startswith(term, start):
             cur.pos += len(term)
             return delta
@@ -187,7 +192,7 @@ class _TermDeltas(dict):
     __slots__ = ("picard_rank",)
 
     def __init__(self, picard_rank: int):
-        super().__init__({"1": 0, "s": 1, "pi": 2})
+        super().__init__(_FIXED_TERMS)
         self.picard_rank = picard_rank
 
     def __missing__(self, token: str) -> int:

@@ -161,6 +161,25 @@ def residue_negative(x: ResidueWittClass) -> ResidueWittClass:
     return ResidueWittClass(x.config, x.parity, x.disc_unit ^ twist, x.disc_mask)
 
 
+def residue_add(m: int, a: int, b: int) -> int:
+    """Sum of packed residue classes; m is the unit bit of -1.
+
+    The sign twist contributes a cross term [-1] exactly when both summands
+    have odd rank.
+    """
+    return a ^ b ^ ((a & b & m) << 1)
+
+
+def residue_neg(m: int, a: int) -> int:
+    return a ^ ((a & m) << 1)
+
+
+def residue_mul(m: int, a: int, b: int) -> int:
+    """Product of packed residue classes: u*v = [v odd]u + [u odd]v, plus
+    parity 1 and [-1] when both are odd (group_ring.element_mul derives it)."""
+    return (a if b & 1 else 0) ^ (b if a & 1 else 0) ^ ((m << 1 | 1) if a & b & 1 else 0)
+
+
 def residue_representative(x: ResidueWittClass) -> tuple[Generator, ...]:
     """Odd classes are a single generator <-d>; even classes are <1, -d>
     (the zero class gets <1, -1>), with d the signed discriminant."""

@@ -38,15 +38,15 @@ from wittcurve.group_ring import (
     packed_group_ring_elements,
     packed_representative,
     packed_residue_classes,
-    residue_add,
-    residue_mul,
-    residue_neg,
 )
 
 from helpers import (
     pairwise_ring_iso,
     random_form,
+    residue_add,
     residue_class_of,
+    residue_mul,
+    residue_neg,
     residue_negative,
     residue_product,
     residue_sum,
@@ -257,18 +257,11 @@ def test_element_prints_as_its_components(q, rank):
         assert str(x) == f"[{x.a} | pi: {x.b}]"
 
 
-# Both views compute through their packed functions, with one operator path.
+# Both views compute through the element operations on the config's law,
+# with one operator path.
 @pytest.mark.parametrize(
-    "view, packed, zero, ops",
-    [
-        (ResidueWittClass, packed_residue_classes, 0, (residue_add, residue_neg, residue_mul)),
-        (
-            GroupRingElement,
-            packed_group_ring_elements,
-            0,
-            (element_add, element_neg, element_mul),
-        ),
-    ],
+    "view, packed",
+    [(ResidueWittClass, packed_residue_classes), (GroupRingElement, packed_group_ring_elements)],
     ids=["residue", "element"],
 )
 @pytest.mark.parametrize(
@@ -276,23 +269,28 @@ def test_element_prints_as_its_components(q, rank):
     [(CurveConfig(3, 1), CurveConfig(1, 1)), (CurveConfig(1, 1), CurveConfig(1, 2))],
     ids=["q", "rank"],
 )
-def test_views_share_one_operator_path(view, packed, zero, ops, cfg, other_cfg):
-    add, neg, mul = ops
-    law = view._law(cfg)
+def test_views_share_one_operator_path(view, packed, cfg, other_cfg):
+    references = [(cfg._ring_law, (element_add, element_neg, element_mul))]
+    if view is ResidueWittClass:
+        # On a residue class, the element a + <pi>*0, the element operations
+        # are the residue closed forms.
+        references.append((cfg.minus_one, (residue_add, residue_neg, residue_mul)))
     for op in (operator.add, operator.mul):
         with pytest.raises(ValueError) as exc:
             op(view.one(cfg), view.one(other_cfg))
         assert str(exc.value) == f"config mismatch: {cfg} != {other_cfg}"
-    assert view.zero(cfg) == view.from_packed(cfg, zero)
+    assert view.zero(cfg) == view.from_packed(cfg, 0)
     xs = [view.from_packed(cfg, p) for p in packed(cfg)]
     for x in xs:
-        assert (-x).packed == neg(law, x.packed)
-        assert x.is_zero == (x.packed == zero)
+        assert x.is_zero == (x.packed == 0)
         copy = pickle.loads(pickle.dumps(x))
         assert copy == x and hash(copy) == hash(x) and repr(copy) == repr(x)
-        for y in xs:
-            assert (x + y).packed == add(law, x.packed, y.packed)
-            assert (x * y).packed == mul(law, x.packed, y.packed)
+        for law, (add, neg, mul) in references:
+            assert (-x).packed == neg(law, x.packed)
+            for y in xs:
+                assert (x + y).packed == add(law, x.packed, y.packed)
+                assert (x * y).packed == mul(law, x.packed, y.packed)
+
 
 class TestGroupRingCoordinates:
     def test_pi_maps_to_ramified_one(self, cfg):
@@ -373,6 +371,11 @@ class TestSplittingMap:
     def test_section_of_inclusion(self, cfg):
         for x in enumerate_residue_classes(cfg):
             assert splitting_map(inclusion(x)) == x
+
+    def test_a_residue_class_is_the_element_with_no_pi_part(self, cfg):
+        # The same int: the two views compute with one ring law.
+        for x in enumerate_residue_classes(cfg):
+            assert to_group_ring(inclusion(x)).packed == x.packed
 
     def test_inclusion_lands_in_pi_free_forms(self, cfg):
         for x in enumerate_residue_classes(cfg):

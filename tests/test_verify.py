@@ -141,3 +141,52 @@ def test_quaternion_suite_reports_an_equal_pair(monkeypatch, cfg):
     assert not report.pairwise_distinct
     assert report.trivial_symbols == expected.trivial_symbols == ("(1, pi)",)
     assert not report.passed
+
+
+def test_quaternion_suite_fails_on_a_second_trivial_form(monkeypatch, cfg):
+    # The engine calls the norm form of (s, pi) trivial too; the forms stay
+    # pairwise distinct, so only the trivial symbols fail the suite.
+    second = quaternion_norm_form(cfg, 1, 0).packed
+    is_trivial = verify.is_trivial
+    monkeypatch.setattr(
+        verify, "is_trivial", lambda form: form.packed == second or is_trivial(form)
+    )
+    report = verify_quaternion_distinctness(cfg)
+    assert report.pairwise_distinct
+    assert report.trivial_symbols == ("(1, pi)", "(s, pi)")
+    assert not report.passed
+
+
+def test_rank_one_suite_fails_on_two_classes_called_equal(monkeypatch, cfg):
+    # The engine calls <1> and the last generator equal; every product
+    # still agrees, so only classes_distinct fails the suite.
+    m = cfg.minus_one
+    gens = verify.enumerate_generators(cfg)
+    p, q = gens[0].packed, gens[-1].packed
+    equal = summarize((p,)).plus(summarize((q,)).negated(m))
+    decide = verify.summary_is_trivial
+    monkeypatch.setattr(
+        verify, "summary_is_trivial", lambda summary, m: summary == equal or decide(summary, m)
+    )
+    report = rank_one_group_structure(cfg)
+    assert p != q
+    assert not report.classes_distinct
+    assert report.homomorphism_ok and report.exponent_two
+    assert report.order == 4 * cfg.pic_order
+    assert not report.passed
+
+
+def test_rank_one_suite_fails_on_a_wrong_generator_count(monkeypatch, cfg):
+    # One generator listed twice: every class is distinct and every product
+    # agrees, so only the count fails the suite.
+    enumerate_generators = verify.enumerate_generators
+
+    def repeating_one(c):
+        gens = enumerate_generators(c)
+        return gens + gens[:1]
+
+    monkeypatch.setattr(verify, "enumerate_generators", repeating_one)
+    report = rank_one_group_structure(cfg)
+    assert report.order == 4 * cfg.pic_order + 1
+    assert report.classes_distinct and report.exponent_two and report.homomorphism_ok
+    assert not report.passed
