@@ -24,12 +24,7 @@ from wittcurve import (
     verify,
 )
 from wittcurve.engine import summary_is_trivial
-from wittcurve.forms import summarize
-from wittcurve.group_ring import (
-    packed_coordinates,
-    packed_group_ring_elements,
-    packed_representative,
-)
+from wittcurve.group_ring import packed_coordinates, packed_group_ring_elements
 
 
 @functools.lru_cache(maxsize=None)
@@ -213,19 +208,23 @@ def enumerated_census(cfg: CurveConfig) -> tuple[int, tuple[tuple[Shape, int], .
 
 def pairwise_ring_iso(cfg: CurveConfig) -> RingIsoReport:
     """Reference ring check: the same report as verify.check_ring_iso, with
-    every table entry decided on its own, as S[x] + S[y] - S[x+y] and
-    S[x] * S[y] - S[x*y] through Summary.plus and Summary.times.
+    every table entry decided on its own, on the summary of the packed
+    entries of a real difference form: rep(x) + rep(y) + (-rep(x+y)) for a
+    sum, and the entries p ^ q of rep(x) * rep(y), then -rep(x*y), for a
+    product, where -rep XORs the unit bit of -1 into each entry.
 
-    The tables come from verify.element_add and verify.element_mul, looked
-    up at call time, so a fault patched into verify reaches both checks.
+    The tables, representatives and summaries come from verify.element_add,
+    verify.element_mul, verify.packed_representative and verify.summarize,
+    looked up at call time, so a fault patched into verify reaches both
+    checks.
     """
     m = cfg.minus_one
     law = cfg._ring_law
+    summarize = verify.summarize
     elements = packed_group_ring_elements(cfg)
     index = {x: i for i, x in enumerate(elements)}
-    reps = [packed_representative(law, x) for x in elements]
-    summaries = [summarize(rep) for rep in reps]
-    negated = [summary.negated(m) for summary in summaries]
+    reps = [verify.packed_representative(law, x) for x in elements]
+    negated = [tuple(p ^ m for p in rep) for rep in reps]
     mismatches = []
 
     def mismatch(message):
@@ -240,32 +239,22 @@ def pairwise_ring_iso(cfg: CurveConfig) -> RingIsoReport:
         mismatch("from_group_ring does not invert to_group_ring")
 
     injective = True
-    for i, summary in enumerate(summaries):
+    for i, rep in enumerate(reps):
         for j in range(i + 1, len(elements)):
-            if summary_is_trivial(summary.plus(negated[j]), m):
+            if summary_is_trivial(summarize(rep + negated[j]), m):
                 injective = False
                 mismatch(f"distinct elements {element(i)} and {element(j)} gave equal forms")
 
-    last = len(elements) - 1
-    forms = [DiagonalForm._from_packed(cfg, rep) for rep in reps]
-    for i in range(len(elements)):
-        for j in (i, last - i):
-            if (forms[i] + forms[j]).summary != summaries[i].plus(summaries[j]):
-                mismatch(f"sampled sum differs from Summary.plus at {element(i)}, {element(j)}")
-            if (forms[i] * forms[j]).summary != summaries[i].times(summaries[j]):
-                mismatch(
-                    f"sampled tensor product differs from Summary.times at {element(i)}, {element(j)}"
-                )
-
     additions = multiplications = 0
     for i, x in enumerate(elements):
-        summary = summaries[i]
+        rep = reps[i]
         add_row = [index[verify.element_add(law, x, y)] for y in elements]
         mul_row = [index[verify.element_mul(law, x, y)] for y in elements]
-        for j, other in enumerate(summaries):
-            if not summary_is_trivial(summary.plus(other).plus(negated[add_row[j]]), m):
+        for j, other in enumerate(reps):
+            if not summary_is_trivial(summarize(rep + other + negated[add_row[j]]), m):
                 mismatch(f"addition mismatch at {element(i)}, {element(j)}")
-            if not summary_is_trivial(summary.times(other).plus(negated[mul_row[j]]), m):
+            tensor = tuple(p ^ q for p in rep for q in other)
+            if not summary_is_trivial(summarize(tensor + negated[mul_row[j]]), m):
                 mismatch(f"multiplication mismatch at {element(i)}, {element(j)}")
         additions += len(add_row)
         multiplications += len(mul_row)
@@ -278,7 +267,7 @@ def pairwise_ring_iso(cfg: CurveConfig) -> RingIsoReport:
         roundtrip_ok=roundtrip_ok,
         injective=injective,
         mismatches=tuple(mismatches),
-        passed=roundtrip_ok and injective and not mismatches,
+        passed=not mismatches,
     )
 
 

@@ -79,7 +79,7 @@ def _measure(tool: str, small: str) -> list[str]:
 def test_measure_syntax_prints_its_tables():
     lines = _measure(
         "measure_syntax",
-        "measure_syntax.ROUNDS = measure_syntax.CURSOR_ROUNDS = 1; "
+        "measure_syntax.ROUNDS = 1; "
         "measure_syntax.ENTRIES = 64; measure_syntax.CALLS = 10",
     )
     assert lines[0].endswith("64 entries, best of 1 rounds")

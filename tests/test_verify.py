@@ -1,5 +1,5 @@
 """Tests for the rank bounds of the verification suites, their failure
-reports, and the spread summaries that check_ring_iso decides its tables on."""
+reports, and the spreads that check_ring_iso decides its tables on."""
 
 import itertools
 
@@ -14,12 +14,8 @@ from wittcurve import (
     verify_quaternion_distinctness,
 )
 from wittcurve import verify
-from wittcurve.forms import Summary, quaternion_norm_form, summarize
-from wittcurve.group_ring import (
-    packed_group_ring_elements,
-    packed_representative,
-    packed_residue_classes,
-)
+from wittcurve.forms import DiagonalForm, Summary, quaternion_norm_form, summarize
+from wittcurve.group_ring import packed_group_ring_elements, packed_representative
 
 from helpers import pairwise_relations
 
@@ -65,22 +61,37 @@ def test_masked_sum_of_three_spreads_is_the_summed_summary(data, rank, minus_one
 
 @pytest.mark.parametrize("q", (1, 3))
 def test_table_totals_fit_their_counters_at_the_rank_bound(q):
-    # The largest count any table total reaches: an addition total adds three
-    # representatives' summaries, a product total four products of component
-    # summaries and one negated summary.
+    # A total sums the spreads of the entries of a difference form: a sum
+    # total three representatives, a product total the k * k entries of a
+    # tensor product and one negated representative.  A counter counts
+    # entries, so it stays below 256.
     cfg = CurveConfig(q, verify.RING_ISO_RANK_BOUND)
     law = cfg._ring_law
-    w = cfg.picard_rank + 2
-    summaries = [summarize(packed_representative(law, x)) for x in packed_group_ring_elements(cfg)]
-    classes = packed_residue_classes(cfg)
-    left = [summarize(packed_representative(law, c)) for c in classes]
-    right = [summarize(packed_representative(law, d << w)) for d in classes]
-    components = left + right
-    rank = max(s.rank for s in summaries)
-    largest = max(3 * rank, 4 * max(x.times(y).rank for x in components for y in components) + rank)
-    assert largest == 20
-    assert largest < 256
-    assert all(s.ramified <= s.rank for s in summaries)
+    k = max(len(packed_representative(law, x)) for x in packed_group_ring_elements(cfg))
+    assert k == 4
+    assert max(3 * k, k * k + k) == 20 < 256
+
+
+@pytest.mark.parametrize("q", (1, 3))
+@pytest.mark.parametrize("rank", range(verify.RING_ISO_RANK_BOUND + 1))
+def test_entry_rows_sum_to_the_spread_of_the_tensor_product(q, rank):
+    # check_ring_iso's product row of x adds, for each entry p of rep(x),
+    # the spread of <p> * rep(y); masked, that sum is the spread of the
+    # real tensor product's summary.  The negated spread is that of -rep(x).
+    cfg = CurveConfig(q, rank)
+    m = cfg.minus_one
+    law = cfg._ring_law
+    spreads = verify._Spreads(m, rank + 2)
+    keep = spreads.keep
+    reps = [packed_representative(law, x) for x in packed_group_ring_elements(cfg)]
+    forms = [DiagonalForm._from_packed(cfg, rep) for rep in reps]
+    by_entry = [[spreads.of(map(p.__xor__, rep)) for rep in reps] for p in range(2 ** (rank + 2))]
+    for rep, e in zip(reps, forms):
+        assert spreads.of(rep) & keep == spreads.spread(e.summary)
+        assert spreads.of(map(m.__xor__, rep)) & keep == spreads.spread((-e).summary)
+        for j, f in enumerate(forms):
+            row_entry = sum(by_entry[p][j] for p in rep)
+            assert row_entry & keep == spreads.spread((e * f).summary)
 
 
 def _refusing(calls):

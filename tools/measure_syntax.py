@@ -6,12 +6,11 @@
 Times, on a random 4096-entry form at r = 2 and r = 16 (q = 3): str(), parse_form
 of the text str() prints, parse_form of a spelling of the same form, and the
 character-by-character parser on that spelling.  Each figure is the best of
-101 rounds (of 10 for the character-by-character parser), divided by the
-entry count, with the garbage collector off.  A spelling has 0-2 whitespace
-characters (space, tab, newline, \\x1c) around every separator, signs, '1' terms
-and zero-padded labels, as respell in tests/test_syntax.py writes them.  Then it
-times the fixed cost of a call: the best of 101 rounds of 2000 calls on
-each of a few short texts.
+101 rounds, divided by the entry count, with the garbage collector off.  A
+spelling has 0-2 whitespace characters (space, tab, newline, \\x1c) around every
+separator, signs, '1' terms and zero-padded labels, as respell in
+tests/test_syntax.py writes them.  Then it times the fixed cost of a call: the
+best of 101 rounds of 2000 calls on each of a few short texts.
 
 With --parent, the package under DIR/src is loaded too, under another name, and
 each round times both versions in turn, taking turns at going first, as
@@ -34,7 +33,6 @@ WHITESPACE = " \t\n\x1c"
 ENTRIES = 4096
 RANKS = (2, 16)
 ROUNDS = 101
-CURSOR_ROUNDS = 10
 CALLS = 2000
 SHORT_TEXTS = (
     "<>",
@@ -98,24 +96,17 @@ class Version:
         self.short_cfg = package.CurveConfig(3, 2)
 
     def rows(self) -> dict[str, tuple]:
-        """Each row's name, call, rounds and the count its time is divided by."""
+        """Each row's name, call and the count its time is divided by."""
         rows = {}
         for rank, (cfg, form, spelled) in self.cases.items():
             printed = str(form)
-            rows[f"str() r={rank}"] = (lambda f=form: str(f), None, ENTRIES)
-            rows[f"printed r={rank}"] = (
-                lambda t=printed, c=cfg: self.parse(t, c), None, ENTRIES
-            )
-            rows[f"spelled r={rank}"] = (
-                lambda t=spelled, c=cfg: self.parse(t, c), None, ENTRIES
-            )
-            rows[f"cursor r={rank}"] = (
-                lambda t=spelled, c=cfg: self.cursor(t, c), CURSOR_ROUNDS, ENTRIES
-            )
+            rows[f"str() r={rank}"] = (lambda f=form: str(f), ENTRIES)
+            rows[f"printed r={rank}"] = (lambda t=printed, c=cfg: self.parse(t, c), ENTRIES)
+            rows[f"spelled r={rank}"] = (lambda t=spelled, c=cfg: self.parse(t, c), ENTRIES)
+            rows[f"cursor r={rank}"] = (lambda t=spelled, c=cfg: self.cursor(t, c), ENTRIES)
         for text in SHORT_TEXTS:
             rows[text] = (
                 lambda t=text, c=self.short_cfg: [self.parse(t, c) for _ in range(CALLS)],
-                None,
                 CALLS,
             )
         return rows
@@ -136,9 +127,7 @@ def main() -> int:
         for i in range(ROUNDS):
             for name in rows[0]:
                 for side in (0, 1)[: len(versions)][:: -1 if i % 2 else 1]:
-                    call, rounds, count = rows[side][name]
-                    if rounds is not None and i >= rounds:
-                        continue
+                    call, count = rows[side][name]
                     start = perf_counter()
                     call()
                     seconds = (perf_counter() - start) / count
