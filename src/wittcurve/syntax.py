@@ -11,16 +11,18 @@ to it.
 Every term is its packed delta, unit | pi_exp << 1 | mask << 2, and an
 entry is the XOR of its terms and, if it has a '-', of the class of -1.
 parse_form splits a well-formed text with str methods and packs each
-distinct entry text, once, into an int, looking its terms up in a table
-that the configuration keeps across calls while the table holds at most
-4 * (r + 3) spellings at Picard rank r.  A delta is 0 or a single bit,
-so the sum of an entry's deltas has one set bit per term, not counting bare
-'1' terms, only when those terms are distinct bits, and the sum is then
-their XOR; an entry with a repeated term or a '1' with whitespace fails that
-check and is XOR-ed term by term.  Any text that path cannot take goes,
-unchanged, to a character-by-character cursor parser, the one place that
-names a syntax error and its position.  Both paths read a bundle label
-through _label_delta, the one rule for which labels exist.
+entry into an int, looking its terms up in a table that the configuration
+keeps across calls while the table holds at most 4 * (r + 3) spellings at
+Picard rank r.  A text of at least 4n = 2^(r + 2) entries, as many as a
+form has distinct entries, packs each distinct entry text once.  A delta
+is 0 or a single bit, so the sum of an entry's deltas has one set bit per
+term, not counting bare '1' terms, only when those terms are distinct
+bits, and the sum is then their XOR; an entry with a repeated term or a
+'1' with whitespace fails that check and is XOR-ed term by term.  Any text
+that path cannot take goes, unchanged, to a character-by-character cursor
+parser, the one place that names a syntax error and its position.  Both
+paths read a bundle label through _label_delta, the one rule for which
+labels exist.
 """
 
 from __future__ import annotations
@@ -212,11 +214,14 @@ def _packed_entries(inside: str, cfg: CurveConfig) -> tuple[int, ...]:
     """The entries between the brackets, packed; KeyError if any is malformed
     or there are more than MAX_FORM_ENTRIES.
 
-    Each distinct entry text is decided once: dict.fromkeys keeps the
-    distinct texts in order, and the map back to every entry runs in C, as
-    do the splits and the term lookups in cfg's term table.  A leading '-'
-    XORs in the class of -1; the sign stays outside the table, so no key
-    depends on q_mod_4.
+    A text of fewer than 4n = 2^(r + 2) entries, the most distinct entries
+    a form has, is decided entry by entry, in order.  A text of 4n or more
+    may repeat an entry, and past 4n must, so each of its distinct entry
+    texts is decided once: dict.fromkeys keeps the distinct texts in order,
+    and the map back to every entry runs in C, as do the splits and the
+    term lookups in cfg's term table.  Only an entry that holds a '-' is
+    stripped and read for a sign: a leading '-' XORs in the class of -1.
+    The sign stays outside the table, so no key depends on q_mod_4.
     """
     parts = inside.split(",")
     if len(parts) > MAX_FORM_ENTRIES:
@@ -227,13 +232,14 @@ def _packed_entries(inside: str, cfg: CurveConfig) -> tuple[int, ...]:
         _set(cfg, "_terms", terms)
     term_delta = terms.__getitem__
     minus = cfg.minus_one
-    decided = dict.fromkeys(parts)
+    repeats = len(parts) >> (cfg.picard_rank + 2)
+    decided = dict.fromkeys(parts) if repeats else []
     try:
-        for entry in decided:
-            body = entry.lstrip()
-            signed = body[:1] == "-"
-            # Any other '-' fails the lookup of its term.
-            tokens = body[signed:].split("*")
+        for entry in decided if repeats else parts:
+            # Only an entry with a '-' can have a sign; any '-' but a leading
+            # one fails the lookup of its term.
+            signed = "-" in entry and (body := entry.lstrip())[:1] == "-"
+            tokens = (body[1:] if signed else entry).split("*")
             packed = sum(map(term_delta, tokens))
             bits = packed.bit_count()
             # bits is at most the number of terms other than bare '1's, so
@@ -242,11 +248,15 @@ def _packed_entries(inside: str, cfg: CurveConfig) -> tuple[int, ...]:
             # the XOR.
             if bits != len(tokens) and bits != len(tokens) - tokens.count("1"):
                 packed = reduce(xor, map(term_delta, tokens))
-            decided[entry] = packed ^ minus if signed else packed
+            packed = packed ^ minus if signed else packed
+            if repeats:
+                decided[entry] = packed
+            else:
+                decided.append(packed)
     finally:
         if len(terms) > 4 * (cfg.picard_rank + 3):
             _set(cfg, "_terms", None)
-    return tuple(map(decided.__getitem__, parts))
+    return tuple(map(decided.__getitem__, parts) if repeats else decided)
 
 
 def parse_form(text: str, cfg: CurveConfig) -> DiagonalForm:

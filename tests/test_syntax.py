@@ -240,11 +240,19 @@ PATHOLOGICAL_TEXTS = [
     "<" + "1*" * 100_000 + "1>",
     "<" + "1," * 100_000,
     "<L" + "0" * 100_000 + "1>",
+    # 2^16 entries, fewer than the 4n = 2^18 distinct entries a form has at
+    # r = 16, so no dedupe runs there: each copy is decided afresh, and the
+    # label, longer than a kept spelling, goes through the table's
+    # __missing__ each time.
+    "<" + ",".join([" - s * pi "] * 65_536) + ">",
+    "<" + ",".join(["L" + "0" * 20 + "1"] * 65_536) + ">",
 ]
 
 
 @pytest.mark.parametrize(
-    "text", PATHOLOGICAL_TEXTS, ids=["spaces", "terms", "unclosed", "zero-run"]
+    "text",
+    PATHOLOGICAL_TEXTS,
+    ids=["spaces", "terms", "unclosed", "zero-run", "signed-copies", "label-copies"],
 )
 @pytest.mark.parametrize("rank", (0, 16))
 def test_long_pathological_text_is_linear(text, rank):
@@ -555,6 +563,44 @@ def test_ones_and_repeated_terms_agree_with_cursor_parser(text, rank):
     cfg = CurveConfig(3, rank)
     parse_form("<s>", cfg)
     assert _outcome(parse_form, text, cfg) == _outcome(_parse_with_cursor, text, cfg)
+
+
+# Entries with a sign after whitespace, with whitespace after the sign, and
+# with a '-' that is not a sign.
+SIGN_ENTRIES = ["- s", "\t-L1", " -\tpi*s", "s*-L1", "s -L1", "--s", "-", "pi-"]
+
+
+@pytest.mark.parametrize(
+    "times, plus", [(1, -1), (1, 0), (1, 1), (3, 0)], ids=["4n-1", "4n", "4n+1", "3*4n"]
+)
+@pytest.mark.parametrize("rank", (0, 1, 2))
+@pytest.mark.parametrize("q", (1, 3))
+def test_entry_counts_across_the_dedupe_threshold_agree_with_cursor_parser(
+    q, rank, times, plus
+):
+    # parse_form dedupes the entry texts of a text of at least 4n = 2^(r + 2)
+    # entries, and decides the entries of a shorter one in order.
+    cfg = CurveConfig(q, rank)
+    entries = times * 4 * cfg.pic_order + plus
+    rng = random.Random(f"{q} {rank} {times} {plus}")
+    pool = [Generator(rng.randint(0, 1), rng.randint(0, 1), rng.getrandbits(rank), rank)
+            for _ in range(3)]
+    texts = []
+    for _ in range(4):
+        form = DiagonalForm(cfg, tuple(rng.choice(pool) for _ in range(entries)))
+        for text in (str(form), respell(form, rng)):
+            assert parse_form(text, cfg) == form
+            at = rng.randrange(len(text))
+            texts += [text, text[:at] + rng.choice(ALPHABET) + text[at:],
+                      text[:at] + text[at + 1:]]
+        for odd in SIGN_ENTRIES:
+            parts = str(form)[1:-1].split(",")
+            # Twice, so a deduped text repeats it.
+            for at in rng.sample(range(entries), min(2, entries)):
+                parts[at] = odd
+            texts.append("<" + ",".join(parts) + ">")
+    for text in texts:
+        assert _outcome(parse_form, text, cfg) == _outcome(_parse_with_cursor, text, cfg)
 
 
 # -- the form-length limit -----------------------------------------------------------

@@ -83,8 +83,21 @@ def test_measure_syntax_prints_its_tables():
         "measure_syntax.ENTRIES = 64; measure_syntax.CALLS = 10",
     )
     assert lines[0].endswith("64 entries, best of 1 rounds")
-    assert "| | `r = 2` | `r = 16` |" in lines
+    assert "| | `r = 2` | `r = 10` | `r = 11` | `r = 16` |" in lines
+    assert "|---|---|---|---|---|" in lines
     assert "| `parse_form` at `r = 2`, per call | |" in lines
+
+
+def test_measure_syntax_labels_its_columns_by_its_ranks():
+    lines = _measure(
+        "measure_syntax",
+        "measure_syntax.ROUNDS = 1; measure_syntax.RANKS = (0, 3); "
+        "measure_syntax.ENTRIES = 8; measure_syntax.CALLS = 1",
+    )
+    assert "| | `r = 0` | `r = 3` |" in lines
+    assert "|---|---|---|" in lines
+    row = next(line for line in lines if line.startswith("| `str()` |"))
+    assert row.count("|") == 4
 
 
 def test_measure_suites_prints_its_tables():

@@ -3,7 +3,7 @@
     python3 tools/measure_syntax.py
     python3 tools/measure_syntax.py --parent ../other-checkout
 
-Times, on a random 4096-entry form at r = 2 and r = 16 (q = 3): str(), parse_form
+Times, on a random 4096-entry form at each rank of RANKS (q = 3): str(), parse_form
 of the text str() prints, parse_form of a spelling of the same form, and the
 character-by-character parser on that spelling.  Each figure is the best of
 101 rounds, divided by the entry count, with the garbage collector off.  A
@@ -31,7 +31,10 @@ from time import perf_counter
 ROOT = Path(__file__).resolve().parent.parent
 WHITESPACE = " \t\n\x1c"
 ENTRIES = 4096
-RANKS = (2, 16)
+# 4096 entries are at least the 4n = 2^(r + 2) distinct entries a form has at
+# r = 2 and r = 10, and fewer at r = 11 and r = 16: parse_form dedupes the
+# entry texts of the first two only.
+RANKS = (2, 10, 11, 16)
 ROUNDS = 101
 CALLS = 2000
 SHORT_TEXTS = (
@@ -143,8 +146,8 @@ def main() -> int:
 
     print(f"Python {sys.version.split()[0]}, {ENTRIES} entries, best of {ROUNDS} rounds")
     print()
-    print("| | `r = 2` | `r = 16` |")
-    print("|---|---|---|")
+    print("| |" + "".join(f" `r = {r}` |" for r in RANKS))
+    print("|---|" + "---|" * len(RANKS))
     for head, label in (
         ("str()", "`str()`"),
         ("printed", "`parse_form` of the text `str()` prints"),
